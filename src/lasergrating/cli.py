@@ -4,8 +4,7 @@ Commands: derive-params, talbot, kdtli, farfield, ladder, rabi, figure.
 Configuration is a sectioned key/value file with units spelled out in the
 key names (see docs/formats.md).  Outputs are deterministic: fixed float
 formatting, sorted manifests, no timestamps; sweep points are computed by a
-work pool but written in input order, and the ODE routes take the same steps
-at any BLAS thread count.
+work pool but written in input order.
 """
 
 from __future__ import annotations
@@ -340,12 +339,12 @@ def cmd_farfield(cfg, args, outdir: Path) -> list[str]:
 
 
 def cmd_ladder(cfg, args, outdir: Path) -> list[str]:
+    """Closed-form ladder kernel line and visibility sweep.  `[ladder] envelope`
+    is validated and written to the metadata but does not change the kernel."""
     grating = grating_from_config(cfg)
     envelope = cfg["ladder"]["envelope"] if "ladder" in cfg and "envelope" in cfg["ladder"] \
         else "constant"
-    config = dynamics.LadderConfig(grating, envelope=envelope)
-    kernel = dynamics.ladder_analytic(config) if envelope == "constant" \
-        else dynamics.ladder_ode_solve(config)
+    kernel = dynamics.ladder_analytic(dynamics.LadderConfig(grating, envelope=envelope))
     xi = float(_getfloat(cfg["ladder"], "kernel_xi", 0.0)) if "ladder" in cfg else 0.0
     line = kernel.line(xi, 512)
     u = np.arange(512) / 512
@@ -528,7 +527,7 @@ def figure5(args, outdir: Path) -> list[str]:
 def figure6(args, outdir: Path) -> list[str]:
     files = []
     rc = rabi.RabiConfig(pulse_area=4.0 * math.pi, detuning=0.0, lifetime=1.0)
-    xs, p0 = rabi.rabi_transmission_profile(rc)
+    xs, p0 = rabi.rabi_solve(rc).transmission_profile()
     ladder_ref = np.exp(-1.2 * np.cos(np.pi * xs) ** 2)
     rows = [(float(x), float(p), float(r)) for x, p, r in zip(xs, p0, ladder_ref)]
     prof = f"figure6_profile.{_ext(args)}"

@@ -1,11 +1,12 @@
 """Internal-state ladder dynamics of the grating interaction.
 
 The master equation is diagonal in the position pair (x, x'), so each pair
-evolves as an independent lower-bidiagonal linear ODE over the internal
-ladder.  Three routes to the outgoing two-point kernel K_l(x, x') are
-provided: the adaptive ODE integration (any envelope), the closed-form
-solution (constant envelope; confluent hypergeometric for state-dependent
-parameters), and the first-absorption-time quadrature representation.
+evolves as an independent lower-bidiagonal linear ODE envelope(t) A y over
+the internal ladder.  A does not depend on t and both envelopes integrate to
+one, so the kernel K_l(x, x') = [exp(A) y0]_l is the same closed form
+(confluent hypergeometric, ladder_analytic) for either envelope; it is the
+production route.  The adaptive ODE (ladder_ode_solve) and the
+first-absorption-time quadrature are kept as oracles for the tests.
 Internal ladder energies only contribute a global phase per level and drop
 out of the populations, so they are omitted from the integrated equations.
 """
@@ -33,7 +34,7 @@ class LadderConfig:
     """Ladder-model configuration.
 
     envelope "gaussian" integrates the physical pulse gamma_0(t) with
-    integral n0; "constant" uses a flat pulse of duration t_L.
+    integral n0; "constant" uses a flat pulse of duration t_L (same kernel).
     """
 
     grating: GratingParameters
@@ -177,14 +178,14 @@ def _ode_kernel_values(x, xp, config: LadderConfig) -> np.ndarray:
         return (envelope(t) * dy).ravel()
 
     sol = solve_ivp(rhs, span, y0.ravel(), method=DOP853,
-                    rtol=config.rtol, atol=config.atol)
+                    rtol=config.rtol, atol=config.atol, t_eval=[span[1]])
     if not sol.success:
         raise SimulationError(f"ladder integration failed: {sol.message}")
     return sol.y[:, -1].reshape(ell_max + 1, n_pairs)
 
 
 def ladder_ode_solve(config: LadderConfig) -> TwoPointKernel:
-    """Kernel from adaptive integration of the coupled ladder equations."""
+    """Oracle kernel: adaptive integration of the coupled ladder equations."""
     return TwoPointKernel(
         model=f"ladder-ode-{config.envelope}",
         channels=tuple(range(config.ell_max + 1)),
@@ -210,15 +211,13 @@ def _analytic_kernel_values(x, xp, config: LadderConfig) -> np.ndarray:
 
 
 def ladder_analytic(config: LadderConfig) -> TwoPointKernel:
-    """Closed-form constant-envelope kernel,
+    """Closed-form kernel for either envelope,
     K_l = M_l(x) conj(M_l(x')) eta_a^{l-1} 1F1(l; l+1; z(x, x'))."""
-    if config.envelope != "constant":
-        raise InvalidInputError("the closed form holds for the constant envelope")
     return TwoPointKernel(
         model="ladder-analytic",
         channels=tuple(range(config.ell_max + 1)),
         evaluator=lambda x, xp: _analytic_kernel_values(x, xp, config),
-        meta={"grating": config.grating, "envelope": "constant"},
+        meta={"grating": config.grating, "envelope": config.envelope},
     )
 
 

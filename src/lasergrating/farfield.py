@@ -223,7 +223,7 @@ def collimation_transform(state: PhaseSpaceState, slit_ratio: float) -> PhaseSpa
         if a * dnu > 0.5:
             raise ResolutionError(
                 "momentum grid too coarse for the aperture kernel oscillation")
-        kern = np.where(np.abs(nu_k) < 1e-14, a, np.sin(np.pi * nu_k * a) / (np.pi * nu_k))
+        kern = a * np.sinc(nu_k * a)
         out[i] = fftconvolve(w[i], kern[::-1], mode="valid") * dnu
     return PhaseSpaceState(y.copy(), nu.copy(), out)
 
@@ -260,7 +260,7 @@ def plane_wave_pipeline(kernel, slit_ratio: float, period_over_sep: float,
     # plane wave through the slit: w2(y, nu) = collimation kernel itself
     a = (slit_ratio - 2.0 * np.abs(y))[:, None]
     numat = nu[None, :]
-    w2 = np.where(np.abs(numat) < 1e-14, a, np.sin(np.pi * numat * a) / (np.pi * numat))
+    w2 = a * np.sinc(numat * a)
     # grating kicks
     kicks = momentum_kick_amplitudes(kernel, y, m_max)
     shift = int(round(1.0 / dnu))

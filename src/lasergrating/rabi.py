@@ -5,12 +5,11 @@ Rabi frequency Omega(x) = Omega_0 cos(pi x).
 All times are expressed in units of the interaction time t_L (constant
 envelope).  The two-point master equation evolves rho(x, x') with the
 Hamiltonian acting at x from the left and at x' from the right and the
-position-independent jump |2><1|/sqrt(tau); the nine matrix elements per
-pair form a linear system integrated adaptively, with an exact
-matrix-exponential route as a second oracle.  Because the jump never feeds
-the driven {|0>,|1>} sector, the ground-state element also has the closed
-form K_00(x,x') = c0(x) conj(c0(x')) with c0 the damped two-level amplitude;
-ground_amplitude exposes it as an independent analytic check.
+position-independent jump |2><1|/sqrt(tau).  The jump never feeds the
+driven {|0>,|1>} sector, so the production route is closed form:
+K_00(x,x') = c0(x) conj(c0(x')) and p_1 = |c1|^2 with the damped two-level
+amplitudes of `amplitudes`.  solve_pairs integrates all nine elements (ODE
+or matrix exponential) and is kept as the oracle of the tests.
 """
 
 from __future__ import annotations
@@ -23,11 +22,13 @@ from scipy.integrate import solve_ivp
 
 from .errors import InvalidInputError, RegimeError, SimulationError
 from .ode import DOP853
+from .specfun import sinc
 from .params import GratingParameters
 from .dynamics import TwoPointKernel, kernel_source
 from . import nearfield
 
 SHORT_LIFETIME_MAX = 1.0 / 50.0
+MAX_GROWTH = 700.0  # largest exponent t/(4 tau) the closed-form amplitudes take
 
 
 @dataclass
@@ -37,6 +38,7 @@ class RabiConfig:
     pulse_area: Omega_0 t_L at the antinode
     detuning: Delta t_L
     lifetime: tau / t_L
+    rtol, atol: tolerances of the solve_pairs ODE oracle
     """
 
     pulse_area: float
@@ -63,19 +65,28 @@ class RabiConfig:
                    lifetime=lifetime / interaction_time, **kw)
 
 
-def ground_amplitude(omega_tl, det_tl: float, tau_over_tl: float, t: float = 1.0):
-    """Ground-state amplitude of the damped two-level sector after a constant
-    pulse of duration t (units of t_L): first component of
-    exp(-i H_eff t) |0> with H_eff = [[0, W/2], [W/2, -D - i/(2 tau)]]."""
-    w = np.asarray(omega_tl, complex)
+def amplitudes(omega_tl, det_tl: float, tau_over_tl: float, t: float = 1.0):
+    """(c0, c1) = exp(-i H_eff t) |0> after a constant pulse of duration t
+    (units of t_L), H_eff = [[0, W/2], [W/2, d]], d = -D - i/(2 tau),
+    s^2 = d^2 + W^2: c0 = e^{-i d t/2} [cos(s t/2) + i (d t/2) sinc(s t/2)],
+    c1 = -i (W t/2) sinc(s t/2) e^{-i d t/2}.  Both are entire in s^2, so the
+    exceptional point s = 0 is not special.  As |Im s| <= |Im d|, cos(s t/2)
+    grows at most as e^{t/(4 tau)}; beyond e^700 it would overflow, so
+    tau < t/2800 raises RegimeError (the short-lifetime limit holds there)."""
+    if 0.25 * t / tau_over_tl > MAX_GROWTH:
+        raise RegimeError(f"lifetime tau = {tau_over_tl} t_L is below the closed "
+                          "form's range; use rabi_short_lifetime_limit")
+    w = np.asarray(omega_tl)
     d = -det_tl - 0.5j / tau_over_tl
-    disc = np.sqrt(d * d + w * w)
-    l1 = 0.5 * (d + disc)
-    l2 = 0.5 * (d - disc)
-    degen = np.abs(l1 - l2) < 1e-14
-    safe = np.where(degen, 1.0, l1 - l2)
-    out = ((l1 - d) * np.exp(-1j * l1 * t) - (l2 - d) * np.exp(-1j * l2 * t)) / safe
-    out = np.where(degen, np.exp(-1j * l1 * t), out)
+    half = 0.5 * t * np.sqrt(d * d + w * w)
+    phase = np.exp(-0.5j * d * t)
+    sc = sinc(half)
+    return phase * (np.cos(half) + 0.5j * d * t * sc), -0.5j * w * t * sc * phase
+
+
+def ground_amplitude(omega_tl, det_tl: float, tau_over_tl: float, t: float = 1.0):
+    """Ground-state amplitude c0 of `amplitudes`."""
+    out = amplitudes(omega_tl, det_tl, tau_over_tl, t)[0]
     return out if out.ndim else complex(out)
 
 
@@ -123,13 +134,12 @@ def solve_pairs(x, xp, config: RabiConfig, method: str = "ode",
         # BLAS call per 9x9 block
         return np.einsum("nab,nb->na", gen, y.reshape(n, 9)).ravel()
 
-    sol = solve_ivp(rhs, (0.0, 1.0), rho0.ravel(), method=DOP853,
-                    rtol=config.rtol, atol=config.atol, t_eval=t_eval)
+    sol = solve_ivp(rhs, (0.0, 1.0), rho0.ravel(), method=DOP853, rtol=config.rtol,
+                    atol=config.atol, t_eval=[1.0] if t_eval is None else t_eval)
     if not sol.success:
         raise SimulationError(f"rabi integration failed: {sol.message}")
-    if t_eval is None:
-        return sol.y[:, -1].reshape(n, 3, 3)
-    return sol.y.T.reshape(len(sol.t), n, 3, 3)
+    out = sol.y.T.reshape(len(sol.t), n, 3, 3)
+    return out[-1] if t_eval is None else out
 
 
 @dataclass
@@ -152,23 +162,23 @@ class RabiKernel:
         return self.positions, self.populations[0]
 
 
-def rabi_solve(config: RabiConfig, method: str = "ode") -> RabiKernel:
-    """Solve the three-level two-point master equation.
+def rabi_solve(config: RabiConfig) -> RabiKernel:
+    """Closed-form ground-state kernel K_00(x, x') = c0(x) conj(c0(x')) and
+    the populations (p0, p1, p2) on the period grid."""
 
-    The returned kernel evaluates K_00 lazily per pair batch; diagonal
-    populations are precomputed on the period grid.
-    """
+    def sector(x):
+        return amplitudes(config.pulse_area * np.cos(np.pi * x),
+                          config.detuning, config.lifetime)
 
     def evaluator(x, xp):
-        rho = solve_pairs(x, xp, config, method)
-        return rho[:, 0, 0][None, :]
+        return (sector(x)[0] * np.conj(sector(xp)[0]))[None, :]
 
-    kern = TwoPointKernel(model=f"rabi-{method}", channels=("00",),
-                          evaluator=evaluator,
+    kern = TwoPointKernel(model="rabi", channels=("00",), evaluator=evaluator,
                           meta={"config": config, "grating": GratingParameters(0.0, 0.0)})
     xs = np.arange(config.n_points) / config.n_points
-    rho_diag = solve_pairs(xs, xs, config, method)
-    pops = np.stack([rho_diag[:, i, i].real for i in range(3)])
+    c0, c1 = sector(xs)
+    p0, p1 = np.abs(c0) ** 2, np.abs(c1) ** 2
+    pops = np.stack([p0, p1, 1.0 - p0 - p1])
     return RabiKernel(config=config, kernel=kern, positions=xs, populations=pops)
 
 
@@ -206,24 +216,11 @@ def rabi_short_lifetime_limit(config: RabiConfig) -> RabiKernel:
     return RabiKernel(config=config, kernel=kern, positions=xs, populations=pops)
 
 
-def rabi_transmission_profile(config: RabiConfig, method: str = "ode"):
-    """Sampled ground-state transmission probability p_0(x) over one period."""
-    return rabi_solve(config, method).transmission_profile()
-
-
 def rabi_kdtli(config: RabiConfig, open_fraction: float, talbot_parameter: float,
-               j_max: int = 24, n_shift: int = 512,
-               coeff_rtol: float = 1e-11, coeff_atol: float = 1e-13) -> nearfield.FringeSignal:
+               j_max: int = 24, n_shift: int = 512) -> nearfield.FringeSignal:
     """KDTLI fringe signal for ground-state-only detection: pipes K_00
-    through the numeric Talbot bridge into the fringe synthesis.
-
-    Coefficient production uses a tighter integrator tolerance than the
-    module default so the synthesized signal meets the 1e-10 reality bound.
-    """
-    tight = RabiConfig(pulse_area=config.pulse_area, detuning=config.detuning,
-                       lifetime=config.lifetime, n_points=config.n_points,
-                       rtol=coeff_rtol, atol=coeff_atol)
-    kern = rabi_solve(tight).kernel
+    through the numeric Talbot bridge into the fringe synthesis."""
+    kern = rabi_solve(config).kernel
     source = kernel_source(kern, channel="sum", n_points=max(512, config.n_points))
     source.label = f"rabi,area={config.pulse_area / math.pi:g}pi"
     cfg = nearfield.KdtliConfig(

@@ -186,6 +186,19 @@ def test_ladder_command_with_visibility_sweep(tmp_path):
     assert np.allclose(list(diag.values()), 1.0, atol=1e-9)  # trace on xi=0
 
 
+def test_ladder_envelope_is_metadata_only(tmp_path):
+    kernels = {}
+    for envelope in ("constant", "gaussian"):
+        cfg = tmp_path / f"{envelope}.cfg"
+        cfg.write_text("[grating]\nphi0 = 1.875\nn0 = 1.5\neta_a = 1.5\n\n"
+                       f"[ladder]\nenvelope = {envelope}\nkernel_xi = 0.3\n")
+        assert run(["ladder", "--config", cfg, "--out", tmp_path / envelope]) == 0
+        meta, _, rows = read_csv(tmp_path / envelope / "ladder_kernel.csv")
+        assert meta["envelope"] == envelope
+        kernels[envelope] = rows
+    assert kernels["constant"] == kernels["gaussian"]
+
+
 def test_rabi_command(tmp_path):
     cfg = tmp_path / "rabi.cfg"
     cfg.write_text(RABI_CFG)

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from lasergrating.errors import InvalidInputError, RegimeError
-from lasergrating.rabi import (RabiConfig, ground_amplitude, rabi_kdtli,
+from lasergrating.rabi import (RabiConfig, amplitudes, ground_amplitude, rabi_kdtli,
                                rabi_short_lifetime_limit, rabi_solve,
-                               rabi_transmission_profile, short_lifetime_parameters,
-                               solve_pairs)
+                               short_lifetime_parameters, solve_pairs)
 
 XS = np.linspace(-0.5, 0.5, 13)
 
@@ -88,6 +87,54 @@ def test_amplitude_closed_form_matches_solver():
     assert np.max(np.abs(rho[:, 0, 0] - c_left * np.conj(c_right))) < 1e-9
 
 
+# Omega t_L = 1/(2 tau/t_L) at Delta = 0: H_eff is a Jordan block (s = 0)
+EXCEPTIONAL = dict(pulse_area=0.625, detuning=0.0, lifetime=0.8)
+
+
+def test_ground_amplitude_at_exceptional_point():
+    from scipy.linalg import expm
+    w, det, tau = EXCEPTIONAL["pulse_area"], EXCEPTIONAL["detuning"], EXCEPTIONAL["lifetime"]
+    h_eff = np.array([[0.0, 0.5 * w], [0.5 * w, -det - 0.5j / tau]])
+    ref = expm(-1j * h_eff)[:, 0]
+    c0, c1 = amplitudes(w, det, tau)
+    assert abs(c0 - ref[0]) < 1e-14 and abs(c1 - ref[1]) < 1e-14
+    assert ground_amplitude(w, det, tau) == pytest.approx(0.96024551299247, abs=1e-13)
+    # antinode of a pulse of area w: K_00(0, 0) of the nine-element oracle
+    rho = solve_pairs(np.array([0.0]), np.array([0.0]), RabiConfig(**EXCEPTIONAL),
+                      method="expm")
+    assert abs(rho[0, 0, 0] - abs(c0) ** 2) < 1e-14
+
+
+@pytest.mark.parametrize("params", [
+    dict(pulse_area=2 * math.pi, detuning=0.0, lifetime=1.0),
+    dict(pulse_area=8 * math.pi, detuning=0.0, lifetime=1.0),
+    dict(pulse_area=3.3 * math.pi, detuning=0.4, lifetime=0.8),
+    EXCEPTIONAL,
+], ids=["2pi", "8pi", "detuned", "exceptional"])
+def test_rabi_solve_matches_expm_oracle(params):
+    """Closed-form populations and K_00 against the matrix exponential of
+    the full two-point master equation."""
+    config = RabiConfig(n_points=64, **params)
+    kern = rabi_solve(config)
+    rho = solve_pairs(kern.positions, kern.positions, config, method="expm")
+    pops = np.stack([rho[:, i, i].real for i in range(3)])
+    assert np.max(np.abs(kern.populations - pops)) < 1e-10
+    x, xp = XS, XS + 0.21
+    ref = solve_pairs(x, xp, config, method="expm")[:, 0, 0]
+    assert np.max(np.abs(kern.pair_values(x, xp) - ref)) < 1e-10
+
+
+def test_closed_form_range_of_lifetimes():
+    """Below tau = t_L/2800 cos(s t/2) would overflow: typed error, not
+    nan.  Just inside the range the closed form still matches the oracle."""
+    with pytest.raises(RegimeError):
+        rabi_solve(RabiConfig(pulse_area=1.0, lifetime=1e-4))
+    config = RabiConfig(pulse_area=3.0, detuning=200.0, lifetime=1.0 / 2700)
+    vals = rabi_solve(config).pair_values(XS, XS[::-1])
+    ref = solve_pairs(XS, XS[::-1], config, method="expm")[:, 0, 0]
+    assert np.max(np.abs(vals - ref)) < 1e-10
+
+
 def test_hermiticity_of_ground_kernel():
     config = RabiConfig(pulse_area=3 * math.pi, detuning=0.4, lifetime=0.7)
     kern = rabi_solve(config).kernel
@@ -154,7 +201,7 @@ def test_transmission_profile_minima_are_pi_pulses():
     below one."""
     config = RabiConfig(pulse_area=4 * math.pi, detuning=0.0, lifetime=1.0,
                         n_points=512)
-    xs, p0 = rabi_transmission_profile(config)
+    xs, p0 = rabi_solve(config).transmission_profile()
     assert p0[0] < 0.9  # antinode (x = 0): losses into the dark state
     # near the nodes the residual pulse area is 4 pi cos(pi x); transmission
     # deviates from one only at second order in it
@@ -195,7 +242,7 @@ def test_profile_comparable_to_ladder_reference():
     ladder zero-absorption profile e^{-1.2 cos^2}."""
     config = RabiConfig(pulse_area=4 * math.pi, detuning=0.0, lifetime=1.0,
                         n_points=256)
-    xs, p0 = rabi_transmission_profile(config)
+    xs, p0 = rabi_solve(config).transmission_profile()
     ladder = np.exp(-1.2 * np.cos(np.pi * xs) ** 2)
     diff = p0 - ladder
     assert diff.max() > 0.05 and diff.min() < -0.05  # oscillates through it
