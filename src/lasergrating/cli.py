@@ -477,8 +477,9 @@ def figure4(args, outdir: Path) -> list[str]:
         d = farfield.farfield_density(fc, ell, variant)
         return farfield.apply_detector_resolution(d, 0.1)
 
+    phase_only = dens(0.0, None)
     for panel, n0 in (("a", 2.0), ("b", 10.0)):
-        for curve, dn in (("phase_only", dens(0.0, None)),
+        for curve, dn in (("phase_only", phase_only),
                           (f"absorbing_n0_{n0:g}", dens(n0, None))):
             for x, v in zip(dn.positions, dn.values):
                 rows.append((panel, curve, float(x), float(v)))

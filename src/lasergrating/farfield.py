@@ -10,6 +10,12 @@ integral, and the free Schroedinger propagator e^{+ik(dx)^2/2L} to agree):
 * densities carry the prefactor 1/(pi D/d), which makes the screen integral
   of the conditional density equal the transmission probability of that
   absorption count (checked by Parseval).
+
+The screen sum w(x_m) = sum_k g_k e^{2 pi i x_m q_k} runs as a centred
+Bluestein chirp-z transform when the screen is uniform, so no screen x q
+matrix is built.  A non-uniform screen falls back to the
+dense sum, taken in row blocks.  The Kirchhoff oracle keeps its own dense
+route.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,6 +33,8 @@ from .params import GratingParameters
 from . import talbot
 
 FRAUNHOFER_MAX_RATIO = 1e-2
+ALIAS_MARGIN = 4.0       # screen units kept clear of the aliased density, see _q_grid
+DENSE_BLOCK = 1 << 20    # phase-matrix entries per row block of a dense sum
 
 
 @dataclass
@@ -52,6 +61,8 @@ class FarFieldConfig:
         if self.period_over_sep <= 0:
             raise InvalidInputError("d/Dx must be positive")
         self.screen = np.asarray(self.screen, float)
+        if self.screen.ndim != 1 or self.screen.size == 0:
+            raise InvalidInputError("screen must be a non-empty 1-D array of positions")
 
     def order_cutoff(self) -> int:
         if self.j_max is not None:
@@ -77,51 +88,144 @@ class ScreenDensity:
                              self.variant, self.smoothed, self.sigma_det)
 
 
-def _sine_factor(j: int, q: np.ndarray, dd: float, ratio: float) -> np.ndarray:
-    # sin[pi (D/d - |q|)(j - 2 q d/Dx)]/(j - 2 q d/Dx), removable at j = 2q d/Dx
+def _sine_factor(orders: np.ndarray, q: np.ndarray, dd: float, ratio: float) -> np.ndarray:
+    # sin[pi (D/d - |q|)(j - 2 q d/Dx)]/(j - 2 q d/Dx) as an (orders x q)
+    # array, removable at j = 2q d/Dx
     a = np.pi * (dd - np.abs(q))
-    den = j - 2.0 * q * ratio
+    den = orders[:, None] - 2.0 * q * ratio
     small = np.abs(den) < 1e-12
-    safe = np.where(small, 1.0, den)
-    return np.where(small, a, np.sin(a * safe) / safe)
+    den[small] = 1.0
+    out = a * den
+    np.sin(out, out=out)
+    out /= den
+    out[small] = np.broadcast_to(a, out.shape)[small]
+    return out
 
 
 def _coefficient_rows(config: FarFieldConfig, ell, variant: str, orders, q: np.ndarray):
     if ell is None:
-        return {j: talbot.b_unconditional(j, q, config.grating, variant)
-                for j in orders}
-    return talbot.conditional_rows(orders, q, ell, config.grating)
+        return (talbot.b_unconditional(j, q, config.grating, variant) for j in orders)
+    return talbot.conditional_rows(orders, q, ell, config.grating).values()
 
 
-def _q_grid(config: FarFieldConfig):
+def _q_grid(config: FarFieldConfig, j_max: int, ratio: float):
     dd = config.collimator_ratio
     if config.q_points_per_unit < 64:
         raise ResolutionError("need >= 64 quadrature points per unit q")
     n = int(2 * dd * config.q_points_per_unit) + 1
-    return np.linspace(-dd, dd, n)
+    q = np.linspace(-dd, dd, n)
+    # the trapezoid sum repeats with period 1/dq in x; the density lies
+    # within the orders' peaks at x = j/2 widened by the slit's Fresnel
+    # shadow D/d * d/Dx, and the screen must stay clear of its next copy
+    period = 1.0 / (q[1] - q[0])
+    reach = float(np.max(np.abs(config.screen))) + 0.5 * j_max + dd * ratio + ALIAS_MARGIN
+    if reach > period:
+        raise ResolutionError(
+            f"screen reaches the aliased copy of the density: max|x| + j_max/2 + "
+            f"shadow + {ALIAS_MARGIN:g} = {reach:.4g} > {period:.4g}; "
+            "raise q_points_per_unit")
+    return q
 
 
-def farfield_density(config: FarFieldConfig, ell=None, variant: str = "quantum",
-                     fraunhofer: bool = False) -> ScreenDensity:
-    """Screen density from the Talbot-coefficient sum (conditional for an
-    integer `ell`, unconditional for ell=None)."""
-    dd = config.collimator_ratio
+def _dense_sum(x: np.ndarray, q: np.ndarray, c: np.ndarray, sign: int) -> np.ndarray:
+    """sum_k c_k e^{sign 2 pi i x_m q_k}, built from row blocks of the dense
+    x x q phase matrix so that memory stays bounded; each row is reduced as
+    by one whole-matrix sum."""
+    out = np.empty(x.size, complex)
+    step = max(1, DENSE_BLOCK // q.size)
+    for i in range(0, x.size, step):
+        phase = np.exp(sign * 2j * np.pi * np.outer(x[i:i + step], q))
+        out[i:i + step] = (phase * c[None, :]).sum(axis=1)
+    return out
+
+
+def _is_uniform(v: np.ndarray) -> bool:
+    if v.size < 3:
+        return True
+    grid = v[0] + np.arange(v.size) * ((v[-1] - v[0]) / (v.size - 1))
+    return bool(np.max(np.abs(v - grid)) <= 8 * np.finfo(float).eps * np.max(np.abs(v)))
+
+
+def _turns(coef: Fraction, n: np.ndarray) -> np.ndarray:
+    """A value of order one congruent to coef * n modulo 1, for integer n.
+
+    coef is split into a 21-bit head, whose product with |n| < 2**32 is
+    exact in double precision and is reduced exactly, and a small tail, so
+    the phase 2 pi coef n carries the round-off of its reduced size, not of
+    its full size."""
+    m, e = math.frexp(float(coef))
+    head = math.ldexp(round(math.ldexp(m, 20)), e - 20)
+    tail = float(coef - Fraction(head))
+    n = np.asarray(n, float)
+    v = head * n
+    v -= np.round(v)
+    return v + tail * n
+
+
+def _screen_transform(x: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """w_m = sum_k c_k e^{2 pi i x_m q_k} over every screen point x_m, for a
+    uniform q grid.
+
+    On a uniform screen this is a centred Bluestein chirp-z transform: with
+    x_m = x_c + m dx, q_k = q_c + k dq and m, k counted from the grid
+    midpoints (half-integers for even sizes),
+    m k = (m^2 + k^2 - (m - k)^2)/2 makes the sum over k a convolution with
+    the chirp e^{-i pi dx dq n^2}, taken by FFT.  Centring keeps the largest
+    chirp phase 4 times smaller than counting from the grid ends, and the
+    phases are reduced exactly (integer squares, `_turns`) before rounding.
+    Any other screen falls back to the dense sum in row blocks.
+    """
+    n_x, n_q = x.size, q.size
+    if not _is_uniform(x):
+        return _dense_sum(x, q, c, 1)
+    x0, x1, q0, q1 = (Fraction(float(v)) for v in (x[0], x[-1], q[0], q[-1]))
+    dx = (x1 - x0) / max(n_x - 1, 1)
+    dq = (q1 - q0) / (n_q - 1)
+    xc, qc = (x0 + x1) / 2, (q0 + q1) / 2
+    beta = dx * dq / 8                       # pi dx dq m^2 = 2 pi beta (2m)^2
+    m2 = 2 * np.arange(n_x) - (n_x - 1)      # 2m
+    k2 = 2 * np.arange(n_q) - (n_q - 1)      # 2k
+    # 2(m - k) at the lags 0 .. n_x - 1, then -(n_q - 1) .. -1 (wrapped)
+    lag2 = np.concatenate((2 * np.arange(n_x), -2 * np.arange(n_q - 1, 0, -1))) + (n_q - n_x)
+    size = 1 << (n_x + n_q - 2).bit_length()
+    u = np.zeros(size, complex)
+    u[:n_q] = c * np.exp(2j * np.pi * (_turns(xc * dq / 2, k2) + _turns(beta, k2 * k2)))
+    chirp = np.exp(-2j * np.pi * _turns(beta, lag2 * lag2))
+    h = np.zeros(size, complex)
+    h[:n_x] = chirp[:n_x]
+    h[size - n_q + 1:] = chirp[n_x:]
+    conv = np.fft.ifft(np.fft.fft(u) * np.fft.fft(h))[:n_x]
+    post = float((xc * qc) % 1) + _turns(qc * dx / 2, m2) + _turns(beta, m2 * m2)
+    return conv * np.exp(2j * np.pi * post)
+
+
+def _screen_coefficients(config: FarFieldConfig, ell, variant: str, fraunhofer: bool):
+    """q grid and the weighted Talbot sum c_k = g(q_k) w_k of the screen
+    transform, with the trapezoid weights w_k."""
     ratio = 0.0 if fraunhofer else config.period_over_sep
-    q = _q_grid(config)
     j_max = config.order_cutoff()
-    rows = _coefficient_rows(config, ell, variant, range(-j_max, j_max + 1), q)
+    q = _q_grid(config, j_max, ratio)
+    orders = np.arange(-j_max, j_max + 1)
+    sine = _sine_factor(orders, q, config.collimator_ratio, ratio)
     g = np.zeros(q.size, complex)
-    for j, row in rows.items():
-        g += row * _sine_factor(j, q, dd, ratio)
-    edge = float(np.max(np.abs(rows[j_max])))
+    for row, factor in zip(_coefficient_rows(config, ell, variant, orders, q), sine):
+        g += row * factor
+    edge = float(np.max(np.abs(row)))  # the row of j_max
     if edge > config.tail:
         raise ResolutionError(
             f"order cutoff {j_max} too small: |B_jmax| = {edge:.2e} > {config.tail:.0e}")
     dq = q[1] - q[0]
     wts = np.full(q.size, dq)
     wts[0] = wts[-1] = 0.5 * dq
-    phase = np.exp(2j * np.pi * np.outer(config.screen, q))
-    w = (phase * (g * wts)[None, :]).sum(axis=1) / (math.pi * dd)
+    return q, g * wts
+
+
+def farfield_density(config: FarFieldConfig, ell=None, variant: str = "quantum",
+                     fraunhofer: bool = False) -> ScreenDensity:
+    """Screen density from the Talbot-coefficient sum (conditional for an
+    integer `ell`, unconditional for ell=None)."""
+    q, c = _screen_coefficients(config, ell, variant, fraunhofer)
+    w = _screen_transform(config.screen, q, c) / (math.pi * config.collimator_ratio)
     return ScreenDensity(config.screen.copy(), w.real, ell,
                          "fraunhofer-" + variant if fraunhofer else variant)
 
@@ -147,7 +251,7 @@ def farfield_kirchhoff(config: FarFieldConfig, ell: int = 0,
     t = m_ell(q, profile) * np.exp(2j * np.pi * ratio * q * q)
     wts = np.full(q.size, dq)
     wts[0] = wts[-1] = 0.5 * dq
-    amp = (np.exp(-2j * np.pi * np.outer(config.screen, q)) * (t * wts)[None, :]).sum(axis=1)
+    amp = _dense_sum(config.screen, q, t * wts, -1)
     return ScreenDensity(config.screen.copy(), np.abs(amp) ** 2 / dd, ell, "kirchhoff")
 
 

@@ -96,6 +96,15 @@ def test_numerical_regime_exit_code(tmp_path):
     assert run(["talbot", "--config", cfg, "--out", tmp_path]) == 3
 
 
+def test_farfield_alias_guard_exit_code(tmp_path):
+    # the default 256 q points per unit repeat the screen density every 256 Dx
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("[grating]\nphi0 = 2.5\nn0 = 2.0\n\n"
+                   "[farfield]\nscreen_max = 250\nscreen_points = 401\n")
+    assert run(["farfield", "--config", cfg, "--out", tmp_path]) == 3
+    assert not (tmp_path / "farfield_density.csv").exists()
+
+
 def test_io_error_exit_code(beam_cfg, tmp_path):
     target = tmp_path / "blocked"
     target.write_text("a file, not a directory")

@@ -2,12 +2,15 @@
 detector resolution, and the phase-space pipeline oracle."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lasergrating.errors import InvalidInputError, ResolutionError
-from lasergrating.farfield import (FarFieldConfig, PhaseSpaceState, ScreenDensity,
+from lasergrating.farfield import (ALIAS_MARGIN, FarFieldConfig, PhaseSpaceState,
+                                   ScreenDensity, _screen_coefficients, _screen_transform,
                                    apply_detector_resolution, collimation_transform,
                                    farfield_density, farfield_kirchhoff,
                                    fraunhofer_density, plane_wave_pipeline)
@@ -218,6 +221,12 @@ def test_config_validation():
         FarFieldConfig(FIG4, period_over_sep=0.0)
 
 
+@pytest.mark.parametrize("screen", [np.array([]), np.zeros((3, 3))], ids=["empty", "2-D"])
+def test_screen_validation(screen):
+    with pytest.raises(InvalidInputError):
+        FarFieldConfig(FIG4, screen=screen)
+
+
 def test_quadrature_guards():
     config = fig4_config(q_points_per_unit=16)
     with pytest.raises(ResolutionError):
@@ -227,6 +236,126 @@ def test_quadrature_guards():
         farfield_density(config, None)
     with pytest.raises(ResolutionError):
         farfield_kirchhoff(fig4_config(), 0, n_aperture=2048)
+
+
+# ---------------------------------------------------------------------------
+# screen transform (centred chirp-z, dense fallback) and the alias guard
+# ---------------------------------------------------------------------------
+
+EXTENDED = np.finfo(np.longdouble).eps < 1e-18
+
+
+def extended_sum(x, q, c):
+    """sum_k c_k e^{2 pi i x_m q_k} in np.longdouble on the uniform grids
+    through the end points of x and q (linspace rounds its points by up to
+    an ulp; the transform works on the grid they sample)."""
+    ld = np.longdouble
+
+    def grid(v):
+        v = np.asarray(v, ld)
+        if v.size == 1:
+            return v
+        return v[0] + np.arange(v.size, dtype=ld) * ((v[-1] - v[0]) / (v.size - 1))
+
+    phase = 2 * np.arccos(ld(-1)) * np.outer(grid(x), grid(q))
+    cos, sin = np.cos(phase), np.sin(phase)
+    cr, ci = np.asarray(c.real, ld), np.asarray(c.imag, ld)
+    return (cos @ cr - sin @ ci).astype(float) + 1j * (sin @ cr + cos @ ci).astype(float)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="np.longdouble is not extended precision here")
+@pytest.mark.parametrize("ell", [None, 0, 2])
+def test_screen_transform_vs_extended_precision(ell):
+    """Full figure-4 size (2401 x 5121), reference on every 8th screen row;
+    no less accurate than the dense double sum it replaced."""
+    config = fig4_config(screen=np.linspace(-3.0, 3.0, 2401))
+    q, c = _screen_coefficients(config, ell, "quantum", False)
+    w = _screen_transform(config.screen, q, c)
+    rows = config.screen[::8]
+    ref = extended_sum(rows, q, c)
+    dense = (np.exp(2j * np.pi * np.outer(rows, q)) * c[None, :]).sum(axis=1)
+    peak = np.max(np.abs(ref))
+    assert np.max(np.abs(w[::8] - ref)) < 1e-14 * peak
+    assert np.max(np.abs(w[::8] - ref)) <= np.max(np.abs(dense - ref))
+
+
+@pytest.mark.skipif(not EXTENDED, reason="np.longdouble is not extended precision here")
+@pytest.mark.parametrize("screen, fraunhofer", [
+    (np.linspace(-3.0, 3.0, 601), False),
+    (np.linspace(-3.0, 3.0, 600), False),
+    (np.linspace(-1.3, 4.1, 517), False),
+    (np.array([0.7]), False),
+    (np.array([-0.25, 1.5]), False),
+    (np.linspace(2.5, -1.5, 400), False),
+    (np.linspace(-3.0, 3.0, 601), True),
+], ids=["odd", "even", "asymmetric", "M=1", "M=2", "descending", "fraunhofer"])
+def test_screen_transform_grid_shapes(screen, fraunhofer):
+    config = fig4_config(screen=screen, q_points_per_unit=64)
+    q, c = _screen_coefficients(config, None, "quantum", fraunhofer)
+    ref = extended_sum(screen, q, c)
+    w = _screen_transform(screen, q, c)
+    assert w.shape == screen.shape
+    peak = abs(np.sum(c))  # the density's maximum, at x = 0
+    assert np.max(np.abs(w - ref)) < 1e-14 * peak
+
+
+def test_nonuniform_screen_is_the_dense_sum():
+    # 601 rows span three row blocks of the fallback
+    screen = 3.0 * np.linspace(-1.0, 1.0, 601) ** 3
+    config = fig4_config(screen=screen)
+    q, c = _screen_coefficients(config, 1, "quantum", False)
+    dense = (np.exp(2j * np.pi * np.outer(screen, q)) * c[None, :]).sum(axis=1)
+    w = farfield_density(config, 1)
+    assert np.array_equal(w.values, (dense / (math.pi * config.collimator_ratio)).real)
+
+
+def test_screen_transform_time_and_memory():
+    x = np.linspace(-3.0, 3.0, 2401)
+    q = np.linspace(-10.0, 10.0, 5121)
+    c = np.exp(-q * q) * (1.0 + 0.5j * np.sin(q))
+    tracemalloc.start()
+    _screen_transform(x, q, c)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 20e6
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        _screen_transform(x, q, c)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.05
+
+
+def alias_bound(config):
+    """Largest |x| the alias guard admits."""
+    return (config.q_points_per_unit - 0.5 * config.order_cutoff()
+            - config.collimator_ratio * config.period_over_sep - ALIAS_MARGIN)
+
+
+def test_alias_guard_rejects_screen_near_period():
+    # at 64 points per unit, x = 60 lies 4 Dx from the centre of the density's copy
+    with pytest.raises(ResolutionError):
+        farfield_density(fig4_config(screen=np.array([60.0]), q_points_per_unit=64), None)
+    edge = alias_bound(fig4_config(q_points_per_unit=64)) + 0.01
+    for ell in (None, 0):
+        with pytest.raises(ResolutionError):
+            farfield_density(fig4_config(screen=np.array([-1.0, 0.0, -edge]),
+                                         q_points_per_unit=64), ell)
+
+
+@pytest.mark.parametrize("ell", [None, 0, 2])
+def test_alias_guard_admits_only_accurate_screens(ell):
+    """Screen points on the zeros x = k d/D of the slit's 1/x^2 diffraction
+    tail.  That tail aliases at every x and sets a floor of about 3e-6 of
+    the peak at 64 points per unit elsewhere; on its zeros what remains is
+    the spill of the aliased orders, which the guard bounds."""
+    config = fig4_config(q_points_per_unit=64)
+    dd = config.collimator_ratio
+    edge = math.floor(alias_bound(config) * dd) / dd
+    screen = np.concatenate((np.arange(-3 * dd, 3 * dd + 1) / dd, [-edge, edge]))
+    w = farfield_density(fig4_config(screen=screen, q_points_per_unit=64), ell).values
+    ref = farfield_density(fig4_config(screen=screen, q_points_per_unit=512), ell).values
+    assert np.max(np.abs(w - ref)) < 1e-10 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
