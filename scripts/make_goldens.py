@@ -6,6 +6,11 @@ artifacts, never hand-edited.  From the repository root:
 
     PYTHONPATH=src python scripts/make_goldens.py
 
+For every file it prints how the new golden deviates from the one it
+replaces: "identical", or the largest absolute and relative deviation over
+the numeric cells of a CSV (relative to the larger magnitude of the two
+values), or "differs" for any other file.
+
 The bytes do not depend on the BLAS thread count, but they are tied to the
 numpy/scipy/OpenBLAS build that made them; CHANGES.md records that build.
 """
@@ -18,14 +23,60 @@ from lasergrating.cli import main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "goldens"
 
+
+def _cells(text: str):
+    return [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+
+
+def deviation(old: bytes, new: bytes, name: str) -> str:
+    """One line describing how `new` deviates from `old`."""
+    if old == new:
+        return "identical"
+    if not name.endswith(".csv"):
+        return "differs"
+    a, b = _cells(old.decode()), _cells(new.decode())
+    if [len(r) for r in a] != [len(r) for r in b]:
+        return "differs: table layout changed"
+    worst_abs = worst_rel = 0.0
+    changed = total = 0
+    for row_a, row_b in zip(a, b):
+        for x, y in zip(row_a, row_b):
+            try:
+                u, v = float(x), float(y)
+            except ValueError:
+                if x != y:
+                    return f"differs: text cell {x!r} -> {y!r}"
+                continue
+            total += 1
+            if u == v:
+                continue
+            changed += 1
+            d = abs(u - v)
+            worst_abs = max(worst_abs, d)
+            worst_rel = max(worst_rel, d / max(abs(u), abs(v)))
+    return (f"{changed} of {total} values changed, max abs {worst_abs:.2g}, "
+            f"max rel {worst_rel:.2g}")
+
+
 if __name__ == "__main__":
+    report = []
     for fig in ("1", "2", "4", "5", "6"):
         target = GOLDEN / f"figure{fig}"
+        old = {}
         if target.exists():
+            old = {p.name: p.read_bytes() for p in target.iterdir()}
             shutil.rmtree(target)
         target.mkdir(parents=True)
         print(f"generating golden for figure {fig}")
         rc = main(["figure", fig, "--out", str(target)])
         if rc != 0:
             sys.exit(rc)
+        for path in sorted(target.iterdir()):
+            line = deviation(old[path.name], path.read_bytes(), path.name) \
+                if path.name in old else "new file"
+            report.append(f"figure{fig}/{path.name}: {line}")
+        report += [f"figure{fig}/{name}: removed" for name in sorted(set(old) - {
+            p.name for p in target.iterdir()})]
+    print("deviation from the replaced goldens:")
+    print("\n".join("  " + line for line in report))
     print("done")

@@ -245,7 +245,7 @@ def cmd_talbot(cfg, args, outdir: Path) -> list[str]:
     table = talbot.build_coefficient_table(
         grating, xi_grid=xi, j_max=j_max,
         ells=_ell_list(args, grating) or (), variants=variants)
-    rows = [(label, ell, j, x, v.real, v.imag) for label, ell, j, x, v in table.rows()]
+    rows = [(label, ell, j, x, v.real, v.imag) for label, ell, j, x, v in table.records()]
     name = f"talbot_coefficients.{_ext(args)}"
     _writer(args)(outdir / name,
                   {"command": "talbot", "phi0": grating.phi0, "n0": grating.n0,
@@ -255,23 +255,23 @@ def cmd_talbot(cfg, args, outdir: Path) -> list[str]:
 
 
 def _kdtli_point(task):
-    label, value, cfg = task
+    label, value, cfg, variants = task
     grating = grating_from_config(cfg)
     lt = talbot_parameter_from_config(cfg)
     f = open_fraction_from_config(cfg)
-    sources = [("quantum", "quantum"), ("classical", "classical")]
+    spread = _getfloat(cfg["interferometer"], "velocity_spread", 0.0)
     rows = []
-    for src, tag in sources:
-        kc = nearfield.KdtliConfig(grating, f, lt, source=src)
-        spread = _getfloat(cfg["interferometer"], "velocity_spread", 0.0)
+    for variant in variants:
+        kc = nearfield.KdtliConfig(grating, f, lt, source=variant)
         sig = nearfield.velocity_average(kc, spread) if spread > 0 else nearfield.kdtli_signal(kc)
         vis = nearfield.sinusoidal_visibility(kc)
-        rows.append((label, value, tag, lt, vis, sig))
+        rows.append((label, value, variant, lt, vis, sig))
     return rows
 
 
 def cmd_kdtli(cfg, args, outdir: Path) -> list[str]:
-    tasks = sweep_values_or_single(cfg, args)
+    variants = (args.variant,) if args.variant else talbot.VARIANTS
+    tasks = [task + (variants,) for task in sweep_values_or_single(cfg, args)]
     results = run_pool(_kdtli_point, tasks, args.jobs)
     grating = grating_from_config(cfg)
     f = open_fraction_from_config(cfg)
@@ -279,8 +279,6 @@ def cmd_kdtli(cfg, args, outdir: Path) -> list[str]:
     sig_rows, vis_rows = [], []
     for point in results:
         for label, value, tag, lt, vis, sig in point:
-            if args.variant and tag != args.variant:
-                continue
             vis_rows.append((label, value, tag, lt, vis))
             for xs, s in zip(sig.shifts, sig.values):
                 sig_rows.append((label, value, tag, lt, float(xs), float(s)))
@@ -346,8 +344,8 @@ def cmd_ladder(cfg, args, outdir: Path) -> list[str]:
         else "constant"
     kernel = dynamics.ladder_analytic(dynamics.LadderConfig(grating, envelope=envelope))
     xi = float(_getfloat(cfg["ladder"], "kernel_xi", 0.0)) if "ladder" in cfg else 0.0
-    line = kernel.line(xi, 512)
     u = np.arange(512) / 512
+    line = kernel.channel_values(u - 0.5 * xi, u + 0.5 * xi)
     rows = []
     for ic, ch in enumerate(kernel.channels):
         for k in range(512):
@@ -363,12 +361,8 @@ def cmd_ladder(cfg, args, outdir: Path) -> list[str]:
         if key != "talbot_parameter":
             raise ConfigError("ladder sweeps support talbot_parameter only")
         f = open_fraction_from_config(cfg)
-        source = dynamics.kernel_source(kernel, "sum")
-        source.prefetch([(2, lt) for lt in values] + [(0, 0.0)])
-        vrows = []
-        for lt in values:
-            kc = nearfield.KdtliConfig(None, f, float(lt), source=source)
-            vrows.append((float(lt), nearfield.sinusoidal_visibility(kc)))
+        vis = _vis_curve(None, f, values, dynamics.kernel_source(kernel, "sum"))
+        vrows = [(float(lt), v) for lt, v in zip(values, vis)]
         names.append(f"ladder_visibility.{_ext(args)}")
         _writer(args)(outdir / names[1],
                       {"command": "ladder", "phi0": grating.phi0, "n0": grating.n0,
@@ -417,12 +411,10 @@ def cmd_rabi(cfg, args, outdir: Path) -> list[str]:
 # figure reproduction
 # ---------------------------------------------------------------------------
 
-def _vis_curve(grating, f, lts, source):
-    rows = []
-    for lt in lts:
-        kc = nearfield.KdtliConfig(grating, f, float(lt), source=source)
-        rows.append(nearfield.sinusoidal_visibility(kc))
-    return rows
+def _vis_curve(grating, f, lts, source) -> list[float]:
+    """Sine visibility over the L/L_T values `lts`, from one rows call."""
+    kc = nearfield.KdtliConfig(grating, f, float(lts[0]), source=source)
+    return nearfield.sinusoidal_visibility(kc, lts).tolist()
 
 
 def figure1(args, outdir: Path) -> list[str]:
@@ -431,16 +423,13 @@ def figure1(args, outdir: Path) -> list[str]:
     rows = []
     phase_only = GratingParameters(phi0=math.pi, n0=0.0)
     absorbing = GratingParameters(phi0=math.pi, n0=1.0)
-    for curve, g, src in (("phase_only", phase_only, "quantum"),
-                          ("quantum_n0_1", absorbing, "quantum"),
-                          ("classical_n0_1", absorbing, "classical")):
-        for lt, v in zip(lts, _vis_curve(g, f, lts, src)):
-            rows.append(("a", curve, float(lt), v))
-    for ell in (0, 1, 2):
-        for lt, v in zip(lts, _vis_curve(absorbing, f, lts, ell)):
-            rows.append(("b", f"ell={ell}", float(lt), v))
-    for lt, v in zip(lts, _vis_curve(absorbing, f, lts, "quantum")):
-        rows.append(("b", "unconditional", float(lt), v))
+    curves = [("a", "phase_only", phase_only, "quantum"),
+              ("a", "quantum_n0_1", absorbing, "quantum"),
+              ("a", "classical_n0_1", absorbing, "classical")]
+    curves += [("b", f"ell={ell}", absorbing, ell) for ell in (0, 1, 2)]
+    curves.append(("b", "unconditional", absorbing, "quantum"))
+    for panel, curve, g, src in curves:
+        rows += [(panel, curve, float(lt), v) for lt, v in zip(lts, _vis_curve(g, f, lts, src))]
     name = f"figure1_visibility.{_ext(args)}"
     _writer(args)(outdir / name,
                   {"command": "figure 1", "open_fraction": f, "phi0": math.pi},
@@ -503,20 +492,16 @@ def figure5(args, outdir: Path) -> list[str]:
     for curve, eta_p, eta_a in cases:
         g = GratingParameters(phi0=1.875, n0=1.5, eta_p=eta_p, eta_a=eta_a)
         kern = dynamics.ladder_analytic(dynamics.LadderConfig(g, envelope="constant"))
-        source = dynamics.kernel_source(kern, "sum")
-        source.prefetch([(2, float(lt)) for lt in lts] + [(0, 0.0)])
-        for lt in lts:
-            kc = nearfield.KdtliConfig(None, f, float(lt), source=source)
-            rows.append(("a", curve, float(lt), nearfield.sinusoidal_visibility(kc)))
+        for lt, v in zip(lts, _vis_curve(None, f, lts, dynamics.kernel_source(kern, "sum"))):
+            rows.append(("a", curve, float(lt), v))
     n0s = np.linspace(0.02, 4.0, 200)
     for curve, eta_p, eta_a in cases:
         for n0 in n0s:
             g = GratingParameters(phi0=1.25 * float(n0), n0=float(n0),
                                   eta_p=eta_p, eta_a=eta_a)
             kern = dynamics.ladder_analytic(dynamics.LadderConfig(g, envelope="constant"))
-            source = dynamics.kernel_source(kern, "sum")
-            kc = nearfield.KdtliConfig(None, f, 2.2, source=source)
-            rows.append(("b", curve, float(n0), nearfield.sinusoidal_visibility(kc)))
+            rows.append(("b", curve, float(n0),
+                         _vis_curve(None, f, [2.2], dynamics.kernel_source(kern, "sum"))[0]))
     name = f"figure5_visibility.{_ext(args)}"
     _writer(args)(outdir / name,
                   {"command": "figure 5", "open_fraction": f, "n0_panel_a": 1.5,

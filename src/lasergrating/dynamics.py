@@ -5,8 +5,10 @@ evolves as an independent lower-bidiagonal linear ODE envelope(t) A y over
 the internal ladder.  A does not depend on t and both envelopes integrate to
 one, so the kernel K_l(x, x') = [exp(A) y0]_l is the same closed form
 (confluent hypergeometric, ladder_analytic) for either envelope; it is the
-production route.  The adaptive ODE (ladder_ode_solve) and the
-first-absorption-time quadrature are kept as oracles for the tests.
+production route; all of its channels come from one series at ell_max and
+the contiguous recurrence of specfun.hyp1f1_ladder_rows.  The adaptive ODE
+(ladder_ode_solve) and the first-absorption-time quadrature are kept as
+oracles for the tests.
 Internal ladder energies only contribute a global phase per level and drop
 out of the populations, so they are omitted from the integrated equations.
 """
@@ -17,12 +19,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import InvalidInputError, SimulationError
-from .ode import DOP853
 from .grating import MeasurementProfile, m_ell, poisson_ell_max
 from .params import GratingParameters
+from .specfun import hyp1f1_ladder_rows
 from . import talbot
 
 ENVELOPES = ("gaussian", "constant")
@@ -53,19 +54,18 @@ class LadderConfig:
 
 @dataclass
 class TwoPointKernel:
-    """Multiplicative grating kernel K_l(x, x') with lazy line evaluation.
+    """Multiplicative grating kernel K_l(x, x').
 
     `evaluator(x, xp)` returns an array of shape (n_channels, n_pairs);
     channels are absorption counts for ladder kernels.  pair_values sums
     channels, making the kernel usable directly as an unconditional kernel
-    in talbot.b_numeric_oracle.
+    in talbot.b_numeric_oracle and talbot.KernelSource.
     """
 
     model: str
     channels: tuple
     evaluator: object
     meta: dict = field(default_factory=dict)
-    _lines: dict = field(default_factory=dict, repr=False)
 
     def channel_values(self, x, xp) -> np.ndarray:
         x = np.asarray(x, float)
@@ -80,45 +80,6 @@ class TwoPointKernel:
             raise InvalidInputError(f"kernel has no channel {ell!r}")
         return ChannelKernel(self, self.channels.index(ell))
 
-    def line(self, xi: float, n_points: int) -> np.ndarray:
-        """K_l sampled on x = u - xi/2, x' = u + xi/2, u uniform on [0, 1)."""
-        key = (round(float(xi), 12), n_points)
-        if key not in self._lines:
-            u = np.arange(n_points) / n_points
-            self._lines[key] = self.channel_values(u - 0.5 * xi, u + 0.5 * xi)
-        return self._lines[key]
-
-    def line_values(self, xi: float, n_points: int) -> np.ndarray:
-        """Channel-summed kernel line (cache-backed)."""
-        return self.line(xi, n_points).sum(axis=0)
-
-    def prefetch_lines(self, xis, n_points: int):
-        """Batch-solve all requested lines in one evaluator call."""
-        todo = [xi for xi in xis
-                if (round(float(xi), 12), n_points) not in self._lines]
-        if not todo:
-            return
-        u = np.arange(n_points) / n_points
-        xs = np.concatenate([u - 0.5 * xi for xi in todo])
-        xps = np.concatenate([u + 0.5 * xi for xi in todo])
-        vals = self.evaluator(xs, xps)
-        for k, xi in enumerate(todo):
-            block = vals[:, k * n_points:(k + 1) * n_points]
-            self._lines[(round(float(xi), 12), n_points)] = block
-
-    def write_csv(self, path, xi: float = 0.0, n_points: int = 256):
-        from .output import format_float
-        vals = self.line(xi, n_points)
-        u = np.arange(n_points) / n_points
-        with open(path, "w", newline="") as fh:
-            fh.write("channel,u,x,xp,re,im\n")
-            for ic, ch in enumerate(self.channels):
-                for k in range(n_points):
-                    v = vals[ic, k]
-                    fh.write(f"{ch},{format_float(u[k])},{format_float(u[k] - 0.5 * xi)},"
-                             f"{format_float(u[k] + 0.5 * xi)},"
-                             f"{format_float(v.real)},{format_float(v.imag)}\n")
-
 
 @dataclass
 class ChannelKernel:
@@ -130,9 +91,6 @@ class ChannelKernel:
     def pair_values(self, x, xp):
         return self.parent.channel_values(x, xp)[self.index]
 
-    def line_values(self, xi: float, n_points: int) -> np.ndarray:
-        return self.parent.line(xi, n_points)[self.index]
-
 
 def _pair_coefficients(x, xp, grating: GratingParameters):
     c = np.cos(np.pi * x)
@@ -143,6 +101,8 @@ def _pair_coefficients(x, xp, grating: GratingParameters):
 
 
 def _ode_kernel_values(x, xp, config: LadderConfig) -> np.ndarray:
+    from scipy.integrate import solve_ivp
+    from .ode import DOP853
     g = config.grating
     ell_max = config.ell_max
     c, cp, dphi, nbar = _pair_coefficients(x, xp, g)
@@ -195,18 +155,21 @@ def ladder_ode_solve(config: LadderConfig) -> TwoPointKernel:
 
 
 def _analytic_kernel_values(x, xp, config: LadderConfig) -> np.ndarray:
-    from .specfun import hyp1f1_ladder
     g = config.grating
     ell_max = config.ell_max
     c, cp, dphi, nbar = _pair_coefficients(x, xp, g)
-    z = 1j * (g.eta_p - 1.0) * dphi - (g.eta_a - 1.0) * nbar
     out = np.empty((ell_max + 1, x.size), complex)
-    base = np.exp(1j * dphi - nbar)          # M_0(x) conj(M_0(x'))
-    out[0] = base
-    mm = base.copy()
-    for ell in range(1, ell_max + 1):
-        mm = mm * (g.n0 * c * cp / ell)      # M_l(x) conj(M_l(x'))
-        out[ell] = mm * g.eta_a ** (ell - 1) * hyp1f1_ladder(ell, z)
+    out[0] = np.exp(1j * dphi - nbar)        # M_0(x) conj(M_0(x'))
+    if ell_max:
+        ells = np.arange(1, ell_max + 1)[:, None]
+        # M_l(x) conj(M_l(x')) = M_0(x) conj(M_0(x')) (n0 c c')^l / l!
+        weight = g.n0 * c * cp / ells
+        for ell in range(1, ell_max):
+            weight[ell] *= weight[ell - 1]
+        weight *= g.eta_a ** (ells - 1)
+        np.multiply(weight, out[0], out=out[1:])
+        z = 1j * (g.eta_p - 1.0) * dphi - (g.eta_a - 1.0) * nbar
+        out[1:] *= hyp1f1_ladder_rows(ell_max, z)
     return out
 
 
@@ -267,46 +230,11 @@ def t1_integral_kernel(x, xp, ell: int, grating: GratingParameters,
     return vals @ w
 
 
-def kernel_to_talbot(kernel: TwoPointKernel, xi_grid, j_max: int = 32,
-                     n_points: int = 512) -> talbot.TalbotCoefficientSet:
-    """Numeric-Fourier Talbot coefficients of a dynamical kernel, per channel
-    and channel-summed, tabulated over a xi grid."""
-    xi_grid = np.asarray(xi_grid, float)
-    kernel.prefetch_lines(xi_grid, n_points)
-    orders = np.arange(-j_max, j_max + 1)
-    u = np.arange(n_points) / n_points
-    phases = np.exp(-2j * np.pi * np.outer(orders, u)) / n_points
-    tables = {ch: np.empty((orders.size, xi_grid.size), complex)
-              for ch in kernel.channels}
-    total = np.zeros((orders.size, xi_grid.size), complex)
-    for ix, xi in enumerate(xi_grid):
-        vals = kernel.line(float(xi), n_points)
-        col = phases @ vals.T                    # (n_orders, n_channels)
-        for ic, ch in enumerate(kernel.channels):
-            tables[ch][:, ix] = col[:, ic]
-        total[:, ix] = col.sum(axis=1)
-    grating = kernel.meta.get("grating", GratingParameters(0.0, 0.0))
-    out = talbot.TalbotCoefficientSet(grating=grating, xi=xi_grid, orders=orders)
-    out.tables = {"sum": total, **tables}
-    return out
-
-
-def kernel_source(kernel: TwoPointKernel, channel="sum", n_points: int = 512):
-    """B(j, xi) callable backed by the numeric Fourier reduction of a
-    dynamical kernel; supports prefetching for batched line solves."""
+def kernel_source(kernel: TwoPointKernel, channel="sum",
+                  n_points: int = 512) -> talbot.KernelSource:
+    """Coefficient source of a dynamical kernel, channel-summed or one
+    absorption count: numeric Fourier reduction, one FFT per kernel line."""
     if channel == "sum":
-        view = kernel
-        label = kernel.model
-    else:
-        view = kernel.channel(channel)
-        label = f"{kernel.model},ell={channel}"
-
-    def source(j: int, xi: float) -> complex:
-        return talbot.b_numeric_oracle(j, float(xi), view, n_points)
-
-    def prefetch(pairs):
-        kernel.prefetch_lines(sorted({round(float(xi), 12) for _, xi in pairs}), n_points)
-
-    source.label = label
-    source.prefetch = prefetch
-    return source
+        return talbot.KernelSource(kernel, kernel.model, n_points)
+    return talbot.KernelSource(kernel.channel(channel), f"{kernel.model},ell={channel}",
+                               n_points)

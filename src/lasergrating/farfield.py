@@ -35,6 +35,7 @@ from . import talbot
 FRAUNHOFER_MAX_RATIO = 1e-2
 ALIAS_MARGIN = 4.0       # screen units kept clear of the aliased density, see _q_grid
 DENSE_BLOCK = 1 << 20    # phase-matrix entries per row block of a dense sum
+Q_BLOCK = 1 << 16        # Talbot-table entries (orders x q) per block of the q sum
 
 
 @dataclass
@@ -100,12 +101,6 @@ def _sine_factor(orders: np.ndarray, q: np.ndarray, dd: float, ratio: float) -> 
     out /= den
     out[small] = np.broadcast_to(a, out.shape)[small]
     return out
-
-
-def _coefficient_rows(config: FarFieldConfig, ell, variant: str, orders, q: np.ndarray):
-    if ell is None:
-        return (talbot.b_unconditional(j, q, config.grating, variant) for j in orders)
-    return talbot.conditional_rows(orders, q, ell, config.grating).values()
 
 
 def _q_grid(config: FarFieldConfig, j_max: int, ratio: float):
@@ -206,11 +201,15 @@ def _screen_coefficients(config: FarFieldConfig, ell, variant: str, fraunhofer: 
     j_max = config.order_cutoff()
     q = _q_grid(config, j_max, ratio)
     orders = np.arange(-j_max, j_max + 1)
-    sine = _sine_factor(orders, q, config.collimator_ratio, ratio)
-    g = np.zeros(q.size, complex)
-    for row, factor in zip(_coefficient_rows(config, ell, variant, orders, q), sine):
-        g += row * factor
-    edge = float(np.max(np.abs(row)))  # the row of j_max
+    source = talbot.ClosedForm(config.grating, variant if ell is None else ell)
+    g = np.empty(q.size, complex)
+    edge = 0.0
+    step = max(1, Q_BLOCK // orders.size)
+    for i in range(0, q.size, step):
+        rows = source.rows(orders, q[i:i + step])
+        edge = max(edge, float(np.max(np.abs(rows[[0, -1]]))))
+        rows *= _sine_factor(orders, q[i:i + step], config.collimator_ratio, ratio)
+        g[i:i + step] = rows.sum(axis=0)
     if edge > config.tail:
         raise ResolutionError(
             f"order cutoff {j_max} too small: |B_jmax| = {edge:.2e} > {config.tail:.0e}")

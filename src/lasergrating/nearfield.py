@@ -2,15 +2,18 @@
 
 The detected signal is a Fourier series in the third-grating shift
 S(x_s) = sum_j f^2 sinc^2(j pi f) B_2j(j L/L_T) e^{2 pi i j x_s / d},
-synthesized from any Talbot-coefficient source: the unconditional closed
-form, its classical random-walk variant, a conditional absorption count,
-or a dynamical two-point kernel.
+synthesized from any Talbot-coefficient source with rows(orders, xi)
+(talbot.ClosedForm: the unconditional closed form, its classical
+random-walk variant or a conditional absorption count; talbot.KernelSource:
+a dynamical two-point kernel).  A signal, a whole velocity average and a
+whole visibility curve each take one rows table, and the synthesis is one
+complex inverse FFT per signal, whose imaginary residue is checked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +29,9 @@ REALITY_TOL = 1e-10
 class KdtliConfig:
     """Interferometer configuration.
 
-    source: "quantum" | "classical" | ell (int) | a B(j, xi) callable.
-    grating may be None when the source is a callable that carries its own
-    parameters (dynamical kernels).
+    source: "quantum" | "classical" | ell (int) | an object with
+    rows(orders, xi), such as talbot.KernelSource.  grating may be None when
+    the source carries its own parameters (dynamical kernels).
     """
 
     grating: GratingParameters | None
@@ -46,7 +49,7 @@ class KdtliConfig:
             raise InvalidInputError("talbot parameter must be positive")
         if self.n_shift < 256:
             raise InvalidInputError("need >= 256 shift samples per period")
-        if self.grating is None and not callable(self.source):
+        if self.grating is None and not hasattr(self.source, "rows"):
             raise InvalidInputError("closed-form sources need grating parameters")
 
 
@@ -76,81 +79,84 @@ class FringeSignal:
 
 
 def resolve_source(config: KdtliConfig):
-    """Turn the config's source spec into a B(j, xi) callable."""
+    """The config's source spec as an object with rows(orders, xi)."""
     src = config.source
-    if callable(src):
-        return src
-    if src == "quantum" or src == "classical":
-        return talbot.closed_form_source(config.grating, src)
-    if isinstance(src, int):
-        return talbot.conditional_source(config.grating, src)
-    raise InvalidInputError(f"cannot resolve coefficient source {src!r}")
+    return src if hasattr(src, "rows") else talbot.ClosedForm(config.grating, src)
 
 
-def signal_components(config: KdtliConfig, source=None) -> dict:
-    """Fourier components S_j of the fringe signal, j in [-j_max, j_max]."""
-    if source is None:
-        source = resolve_source(config)
+def _components(config: KdtliConfig, source, talbot_parameters):
+    """(orders, S) with S_j = f^2 sinc^2(j pi f) B_2j(j L/L_T) for
+    j = -j_max..j_max and each L/L_T, shape (len(talbot_parameters),
+    2 j_max + 1), from one rows table.  Every row passes the j_max tail check."""
     f = config.open_fraction
-    lt = config.talbot_parameter
-    orders = list(range(-config.j_max, config.j_max + 1))
-    if hasattr(source, "prefetch"):
-        source.prefetch([(2 * j, j * lt) for j in orders])
-    comps = {}
-    for j in orders:
-        comps[j] = f * f * float(sinc(math.pi * j * f)) ** 2 * source(2 * j, j * lt)
-    edge = max(abs(comps[config.j_max]), abs(comps[-config.j_max]))
-    scale = max(abs(c) for c in comps.values())
-    if scale > 0 and edge > config.tail * scale:
-        raise CutoffError(
-            f"j_max={config.j_max} too small: edge component {edge:.2e} "
-            f"above tail bound {config.tail:.0e} of scale {scale:.2e}")
-    return comps
+    orders = np.arange(-config.j_max, config.j_max + 1)
+    xi = np.outer(talbot_parameters, orders).ravel()
+    table = source.rows(2 * orders, xi)
+    paired = table[np.tile(np.arange(orders.size), len(talbot_parameters)),
+                   np.arange(xi.size)]
+    comps = f * f * sinc(np.pi * orders * f) ** 2 * paired.reshape(-1, orders.size)
+    edge = np.maximum(np.abs(comps[:, 0]), np.abs(comps[:, -1]))
+    scale = np.max(np.abs(comps), axis=1)
+    for e, s in zip(edge, scale):
+        if s > 0 and e > config.tail * s:
+            raise CutoffError(
+                f"j_max={config.j_max} too small: edge component {e:.2e} "
+                f"above tail bound {config.tail:.0e} of scale {s:.2e}")
+    return orders, comps
+
+
+def _synthesize(orders, comps, n_shift: int) -> np.ndarray:
+    """Real signals on x_s = k / n_shift, one per row of `comps`, from one
+    complex inverse FFT; a row with an imaginary residue is an error."""
+    spec = np.zeros((comps.shape[0], n_shift), complex)
+    np.add.at(spec, (slice(None), orders % n_shift), comps)
+    vals = np.fft.ifft(spec, axis=1) * n_shift
+    resid = np.max(np.abs(vals.imag), axis=1)
+    scale = np.maximum(np.max(np.abs(vals.real), axis=1), 1e-300)
+    if np.any(resid > REALITY_TOL * scale):
+        raise InvalidInputError(
+            f"signal has imaginary residue {np.max(resid):.2e}; "
+            "coefficient source is inconsistent")
+    return vals.real
 
 
 def kdtli_signal(config: KdtliConfig) -> FringeSignal:
     """Fringe signal over one period of the third-grating shift."""
     source = resolve_source(config)
-    comps = signal_components(config, source)
-    shifts = np.arange(config.n_shift) / config.n_shift
-    vals = np.zeros(config.n_shift, complex)
-    for j, c in comps.items():
-        vals += c * np.exp(2j * np.pi * j * shifts)
-    resid = float(np.max(np.abs(vals.imag)))
-    scale = max(float(np.max(np.abs(vals.real))), 1e-300)
-    if resid > REALITY_TOL * scale:
-        raise InvalidInputError(
-            f"signal has imaginary residue {resid:.2e}; coefficient source is inconsistent")
+    orders, comps = _components(config, source, [config.talbot_parameter])
     return FringeSignal(
-        shifts=shifts,
-        values=vals.real,
-        components=comps,
-        mean=float(comps[0].real),
+        shifts=np.arange(config.n_shift) / config.n_shift,
+        values=_synthesize(orders, comps, config.n_shift)[0],
+        components=dict(zip(orders.tolist(), comps[0])),
+        mean=float(comps[0, config.j_max].real),
         talbot_parameter=config.talbot_parameter,
         label=getattr(source, "label", str(config.source)),
     )
 
 
-def sinusoidal_visibility(config: KdtliConfig) -> float:
+def sinusoidal_visibility(config: KdtliConfig, talbot_parameters=None):
     """Signed sine visibility 2 sinc^2(pi f) B_2(L/L_T) / B_0(0).
 
     For the unconditional closed form B_0(0) = 1; for conditional or
     kernel sources the mean transmission normalizes the contrast.  Negative
-    values indicate a phase-flipped fringe.
+    values indicate a phase-flipped fringe.  Without `talbot_parameters` the
+    value at config.talbot_parameter; with an array of L/L_T, the curve over
+    it, from one rows call.
     """
-    source = resolve_source(config)
-    f = config.open_fraction
-    if hasattr(source, "prefetch"):
-        source.prefetch([(2, config.talbot_parameter), (0, 0.0)])
-    b2 = source(2, config.talbot_parameter)
-    b0 = source(0, 0.0)
+    lts = np.atleast_1d(np.asarray(
+        config.talbot_parameter if talbot_parameters is None else talbot_parameters, float))
+    if np.any(lts <= 0):
+        raise InvalidInputError("talbot parameter must be positive")
+    table = resolve_source(config).rows([0, 2], np.concatenate(([0.0], lts)))
+    b0 = table[0, 0]
     if abs(b0) < 1e-14:
         raise InvalidInputError(
             "visibility undefined: zero mean transmission for this source")
-    v = 2.0 * float(sinc(math.pi * f)) ** 2 * (b2 / b0)
-    if abs(v.imag) > REALITY_TOL * max(1.0, abs(v.real)):
-        raise InvalidInputError(f"visibility has imaginary residue {v.imag:.2e}")
-    return float(v.real)
+    v = 2.0 * float(sinc(math.pi * config.open_fraction)) ** 2 * (table[1, 1:] / b0)
+    resid = np.abs(v.imag) - REALITY_TOL * np.maximum(1.0, np.abs(v.real))
+    if np.any(resid > 0):
+        raise InvalidInputError(f"visibility has imaginary residue {np.max(np.abs(v.imag)):.2e}")
+    return float(v[0].real) if talbot_parameters is None else v.real
 
 
 def visibility_minmax(signal: FringeSignal) -> float:
@@ -184,7 +190,9 @@ def velocity_average(config: KdtliConfig, dv_over_v: float,
     """Fringe signal averaged over a gaussian longitudinal-velocity spread.
 
     Only the Talbot parameter is rescaled (L/L_T scales as 1/v); the grating
-    parameters are held at their mean-velocity values.
+    parameters are held at their mean-velocity values.  All samples share
+    one (samples x orders) coefficient table; each sample passes the j_max
+    tail check and the imaginary-residue check on its own.
     """
     if dv_over_v < 0:
         raise InvalidInputError("velocity spread must be >= 0")
@@ -194,33 +202,16 @@ def velocity_average(config: KdtliConfig, dv_over_v: float,
     rel = rel[rel > 0.05]
     weights = np.exp(-0.5 * ((rel - 1.0) / dv_over_v) ** 2)
     weights /= weights.sum()
-    base = None
-    acc_vals = None
-    acc_comps: dict = {}
-    for w, r in zip(weights, rel):
-        cfg = KdtliConfig(
-            grating=config.grating,
-            open_fraction=config.open_fraction,
-            talbot_parameter=config.talbot_parameter / r,
-            source=config.source,
-            n_shift=config.n_shift,
-            j_max=config.j_max,
-            tail=config.tail,
-        )
-        sig = kdtli_signal(cfg)
-        if base is None:
-            base = sig
-            acc_vals = w * sig.values
-            acc_comps = {j: w * c for j, c in sig.components.items()}
-        else:
-            acc_vals = acc_vals + w * sig.values
-            for j, c in sig.components.items():
-                acc_comps[j] += w * c
+    source = resolve_source(config)
+    orders, comps = _components(config, source, config.talbot_parameter / rel)
+    values = _synthesize(orders, comps, config.n_shift)
+    # sums over axis 0 add the samples in order, so no BLAS reduction is involved
+    mean_comps = (weights[:, None] * comps).sum(axis=0)
     return FringeSignal(
-        shifts=base.shifts,
-        values=acc_vals,
-        components=acc_comps,
-        mean=float(acc_comps[0].real),
+        shifts=np.arange(config.n_shift) / config.n_shift,
+        values=(weights[:, None] * values).sum(axis=0),
+        components=dict(zip(orders.tolist(), mean_comps)),
+        mean=float(mean_comps[config.j_max].real),
         talbot_parameter=config.talbot_parameter,
-        label=base.label + f",dv/v={dv_over_v:g}",
+        label=getattr(source, "label", str(config.source)) + f",dv/v={dv_over_v:g}",
     )

@@ -18,14 +18,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import InvalidInputError, RegimeError, SimulationError
-from .ode import DOP853
 from .specfun import sinc
 from .params import GratingParameters
-from .dynamics import TwoPointKernel, kernel_source
-from . import nearfield
+from .dynamics import TwoPointKernel
+from . import nearfield, talbot
 
 SHORT_LIFETIME_MAX = 1.0 / 50.0
 MAX_GROWTH = 700.0  # largest exponent t/(4 tau) the closed-form amplitudes take
@@ -113,6 +111,8 @@ def solve_pairs(x, xp, config: RabiConfig, method: str = "ode",
     """Density matrices rho(x, x'; t = t_L) for each position pair, initial
     state |0><0|.  Returns shape (n_pairs, 3, 3), or (n_times, n_pairs, 3, 3)
     when t_eval is given (ODE route only)."""
+    from scipy.integrate import solve_ivp
+    from .ode import DOP853
     x = np.atleast_1d(np.asarray(x, float))
     xp = np.atleast_1d(np.asarray(xp, float))
     gen = _liouvillian(x, xp, config)
@@ -153,9 +153,6 @@ class RabiKernel:
 
     def pair_values(self, x, xp):
         return self.kernel.pair_values(x, xp)
-
-    def line_values(self, xi, n_points):
-        return self.kernel.line_values(xi, n_points)
 
     def transmission_profile(self):
         """p_0(x) = K_00(x, x) over one period."""
@@ -220,9 +217,9 @@ def rabi_kdtli(config: RabiConfig, open_fraction: float, talbot_parameter: float
                j_max: int = 24, n_shift: int = 512) -> nearfield.FringeSignal:
     """KDTLI fringe signal for ground-state-only detection: pipes K_00
     through the numeric Talbot bridge into the fringe synthesis."""
-    kern = rabi_solve(config).kernel
-    source = kernel_source(kern, channel="sum", n_points=max(512, config.n_points))
-    source.label = f"rabi,area={config.pulse_area / math.pi:g}pi"
+    source = talbot.KernelSource(rabi_solve(config).kernel,
+                                 f"rabi,area={config.pulse_area / math.pi:g}pi",
+                                 max(512, config.n_points))
     cfg = nearfield.KdtliConfig(
         grating=None,
         open_fraction=open_fraction,

@@ -1,14 +1,24 @@
 """Talbot coefficients of the laser grating.
 
-Three evaluation routes are provided and cross-checked in the tests:
-the conditional closed form B_j(xi; l), the unconditional closed form
-B_j(xi) together with its classical random-walk variant, and a numeric
-Fourier reduction of an arbitrary two-point kernel that serves as the
-oracle and as the bridge for dynamical models.
+Every coefficient source answers one array-valued call,
+rows(orders, xi) -> complex array of shape (len(orders), len(xi)):
 
-Closed forms are evaluated through the branch-free Fourier coefficients of
-exp(a e^{it} + b e^{-it}) instead of the textbook (ratio)^{j/2} J_j(sqrt(...))
-expression, which is ambiguous where |zeta_coh| = |zeta_abs|.
+* `ClosedForm`: the unconditional closed form B_j(xi), its classical
+  random-walk variant, or the conditional closed form B_j(xi; l);
+* `KernelSource`: the numeric Fourier reduction of a two-point kernel, the
+  bridge for dynamical models, with one FFT per unique kernel line.
+
+The closed forms are Fourier coefficients of exp(a e^{it} + b e^{-it} + c),
+never the textbook (ratio)^{j/2} J_j(sqrt(...)) form, which is ambiguous
+where |zeta_coh| = |zeta_abs|.  They run on the spectral kernel
+`specfun.exp_fourier_rows`: zeta is computed once per xi array, and one FFT
+along t gives every order.  The prefactor is folded into c, so the integrand
+has modulus <= 1 and nothing cancels at any phi0; the FFT size follows from
+|phi0| + n0 and the largest order, and an FFT size above its cap or an
+aliasing tail raises CutoffError (see `specfun.spectral_points`).
+
+`b_numeric_oracle`, the trapezoid of one coefficient over a kernel line, is
+the oracle of the tests.
 """
 
 from __future__ import annotations
@@ -21,10 +31,11 @@ import numpy as np
 from .errors import InvalidInputError, ResolutionError
 from .grating import MeasurementProfile, m_ell, poisson_ell_max
 from .params import GratingParameters
-from .specfun import exp_bessel_coeff
+from .specfun import exp_fourier_rows
 
 VARIANTS = ("quantum", "classical")
 NYQUIST_MARGIN = 32
+LINE_BLOCK = 1 << 14  # kernel pairs per evaluator call of KernelSource.rows
 
 
 def zeta(xi, grating: GratingParameters):
@@ -36,79 +47,130 @@ def zeta(xi, grating: GratingParameters):
     return za, zc, zap
 
 
-def _b0(j: int, xi, grating: GratingParameters):
-    # kernel exponent: i zc sin(t) - za cos(t) = a e^{it} + b e^{-it}
-    # with a = (zc - za)/2, b = -(zc + za)/2
-    za, zc, _ = zeta(xi, grating)
-    return math.exp(-0.5 * grating.n0) * exp_bessel_coeff(j, 0.5 * (zc - za), -0.5 * (zc + za))
-
-
-def b_conditional(j: int, xi, ell: int, grating: GratingParameters):
-    """Conditional Talbot coefficient B_j(xi; l).
+def conditional_rows(orders, xi, ell: int, grating: GratingParameters) -> np.ndarray:
+    """B_j(xi; ell) for every j in `orders` over a 1-D xi array, shape
+    (len(orders), len(xi)).
 
     l = 0 is the photo-depletion closed form; l >= 1 is the double sum over
-    recoil splittings referencing shifted l = 0 coefficients.
+    recoil splittings of shifted l = 0 coefficients, all taken from one
+    spectral table over the orders min(j) - l .. max(j) + l.
     """
     if ell < 0:
         raise InvalidInputError("absorption count must be >= 0")
-    j = int(j)
+    orders = np.asarray(orders, int).ravel()
+    za, zc, _ = zeta(np.asarray(xi, float).ravel(), grating)
+    lo = int(orders.min()) - ell
+    # l = 0 exponent: i zc sin(t) - za cos(t) - n0/2 = a e^{it} + b e^{-it} + c
+    # with a = (zc - za)/2, b = -(zc + za)/2; its real part is <= |za| - n0/2 <= 0
+    base = exp_fourier_rows(np.arange(lo, int(orders.max()) + ell + 1),
+                            0.5 * (zc - za), -0.5 * (zc + za), -0.5 * grating.n0)
     if ell == 0:
-        return _b0(j, xi, grating)
-    za, _, _ = zeta(xi, grating)
-    base = {m: _b0(m, xi, grating) for m in range(j - ell, j + ell + 1)}
-    out = np.zeros(np.shape(za), complex) if np.ndim(za) else 0.0 + 0.0j
+        return base[orders - lo]
+    out = np.zeros((orders.size, za.size), complex)
     for n in range(ell + 1):
         for r in range(n + 1):
             coef = (grating.n0 / 4.0) ** n \
                 / (math.factorial(r) * math.factorial(n - r) * math.factorial(ell - n))
-            out = out + coef * za ** (ell - n) * base[j - n + 2 * r]
+            out += coef * za ** (ell - n) * base[orders - lo - n + 2 * r]
     return out
 
 
-def conditional_rows(orders, xi, ell: int, grating: GratingParameters) -> dict:
-    """B_j(xi; ell) for every j in `orders` over a xi array, sharing one
-    l = 0 base table across the recoil double sum (same values as
-    b_conditional, one series evaluation per shifted order)."""
-    if ell < 0:
-        raise InvalidInputError("absorption count must be >= 0")
-    orders = [int(j) for j in orders]
-    lo, hi = min(orders) - ell, max(orders) + ell
-    base = {m: _b0(m, xi, grating) for m in range(lo, hi + 1)}
-    if ell == 0:
-        return {j: base[j] for j in orders}
-    za, _, _ = zeta(xi, grating)
-    weights = [((grating.n0 / 4.0) ** n
-                / (math.factorial(r) * math.factorial(n - r) * math.factorial(ell - n)),
-                n, r)
-               for n in range(ell + 1) for r in range(n + 1)]
-    out = {}
-    for j in orders:
-        acc = 0j * za
-        for coef, n, r in weights:
-            acc = acc + coef * za ** (ell - n) * base[j - n + 2 * r]
-        out[j] = acc
-    return out
-
-
-def b_unconditional(j: int, xi, grating: GratingParameters, variant: str = "quantum"):
-    """Unconditional Talbot coefficient B_j(xi).
+def unconditional_rows(orders, xi, grating: GratingParameters,
+                       variant: str = "quantum") -> np.ndarray:
+    """B_j(xi) for every j in `orders` over a 1-D xi array, shape
+    (len(orders), len(xi)).
 
     The classical random-walk variant flips the sign of zeta_coh, which is
     the same as exchanging j with -j.
     """
     if variant not in VARIANTS:
         raise InvalidInputError(f"unknown variant {variant!r}")
-    za, zc, zap = zeta(xi, grating)
+    _, zc, zap = zeta(np.asarray(xi, float).ravel(), grating)
     if variant == "classical":
         zc = -zc
-    # exponent: i zc sin(t) + zap cos(t) - zap
-    return np.exp(-zap) * exp_bessel_coeff(int(j), 0.5 * (zc + zap), 0.5 * (zap - zc))
+    # exponent: i zc sin(t) + zap cos(t) - zap, real part <= 0
+    return exp_fourier_rows(orders, 0.5 * (zc + zap), 0.5 * (zap - zc), -zap)
+
+
+def _at(rows: np.ndarray, xi):
+    return rows[0].reshape(np.shape(xi)) if np.ndim(xi) else complex(rows[0, 0])
+
+
+def b_conditional(j: int, xi, ell: int, grating: GratingParameters):
+    """Conditional Talbot coefficient B_j(xi; l) at one order, for scalar or
+    array xi."""
+    return _at(conditional_rows([int(j)], np.ravel(xi), ell, grating), xi)
+
+
+def b_unconditional(j: int, xi, grating: GratingParameters, variant: str = "quantum"):
+    """Unconditional Talbot coefficient B_j(xi) at one order, for scalar or
+    array xi."""
+    return _at(unconditional_rows([int(j)], np.ravel(xi), grating, variant), xi)
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """Closed-form coefficient source; `kind` is "quantum", "classical" or an
+    absorption count l >= 0."""
+
+    grating: GratingParameters
+    kind: object = "quantum"
+
+    def __post_init__(self):
+        if not (self.kind in VARIANTS
+                or (isinstance(self.kind, (int, np.integer)) and self.kind >= 0)):
+            raise InvalidInputError(f"cannot resolve coefficient source {self.kind!r}")
+
+    @property
+    def label(self) -> str:
+        return self.kind if isinstance(self.kind, str) else f"ell={self.kind}"
+
+    def rows(self, orders, xi) -> np.ndarray:
+        if isinstance(self.kind, str):
+            return unconditional_rows(orders, xi, self.grating, self.kind)
+        return conditional_rows(orders, xi, int(self.kind), self.grating)
+
+
+def _check_grid(n_points: int, j_max: int):
+    if n_points < 512:
+        raise ResolutionError("kernel must be sampled on >= 512 points per period")
+    if n_points // 2 < j_max + NYQUIST_MARGIN:
+        raise ResolutionError(
+            f"grid Nyquist order {n_points // 2} < |j| + {NYQUIST_MARGIN}")
+
+
+@dataclass
+class KernelSource:
+    """Numeric Fourier coefficients of a two-point kernel as a source.
+
+    `kernel` is anything with pair_values(x, xp): a TwoPointKernel, one of
+    its channels, or a RabiKernel.  rows() samples K(u - xi/2, u + xi/2) on
+    n_points values of u for each unique xi, in blocks of LINE_BLOCK pairs
+    per kernel call, and takes one FFT per line.
+    """
+
+    kernel: object
+    label: str = "kernel"
+    n_points: int = 512
+
+    def rows(self, orders, xi) -> np.ndarray:
+        orders = np.asarray(orders, int).ravel()
+        n = self.n_points
+        _check_grid(n, int(np.max(np.abs(orders))))
+        lines, inverse = np.unique(np.asarray(xi, float).ravel(), return_inverse=True)
+        u = np.arange(n) / n
+        out = np.empty((orders.size, lines.size), complex)
+        step = max(1, LINE_BLOCK // n)
+        for i in range(0, lines.size, step):
+            half = 0.5 * lines[i:i + step, None]
+            vals = self.kernel.pair_values((u - half).ravel(), (u + half).ravel())
+            spec = np.fft.fft(vals.reshape(-1, n), axis=1)
+            out[:, i:i + step] = spec[:, orders % n].T / n
+        return out[:, inverse]
 
 
 def _kernel_line(kernel, xi: float, n_points: int):
     """Sample K(u - xi/2, u + xi/2) on the uniform period grid."""
-    if hasattr(kernel, "line_values"):
-        return kernel.line_values(xi, n_points)
     u = np.arange(n_points) / n_points
     if isinstance(kernel, MeasurementProfile):
         return m_ell(u - 0.5 * xi, kernel) * np.conj(m_ell(u + 0.5 * xi, kernel))
@@ -125,53 +187,10 @@ def b_numeric_oracle(j: int, xi: float, kernel, n_points: int = 512):
     or a plain callable K(x, xp).
     """
     j = int(j)
-    if n_points < 512:
-        raise ResolutionError("kernel must be sampled on >= 512 points per period")
-    if n_points // 2 < abs(j) + NYQUIST_MARGIN:
-        raise ResolutionError(
-            f"grid Nyquist order {n_points // 2} < |j| + {NYQUIST_MARGIN}")
+    _check_grid(n_points, abs(j))
     vals = _kernel_line(kernel, xi, n_points)
     u = np.arange(n_points) / n_points
     return complex(np.mean(vals * np.exp(-2j * np.pi * j * u)))
-
-
-def b_numeric_row(xi: float, kernel, j_max: int, n_points: int = 512):
-    """All coefficients B_j(xi), |j| <= j_max, from one kernel line via FFT."""
-    if n_points < 512:
-        raise ResolutionError("kernel must be sampled on >= 512 points per period")
-    if n_points // 2 < j_max + NYQUIST_MARGIN:
-        raise ResolutionError(
-            f"grid Nyquist order {n_points // 2} < j_max + {NYQUIST_MARGIN}")
-    vals = _kernel_line(kernel, xi, n_points)
-    coeffs = np.fft.fft(vals) / n_points
-    return {j: complex(coeffs[j % n_points]) for j in range(-j_max, j_max + 1)}
-
-
-# ---------------------------------------------------------------------------
-# coefficient sources: uniform callable interface B(j, xi) for the
-# interferometer signal synthesis
-# ---------------------------------------------------------------------------
-
-def closed_form_source(grating: GratingParameters, variant: str = "quantum"):
-    """B(j, xi) callable for the unconditional closed form."""
-    if variant not in VARIANTS:
-        raise InvalidInputError(f"unknown variant {variant!r}")
-
-    def source(j: int, xi: float) -> complex:
-        return complex(b_unconditional(j, float(xi), grating, variant))
-
-    source.label = variant
-    return source
-
-
-def conditional_source(grating: GratingParameters, ell: int):
-    """B(j, xi; l) callable for a fixed absorption count."""
-
-    def source(j: int, xi: float) -> complex:
-        return complex(b_conditional(j, float(xi), ell, grating))
-
-    source.label = f"ell={ell}"
-    return source
 
 
 @dataclass
@@ -183,21 +202,15 @@ class TalbotCoefficientSet:
     orders: np.ndarray
     tables: dict = field(default_factory=dict)  # key: "quantum"|"classical"|ell -> (n_j, n_xi)
 
-    def rows(self):
+    def records(self):
+        """(variant, ell, j, xi, value) for every table entry, the row order
+        of the talbot command's output."""
         for key in self.tables:
             label, ell = (key, "") if isinstance(key, str) else ("conditional", key)
             tab = self.tables[key]
             for ij, j in enumerate(self.orders):
                 for ix, x in enumerate(self.xi):
                     yield label, ell, int(j), float(x), tab[ij, ix]
-
-    def write_csv(self, path):
-        from .output import format_float
-        with open(path, "w", newline="") as fh:
-            fh.write("variant,ell,j,xi,re,im\n")
-            for label, ell, j, x, v in self.rows():
-                fh.write(f"{label},{ell},{j},{format_float(x)},"
-                         f"{format_float(v.real)},{format_float(v.imag)}\n")
 
 
 def build_coefficient_table(grating: GratingParameters,
@@ -219,14 +232,7 @@ def build_coefficient_table(grating: GratingParameters,
     orders = np.arange(-j_max, j_max + 1)
     out = TalbotCoefficientSet(grating=grating, xi=xi_grid, orders=orders)
     for variant in variants:
-        tab = np.empty((orders.size, xi_grid.size), complex)
-        for ij, j in enumerate(orders):
-            tab[ij] = b_unconditional(int(j), xi_grid, grating, variant)
-        out.tables[variant] = tab
+        out.tables[variant] = unconditional_rows(orders, xi_grid, grating, variant)
     for ell in ells:
-        rows = conditional_rows(orders, xi_grid, int(ell), grating)
-        tab = np.empty((orders.size, xi_grid.size), complex)
-        for ij, j in enumerate(orders):
-            tab[ij] = rows[int(j)]
-        out.tables[int(ell)] = tab
+        out.tables[int(ell)] = conditional_rows(orders, xi_grid, int(ell), grating)
     return out

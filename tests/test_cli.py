@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -90,10 +93,68 @@ def test_missing_config_is_config_error(tmp_path):
 
 
 def test_numerical_regime_exit_code(tmp_path):
+    # orders up to 10000 need a spectral FFT size above its cap
     cfg = tmp_path / "hot.cfg"
     cfg.write_text("[grating]\nphi0 = 8.0\nn0 = 4.0\n\n"
-                   "[talbot]\nj_max = 500\n")
+                   "[talbot]\nj_max = 10000\n")
     assert run(["talbot", "--config", cfg, "--out", tmp_path]) == 3
+
+
+def test_spectral_cap_exit_code(tmp_path):
+    cfg = tmp_path / "strong.cfg"
+    cfg.write_text("[grating]\nphi0 = 1e5\nn0 = 0.5\n\n"
+                   "[interferometer]\ntalbot_parameter = 0.77\nopen_fraction = 0.42\n")
+    assert run(["kdtli", "--config", cfg, "--out", tmp_path]) == 3
+    assert not (tmp_path / "kdtli_signal.csv").exists()
+
+
+def test_import_keeps_scipy_out():
+    """scipy serves only the ODE oracles and the phase-space route, so
+    importing the CLI loads none of it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, lasergrating.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_kdtli_phi0_45_matches_kernel_fft(tmp_path):
+    """At phi0 = 45 the series closed form returned a min-max visibility of
+    0.499 without an error; the kernel FFT gives 0.0726."""
+    from lasergrating.dynamics import poisson_kernel
+    from lasergrating.params import GratingParameters
+    from lasergrating.talbot import b_numeric_oracle
+    cfg = tmp_path / "phi0_45.cfg"
+    cfg.write_text("[grating]\nphi0 = 45.0\nn0 = 0.5\n\n"
+                   "[interferometer]\ntalbot_parameter = 0.77\nopen_fraction = 0.42\n")
+    out = tmp_path / "run"
+    assert run(["kdtli", "--config", cfg, "--out", out]) == 0
+    _, _, rows = read_csv(out / "kdtli_signal.csv")
+    signal = np.array([r[5] for r in rows if r[2] == "quantum"])
+    kern = poisson_kernel(GratingParameters(phi0=45.0, n0=0.5), ell_max=12)
+    j = np.arange(-32, 33)
+    comps = 0.42 ** 2 * np.sinc(0.42 * j) ** 2 * np.array(
+        [b_numeric_oracle(2 * k, k * 0.77, kern, 4096) for k in j])
+    xs = np.arange(512) / 512
+    ref = (comps[None, :] * np.exp(2j * np.pi * np.outer(xs, j))).sum(axis=1).real
+    assert np.max(np.abs(signal - ref)) < 1e-10
+    vis = (signal.max() - signal.min()) / (signal.max() + signal.min())
+    assert vis == pytest.approx(0.0726, abs=5e-5)
+
+
+def test_kdtli_variant_filter_matches_unfiltered_run(grating_cfg, tmp_path):
+    args = ["kdtli", "--config", grating_cfg, "--sweep", "talbot_parameter=0.5:2.0:3"]
+    assert run(args + ["--out", tmp_path / "all"]) == 0
+    assert run(args + ["--out", tmp_path / "q", "--variant", "quantum"]) == 0
+    for name in ("kdtli_signal.csv", "kdtli_visibility.csv"):
+        _, cols, rows = read_csv(tmp_path / "all" / name)
+        _, qcols, qrows = read_csv(tmp_path / "q" / name)
+        assert qcols == cols
+        assert qrows == [r for r in rows if r[2] == "quantum"]
+        assert {r[2] for r in rows} == {"quantum", "classical"}
 
 
 def test_farfield_alias_guard_exit_code(tmp_path):

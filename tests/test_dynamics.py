@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from lasergrating import talbot
-from lasergrating.dynamics import (LadderConfig, kernel_source, kernel_to_talbot,
-                                   ladder_analytic, ladder_ode_solve,
-                                   poisson_kernel, t1_integral_kernel)
+from lasergrating.dynamics import (LadderConfig, kernel_source, ladder_analytic,
+                                   ladder_ode_solve, poisson_kernel, t1_integral_kernel)
 from lasergrating.errors import InvalidInputError
 from lasergrating.grating import MeasurementProfile, m_ell
 from lasergrating.nearfield import KdtliConfig, sinusoidal_visibility
+from lasergrating.output import read_csv, write_csv
 from lasergrating.params import GratingParameters
 
 G1 = GratingParameters(phi0=math.pi, n0=1.0)
@@ -153,40 +153,47 @@ def test_identity_kernel_gives_delta():
 def test_kernel_to_talbot_table():
     kern = ladder_analytic(tight(G1, "constant", ell_max=10))
     xi = np.array([0.0, 0.5, 1.3])
-    table = kernel_to_talbot(kern, xi, j_max=4)
+    orders = np.arange(-4, 5)
+    total = kernel_source(kern, "sum").rows(orders, xi)
+    one = kernel_source(kern, 1).rows(orders, xi)
     for ix, x in enumerate(xi):
-        for ij, j in enumerate(table.orders):
+        for ij, j in enumerate(orders):
             ref = complex(talbot.b_unconditional(int(j), float(x), G1))
-            assert table.tables["sum"][ij, ix] == pytest.approx(ref, abs=1e-8)
+            assert total[ij, ix] == pytest.approx(ref, abs=1e-8)
             ref0 = complex(talbot.b_conditional(int(j), float(x), 1, G1))
-            assert table.tables[1][ij, ix] == pytest.approx(ref0, abs=1e-8)
+            assert one[ij, ix] == pytest.approx(ref0, abs=1e-8)
 
 
-def test_kernel_source_prefetch_and_cache():
-    config = tight(G1, "constant", ell_max=10)
-    kern = ladder_analytic(config)
+def test_kernel_source_one_line_per_unique_xi():
+    kern = ladder_analytic(tight(G1, "constant", ell_max=10))
+    pairs = []
+    evaluator = kern.evaluator
+    kern.evaluator = lambda x, xp: pairs.append(x.size) or evaluator(x, xp)
     src = kernel_source(kern, "sum")
-    src.prefetch([(2, 0.5), (0, 0.0)])
-    assert len(kern._lines) == 2
-    val = src(2, 0.5)
-    assert len(kern._lines) == 2  # served from cache
-    assert val == pytest.approx(complex(talbot.b_unconditional(2, 0.5, G1)), abs=1e-8)
+    tab = src.rows([2, 0], [0.5, 0.0, 0.5])
+    assert pairs == [2 * 512]          # two unique lines, one kernel call
+    assert tab[0, 0] == tab[0, 2]
+    assert tab[0, 0] == pytest.approx(complex(talbot.b_unconditional(2, 0.5, G1)), abs=1e-8)
     child = kernel_source(kern, 0)
     assert child.label.endswith("ell=0")
-    assert child(0, 0.0) == pytest.approx(
+    assert child.rows([0], [0.0])[0, 0] == pytest.approx(
         complex(talbot.b_conditional(0, 0.0, 0, G1)), abs=1e-10)
 
 
-def test_kernel_line_caching_and_csv(tmp_path):
+def test_kernel_line_csv(tmp_path):
     kern = poisson_kernel(G1, ell_max=3)
-    line = kern.line(0.5, 512)
+    u = np.arange(512) / 512
+    line = kern.channel_values(u - 0.25, u + 0.25)
     assert line.shape == (4, 512)
+    rows = [(ch, float(u[k]), float(u[k] - 0.25), float(u[k] + 0.25), v.real, v.imag)
+            for ic, ch in enumerate(kern.channels) for k, v in enumerate(line[ic])]
     path = tmp_path / "kernel.csv"
-    kern.write_csv(path, xi=0.5)
-    from lasergrating.output import read_csv
-    _, cols, rows = read_csv(path)
+    write_csv(path, {"xi": 0.5}, ["channel", "u", "x", "xp", "re", "im"], rows)
+    meta, cols, back = read_csv(path)
+    assert meta["xi"] == "0.5"
     assert cols == ["channel", "u", "x", "xp", "re", "im"]
-    assert len(rows) == 4 * 256 or len(rows) == 4 * 512
+    assert len(back) == 4 * 512
+    assert back[512 + 7][4] + 1j * back[512 + 7][5] == line[1, 7]
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from lasergrating.errors import DomainError
-from lasergrating.specfun import (SeriesTolerance, bessel_i_complex, bessel_j,
-                                  exp_bessel_coeff, hyp1f1_ladder, sinc)
+from lasergrating.errors import CutoffError, DomainError
+from lasergrating.specfun import (SPECTRAL_MAX_POINTS, SeriesTolerance, bessel_i_complex,
+                                  bessel_j, exp_bessel_coeff, exp_fourier_rows,
+                                  hyp1f1_ladder, hyp1f1_ladder_rows, sinc, spectral_points)
 
 mpmath.mp.dps = 40
 
@@ -185,6 +186,75 @@ def test_exp_bessel_coeff_array():
 
 
 # ---------------------------------------------------------------------------
+# exp_fourier_rows (spectral kernel)
+# ---------------------------------------------------------------------------
+
+def mp_exp_coeff(j, a, b, c):
+    """e^c sum_n a^(n+j) b^n / (n! (n+j)!) in 60 digits, where the
+    double-precision series cancels."""
+    if j < 0:
+        return mp_exp_coeff(-j, b, a, c)
+    with mpmath.workdps(60):
+        a, b = mpmath.mpc(a), mpmath.mpc(b)
+        term = a ** j / mpmath.factorial(j)
+        total, n = term, 0
+        while n < 10 or abs(term) > mpmath.mpf(10) ** -45 * (1 + abs(total)):
+            n += 1
+            term *= a * b / (n * (n + j))
+            total += term
+        return complex(mpmath.exp(c) * total)
+
+
+@pytest.mark.parametrize("phi0, n0, xi", [(3.14, 1.0, 0.3), (45.0, 0.5, 0.77),
+                                          (100.0, 20.0, 1.31)])
+def test_exp_fourier_rows_vs_mpmath(phi0, n0, xi):
+    """The unconditional Talbot exponent i zc sin t + zap cos t - zap, up to
+    the phi0 and n0 the package supports, against a 60-digit series."""
+    zc = phi0 * math.sin(math.pi * xi)
+    zap = n0 * math.sin(0.5 * math.pi * xi) ** 2
+    a, b = 0.5 * (zc + zap), 0.5 * (zap - zc)
+    orders = np.arange(-130, 131, 3)
+    got = exp_fourier_rows(orders, [a], [b], [-zap])[:, 0]
+    ref = np.array([mp_exp_coeff(int(j), a, b, -zap) for j in orders])
+    assert np.max(np.abs(got - ref)) < 1e-14
+
+
+def test_exp_fourier_rows_matches_series_where_it_holds():
+    a = np.array([0.8 - 0.4j, 0.1, -1.2 + 0.3j])
+    b = np.array([-1.1 + 0.2j, 0.0, 0.4j])
+    c = -(np.abs(a) + np.abs(b))
+    got = exp_fourier_rows(range(-6, 7), a, b, c)
+    assert got.shape == (13, 3)
+    for ij, j in enumerate(range(-6, 7)):
+        assert got[ij] == pytest.approx(np.exp(c) * exp_bessel_coeff(j, a, b), abs=1e-15)
+
+
+def test_spectral_points_rule_and_cap():
+    assert spectral_points(0.0, 0) == 64
+    assert spectral_points(math.pi + 1.0, 2) == 128     # figure 1
+    assert spectral_points(45.5, 64) == 512             # kdtli at phi0 = 45
+    with pytest.raises(CutoffError):
+        spectral_points(0.0, SPECTRAL_MAX_POINTS // 2)
+    with pytest.raises(CutoffError):
+        exp_fourier_rows([0], [1e5], [1e5])
+    with pytest.raises(DomainError):
+        spectral_points(math.inf, 0)
+
+
+def test_exp_fourier_rows_alias_guard():
+    """The tail check catches an integrand the N rule does not cover:
+    exp(100 e^{it}) has modulus up to e^100 and coefficients 100^j / j!
+    that are still large at order N/2.  With the prefactor e^-100 that makes
+    its modulus <= 1, the same exponent passes."""
+    with pytest.raises(CutoffError):
+        exp_fourier_rows([0, 1], [100.0], [0.0])
+    got = exp_fourier_rows([0, 100], [100.0], [0.0], [-100.0])[:, 0]
+    assert got[0] == pytest.approx(math.exp(-100.0), rel=1e-12)
+    assert got[1] == pytest.approx(math.exp(100 * math.log(100) - math.lgamma(101) - 100),
+                                   rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # hyp1f1_ladder
 # ---------------------------------------------------------------------------
 
@@ -218,11 +288,35 @@ def test_hyp1f1_integral_representation():
     assert hyp1f1_ladder(ell, z) == pytest.approx(ref, rel=1e-8)
 
 
+def test_hyp1f1_ladder_rows_in_figure5_range():
+    """|z| <= 2 (figure 5): the recurrence needs no restart and agrees with
+    the per-l series and with mpmath to round-off."""
+    zs = np.linspace(-2.0, 2.0, 9) + 1j * np.linspace(1.5, -1.5, 9)
+    got = hyp1f1_ladder_rows(30, zs)
+    assert got.shape == (30, zs.size)
+    for ell in range(1, 31):
+        ref = np.array([complex(mpmath.hyp1f1(ell, ell + 1, mpmath.mpc(z))) for z in zs])
+        assert got[ell - 1] == pytest.approx(ref, rel=1e-13)
+        assert got[ell - 1] == pytest.approx(hyp1f1_ladder(ell, zs), rel=1e-13)
+
+
+def test_hyp1f1_ladder_rows_restarts_vs_mpmath():
+    """Large |z|, where the recurrence amplifies errors and restarts from the
+    per-l series, within the contract of test_hyp1f1_vs_mpmath."""
+    zs = np.array([12.0 - 9.0j, -40.0, 60.0, -30.0 + 25.0j, 0.0])
+    got = hyp1f1_ladder_rows(30, zs)
+    for ell in range(1, 31):
+        ref = np.array([complex(mpmath.hyp1f1(ell, ell + 1, mpmath.mpc(z))) for z in zs])
+        assert got[ell - 1] == pytest.approx(ref, rel=1e-10)
+
+
 def test_hyp1f1_rejects_bad_input():
     with pytest.raises(DomainError):
         hyp1f1_ladder(0, 1.0)
     with pytest.raises(DomainError):
         hyp1f1_ladder(2, 200.0)
+    with pytest.raises(DomainError):
+        hyp1f1_ladder_rows(0, [1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lasergrating.errors import ResolutionError
+from lasergrating.dynamics import poisson_kernel
+from lasergrating.errors import CutoffError, InvalidInputError, ResolutionError
 from lasergrating.grating import MeasurementProfile
+from lasergrating.output import read_csv, write_csv
 from lasergrating.params import GratingParameters
-from lasergrating.talbot import (b_conditional, b_numeric_oracle, b_numeric_row,
+from lasergrating.talbot import (ClosedForm, KernelSource, b_conditional, b_numeric_oracle,
                                  b_unconditional, build_coefficient_table,
-                                 closed_form_source, conditional_source, zeta)
+                                 conditional_rows, unconditional_rows, zeta)
 
 mpmath.mp.dps = 30
 
@@ -184,15 +186,24 @@ def test_oracle_resolution_guards():
         b_numeric_oracle(0, 0.1, prof, n_points=128)
     with pytest.raises(ResolutionError):
         b_numeric_oracle(300, 0.1, prof, n_points=512)
+    kern = poisson_kernel(G, ell_max=0)
     with pytest.raises(ResolutionError):
-        b_numeric_row(0.1, prof, j_max=300, n_points=512)
+        KernelSource(kern, n_points=512).rows(np.arange(-300, 301), [0.1])
+    with pytest.raises(ResolutionError):
+        KernelSource(kern, n_points=256).rows([0], [0.1])
 
 
 def test_numeric_row_matches_single_calls():
+    """KernelSource.rows, one FFT per unique line over more lines than one
+    kernel call takes, against the per-coefficient oracle."""
     prof = MeasurementProfile(G, 1)
-    row = b_numeric_row(0.6, prof, j_max=5)
-    for j in range(-5, 6):
-        assert row[j] == pytest.approx(b_numeric_oracle(j, 0.6, prof), abs=1e-13)
+    xi = np.concatenate((np.linspace(-1.0, 1.0, 41), [0.6, 0.6]))
+    orders = np.arange(-5, 6)
+    tab = KernelSource(poisson_kernel(G, ell_max=3).channel(1)).rows(orders, xi)
+    assert tab.shape == (orders.size, xi.size)
+    for ix, x in enumerate(xi):
+        for ij, j in enumerate(orders):
+            assert tab[ij, ix] == pytest.approx(b_numeric_oracle(j, x, prof), abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +226,11 @@ def test_table_hermiticity_and_reality():
 
 
 def test_table_csv_round_trip(tmp_path):
-    from lasergrating.output import read_csv
     xi = np.linspace(0.0, 2.0, 8, endpoint=False)
     table = build_coefficient_table(G, xi_grid=xi, j_max=2, ells=(0, 1))
     path = tmp_path / "coeffs.csv"
-    table.write_csv(path)
+    write_csv(path, {}, ["variant", "ell", "j", "xi", "re", "im"],
+              [(label, ell, j, x, v.real, v.imag) for label, ell, j, x, v in table.records()])
     _, columns, rows = read_csv(path)
     assert columns == ["variant", "ell", "j", "xi", "re", "im"]
     # one row per (variant/ell, j, xi)
@@ -232,8 +243,51 @@ def test_table_csv_round_trip(tmp_path):
 
 
 def test_sources():
-    src = closed_form_source(G, "classical")
-    assert src(2, 0.7) == pytest.approx(complex(b_unconditional(2, 0.7, G, "classical")))
-    csrc = conditional_source(G, 1)
-    assert csrc(0, 0.0) == pytest.approx(complex(b_conditional(0, 0.0, 1, G)))
+    xi = np.array([0.0, 0.7, 1.45])
+    orders = [2, -3, 0]
+    src = ClosedForm(G, "classical")
+    tab = src.rows(orders, xi)
+    for ij, j in enumerate(orders):
+        assert tab[ij] == pytest.approx(b_unconditional(j, xi, G, "classical"))
+    csrc = ClosedForm(G, 1)
+    assert csrc.rows(orders, xi)[2, 0] == pytest.approx(complex(b_conditional(0, 0.0, 1, G)))
     assert csrc.label == "ell=1"
+    assert src.label == "classical"
+    for bad in ("bogus", -1, None):
+        with pytest.raises(InvalidInputError):
+            ClosedForm(G, bad)
+
+
+# ---------------------------------------------------------------------------
+# spectral closed forms at large phi0
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("phi0", [20.0, 45.0, 60.0, 100.0])
+def test_closed_forms_match_oracle_at_large_phi0(phi0):
+    """The spectral closed forms against the numeric Fourier oracle over the
+    Poisson kernel at 4096 points, where the power series cancelled (an error
+    of 25 at phi0 = 45).  The classical variant is the quantum kernel at
+    -phi0."""
+    n0 = 0.5
+    g = GratingParameters(phi0=phi0, n0=n0)
+    summed = poisson_kernel(g, ell_max=12)   # Poisson tail 2e-14
+    mirror = poisson_kernel(GratingParameters(phi0=-phi0, n0=n0), ell_max=12)
+    channels = poisson_kernel(g, ell_max=2)
+    xi = np.array([0.13, 0.77, 1.54])
+    orders = np.arange(-140, 141, 10)
+    cases = [(unconditional_rows(orders, xi, g, "quantum"), summed),
+             (unconditional_rows(orders, xi, g, "classical"), mirror),
+             (conditional_rows(orders, xi, 0, g), channels.channel(0)),
+             (conditional_rows(orders, xi, 2, g), channels.channel(2))]
+    for tab, oracle in cases:
+        for ix, x in enumerate(xi):
+            ref = np.array([b_numeric_oracle(j, x, oracle, 4096) for j in orders])
+            assert np.max(np.abs(tab[:, ix] - ref)) < 1e-10
+
+
+def test_spectral_size_above_cap_raises():
+    g = GratingParameters(phi0=1e5, n0=1.0)
+    with pytest.raises(CutoffError):
+        unconditional_rows([0, 2], [0.5], g)
+    with pytest.raises(CutoffError):
+        conditional_rows([0], [0.5], 1, g)
