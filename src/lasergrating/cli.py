@@ -50,6 +50,14 @@ def _getfloat(section, key, default=None):
         raise ConfigError(f"key {key!r}: {exc}") from exc
 
 
+def _getint(section, key, default: int, minimum: int) -> int:
+    """An integral value (8 or 8.0) no smaller than `minimum`."""
+    value = _getfloat(section, key, default)
+    if not (math.isfinite(value) and value == int(value) and value >= minimum):
+        raise ConfigError(f"key {key!r} must be an integer >= {minimum}, got {section[key]!r}")
+    return int(value)
+
+
 def load_config(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
     try:
@@ -215,43 +223,49 @@ def _ell_list(args, grating) -> list:
 def cmd_derive_params(cfg, args, outdir: Path) -> list[str]:
     setup = beam_from_config(cfg)
     grating = derive_grating(setup)
-    rows = [
-        ("phi0", grating.phi0),
-        ("n0", grating.n0),
-        ("beta_im_over_re", absorption_phase_ratio(setup)),
-        ("period_m", grating.period),
-        ("de_broglie_m", constants.PLANCK / (setup.mass * setup.velocity)),
-    ]
+    values = {
+        "phi0": grating.phi0,
+        "n0": grating.n0,
+        "beta_im_over_re": absorption_phase_ratio(setup),
+        "period_m": grating.period,
+        "de_broglie_m": constants.PLANCK / (setup.mass * setup.velocity),
+    }
     sec = cfg["interferometer"] if "interferometer" in cfg else {}
     if "separation_mm" in sec:
         scales = derive_scales(setup, _getfloat(cfg["interferometer"], "separation_mm") * 1e-3)
-        rows += [
-            ("talbot_length_m", scales.talbot_length),
-            ("talbot_parameter", scales.talbot_parameter),
-            ("interaction_time_s", scales.interaction_time),
-        ]
+        values.update(talbot_length_m=scales.talbot_length,
+                      talbot_parameter=scales.talbot_parameter,
+                      interaction_time_s=scales.interaction_time)
     name = f"derived_parameters.{_ext(args)}"
-    _writer(args)(outdir / name, {"command": "derive-params"}, ["name", "value"], rows)
+    _writer(args)(outdir / name, {"command": "derive-params"}, ["name", "value"],
+                  [(list(values), list(values.values()))])
     return [name]
 
 
 def cmd_talbot(cfg, args, outdir: Path) -> list[str]:
     grating = grating_from_config(cfg)
     sec = cfg["talbot"] if "talbot" in cfg else {}
-    j_max = int(_getfloat(cfg["talbot"], "j_max", 8)) if sec else 8
-    n_xi = int(_getfloat(cfg["talbot"], "xi_points", 256)) if sec else 256
-    xi = np.linspace(0.0, 2.0, n_xi, endpoint=False)
+    j_max = _getint(sec, "j_max", 8, 0)
+    xi = np.linspace(0.0, 2.0, _getint(sec, "xi_points", 256, 1), endpoint=False)
     variants = (args.variant,) if args.variant else talbot.VARIANTS
     table = talbot.build_coefficient_table(
         grating, xi_grid=xi, j_max=j_max,
         ells=_ell_list(args, grating) or (), variants=variants)
-    rows = [(label, ell, j, x, v.real, v.imag) for label, ell, j, x, v in table.records()]
     name = f"talbot_coefficients.{_ext(args)}"
     _writer(args)(outdir / name,
                   {"command": "talbot", "phi0": grating.phi0, "n0": grating.n0,
                    "j_max": j_max},
-                  ["variant", "ell", "j", "xi", "re", "im"], rows)
+                  ["variant", "ell", "j", "xi", "re", "im"], _talbot_blocks(table))
     return [name]
+
+
+def _talbot_blocks(table):
+    """One (variant, ell, j, xi, re, im) block per table, rows j-major."""
+    j = np.repeat(table.orders, table.xi.size)
+    xi = np.tile(table.xi, table.orders.size)
+    for key, tab in table.tables.items():
+        label, ell = (key, "") if isinstance(key, str) else ("conditional", key)
+        yield label, ell, j, xi, tab.real.ravel(), tab.imag.ravel()
 
 
 def _kdtli_point(task):
@@ -260,79 +274,66 @@ def _kdtli_point(task):
     lt = talbot_parameter_from_config(cfg)
     f = open_fraction_from_config(cfg)
     spread = _getfloat(cfg["interferometer"], "velocity_spread", 0.0)
-    rows = []
+    curves = []
     for variant in variants:
         kc = nearfield.KdtliConfig(grating, f, lt, source=variant)
         sig = nearfield.velocity_average(kc, spread) if spread > 0 else nearfield.kdtli_signal(kc)
-        vis = nearfield.sinusoidal_visibility(kc)
-        rows.append((label, value, variant, lt, vis, sig))
-    return rows
+        curves.append((label, value, variant, lt, nearfield.sinusoidal_visibility(kc), sig))
+    return curves
 
 
 def cmd_kdtli(cfg, args, outdir: Path) -> list[str]:
+    """One (sweep_key, sweep_value, variant, talbot_parameter, visibility,
+    signal) curve per sweep point and variant, then one per --ell count."""
     variants = (args.variant,) if args.variant else talbot.VARIANTS
     tasks = [task + (variants,) for task in sweep_values_or_single(cfg, args)]
-    results = run_pool(_kdtli_point, tasks, args.jobs)
+    curves = [c for point in run_pool(_kdtli_point, tasks, args.jobs) for c in point]
     grating = grating_from_config(cfg)
     f = open_fraction_from_config(cfg)
-    ells = _ell_list(args, grating)
-    sig_rows, vis_rows = [], []
-    for point in results:
-        for label, value, tag, lt, vis, sig in point:
-            vis_rows.append((label, value, tag, lt, vis))
-            for xs, s in zip(sig.shifts, sig.values):
-                sig_rows.append((label, value, tag, lt, float(xs), float(s)))
-    for ell in ells:
+    for ell in _ell_list(args, grating):
         lt = talbot_parameter_from_config(cfg)
         kc = nearfield.KdtliConfig(grating, f, lt, source=ell)
-        sig = nearfield.kdtli_signal(kc)
-        vis_rows.append(("", math.nan, f"ell={ell}", lt,
-                         nearfield.sinusoidal_visibility(kc)))
-        for xs, s in zip(sig.shifts, sig.values):
-            sig_rows.append(("", math.nan, f"ell={ell}", lt, float(xs), float(s)))
+        curves.append(("", math.nan, f"ell={ell}", lt, nearfield.sinusoidal_visibility(kc),
+                       nearfield.kdtli_signal(kc)))
     meta = {"command": "kdtli", "phi0": grating.phi0, "n0": grating.n0,
             "open_fraction": f}
     names = [f"kdtli_signal.{_ext(args)}", f"kdtli_visibility.{_ext(args)}"]
     _writer(args)(outdir / names[0], meta,
                   ["sweep_key", "sweep_value", "variant", "talbot_parameter", "shift", "signal"],
-                  sig_rows)
+                  [c[:4] + (c[5].shifts, c[5].values) for c in curves])
     _writer(args)(outdir / names[1], meta,
                   ["sweep_key", "sweep_value", "variant", "talbot_parameter", "visibility"],
-                  vis_rows)
+                  [c[:5] for c in curves])
     return names
 
 
 def _farfield_cfg(cfg, grating) -> farfield.FarFieldConfig:
     sec = cfg["farfield"] if "farfield" in cfg else {}
-    ratio = _getfloat(cfg["farfield"], "collimator_ratio", 10.0) if sec else 10.0
-    dsep = _getfloat(cfg["farfield"], "period_over_sep", 1e-3) if sec else 1e-3
-    sig = _getfloat(cfg["farfield"], "sigma_det", 0.1) if sec else 0.1
-    xmax = _getfloat(cfg["farfield"], "screen_max", 3.0) if sec else 3.0
-    npts = int(_getfloat(cfg["farfield"], "screen_points", 2401)) if sec else 2401
+    xmax = _getfloat(sec, "screen_max", 3.0)
     return farfield.FarFieldConfig(
-        grating=grating, collimator_ratio=ratio, period_over_sep=dsep,
-        sigma_det=sig, screen=np.linspace(-xmax, xmax, npts))
+        grating=grating, collimator_ratio=_getfloat(sec, "collimator_ratio", 10.0),
+        period_over_sep=_getfloat(sec, "period_over_sep", 1e-3),
+        sigma_det=_getfloat(sec, "sigma_det", 0.1),
+        screen=np.linspace(-xmax, xmax, _getint(sec, "screen_points", 2401, 1)))
 
 
 def cmd_farfield(cfg, args, outdir: Path) -> list[str]:
     grating = grating_from_config(cfg)
     fc = _farfield_cfg(cfg, grating)
     variants = (args.variant,) if args.variant else ("quantum",)
-    rows = []
-    targets = _ell_list(args, grating) or [None]
+    blocks = []
     for variant in variants:
-        for ell in targets:
+        for ell in _ell_list(args, grating) or [None]:
             dens = farfield.farfield_density(fc, ell, variant)
             smooth = farfield.apply_detector_resolution(dens, fc.sigma_det)
-            label = "sum" if ell is None else ell
-            for x, raw, sm in zip(dens.positions, dens.values, smooth.values):
-                rows.append((variant, label, float(x), float(raw), float(sm)))
+            blocks.append((variant, "sum" if ell is None else ell,
+                           dens.positions, dens.values, smooth.values))
     name = f"farfield_density.{_ext(args)}"
     _writer(args)(outdir / name,
                   {"command": "farfield", "phi0": grating.phi0, "n0": grating.n0,
                    "collimator_ratio": fc.collimator_ratio,
                    "period_over_sep": fc.period_over_sep, "sigma_det": fc.sigma_det},
-                  ["variant", "ell", "position", "density", "density_smoothed"], rows)
+                  ["variant", "ell", "position", "density", "density_smoothed"], blocks)
     return [name]
 
 
@@ -346,29 +347,25 @@ def cmd_ladder(cfg, args, outdir: Path) -> list[str]:
     xi = float(_getfloat(cfg["ladder"], "kernel_xi", 0.0)) if "ladder" in cfg else 0.0
     u = np.arange(512) / 512
     line = kernel.channel_values(u - 0.5 * xi, u + 0.5 * xi)
-    rows = []
-    for ic, ch in enumerate(kernel.channels):
-        for k in range(512):
-            rows.append((ch, float(u[k]), float(line[ic, k].real), float(line[ic, k].imag)))
     names = [f"ladder_kernel.{_ext(args)}"]
     _writer(args)(outdir / names[0],
                   {"command": "ladder", "phi0": grating.phi0, "n0": grating.n0,
                    "eta_p": grating.eta_p, "eta_a": grating.eta_a,
                    "envelope": envelope, "xi": xi},
-                  ["ell", "u", "re", "im"], rows)
+                  ["ell", "u", "re", "im"],
+                  [(ch, u, v.real, v.imag) for ch, v in zip(kernel.channels, line)])
     if args.sweep:
         section, key, values = parse_sweep(args.sweep)
         if key != "talbot_parameter":
             raise ConfigError("ladder sweeps support talbot_parameter only")
         f = open_fraction_from_config(cfg)
         vis = _vis_curve(None, f, values, dynamics.kernel_source(kernel, "sum"))
-        vrows = [(float(lt), v) for lt, v in zip(values, vis)]
         names.append(f"ladder_visibility.{_ext(args)}")
         _writer(args)(outdir / names[1],
                       {"command": "ladder", "phi0": grating.phi0, "n0": grating.n0,
                        "eta_p": grating.eta_p, "eta_a": grating.eta_a,
                        "open_fraction": f},
-                      ["talbot_parameter", "visibility"], vrows)
+                      ["talbot_parameter", "visibility"], [(values, vis)])
     return names
 
 
@@ -386,24 +383,20 @@ def _rabi_cfg(cfg) -> rabi.RabiConfig:
 def cmd_rabi(cfg, args, outdir: Path) -> list[str]:
     rc = _rabi_cfg(cfg)
     kern = rabi.rabi_solve(rc)
-    xs = kern.positions
-    p = kern.populations
-    rows = [(float(x), float(p[0, k]), float(p[1, k]), float(p[2, k]))
-            for k, x in enumerate(xs)]
     names = [f"rabi_profile.{_ext(args)}"]
     meta = {"command": "rabi", "pulse_area": rc.pulse_area, "detuning": rc.detuning,
             "lifetime": rc.lifetime}
     _writer(args)(outdir / names[0], meta,
-                  ["x", "p_ground", "p_excited", "p_dark"], rows)
+                  ["x", "p_ground", "p_excited", "p_dark"],
+                  [(kern.positions, *kern.populations)])
     if "interferometer" in cfg:
         f = open_fraction_from_config(cfg)
         lt = talbot_parameter_from_config(cfg)
         sig = rabi.rabi_kdtli(rc, f, lt)
-        srows = [(float(x), float(s)) for x, s in zip(sig.shifts, sig.values)]
         names.append(f"rabi_kdtli.{_ext(args)}")
         _writer(args)(outdir / names[1], {**meta, "open_fraction": f,
                                           "talbot_parameter": lt},
-                      ["shift", "signal"], srows)
+                      ["shift", "signal"], [(sig.shifts, sig.values)])
     return names
 
 
@@ -411,16 +404,15 @@ def cmd_rabi(cfg, args, outdir: Path) -> list[str]:
 # figure reproduction
 # ---------------------------------------------------------------------------
 
-def _vis_curve(grating, f, lts, source) -> list[float]:
+def _vis_curve(grating, f, lts, source) -> np.ndarray:
     """Sine visibility over the L/L_T values `lts`, from one rows call."""
     kc = nearfield.KdtliConfig(grating, f, float(lts[0]), source=source)
-    return nearfield.sinusoidal_visibility(kc, lts).tolist()
+    return nearfield.sinusoidal_visibility(kc, lts)
 
 
 def figure1(args, outdir: Path) -> list[str]:
     f = 0.42
     lts = np.linspace(0.005, 4.0, 800)
-    rows = []
     phase_only = GratingParameters(phi0=math.pi, n0=0.0)
     absorbing = GratingParameters(phi0=math.pi, n0=1.0)
     curves = [("a", "phase_only", phase_only, "quantum"),
@@ -428,34 +420,32 @@ def figure1(args, outdir: Path) -> list[str]:
               ("a", "classical_n0_1", absorbing, "classical")]
     curves += [("b", f"ell={ell}", absorbing, ell) for ell in (0, 1, 2)]
     curves.append(("b", "unconditional", absorbing, "quantum"))
-    for panel, curve, g, src in curves:
-        rows += [(panel, curve, float(lt), v) for lt, v in zip(lts, _vis_curve(g, f, lts, src))]
     name = f"figure1_visibility.{_ext(args)}"
     _writer(args)(outdir / name,
                   {"command": "figure 1", "open_fraction": f, "phi0": math.pi},
-                  ["panel", "curve", "talbot_parameter", "visibility"], rows)
+                  ["panel", "curve", "talbot_parameter", "visibility"],
+                  [(panel, curve, lts, _vis_curve(g, f, lts, src))
+                   for panel, curve, g, src in curves])
     return [name, _plot_script(outdir, 1, name)]
 
 
 def figure2(args, outdir: Path) -> list[str]:
     f = 0.42
     g = GratingParameters(phi0=math.pi, n0=1.0)
-    rows = []
+    blocks = []
     for panel, lt in (("a", 3.25), ("b", 4.25)):
         for src, curve in ((0, "ell=0"), (1, "ell=1"), (2, "ell=2"),
                            ("quantum", "unconditional")):
             sig = nearfield.kdtli_signal(nearfield.KdtliConfig(g, f, lt, source=src))
-            for xs, s in zip(sig.shifts, sig.values):
-                rows.append((panel, curve, lt, float(xs), float(s)))
+            blocks.append((panel, curve, lt, sig.shifts, sig.values))
     name = f"figure2_interferograms.{_ext(args)}"
     _writer(args)(outdir / name,
                   {"command": "figure 2", "open_fraction": f, "phi0": math.pi, "n0": 1.0},
-                  ["panel", "curve", "talbot_parameter", "shift", "signal"], rows)
+                  ["panel", "curve", "talbot_parameter", "shift", "signal"], blocks)
     return [name, _plot_script(outdir, 2, name)]
 
 
 def figure4(args, outdir: Path) -> list[str]:
-    rows = []
     screen = np.linspace(-3.0, 3.0, 2401)
 
     def dens(n0, ell, variant="quantum"):
@@ -467,46 +457,43 @@ def figure4(args, outdir: Path) -> list[str]:
         return farfield.apply_detector_resolution(d, 0.1)
 
     phase_only = dens(0.0, None)
+    curves = []
     for panel, n0 in (("a", 2.0), ("b", 10.0)):
-        for curve, dn in (("phase_only", phase_only),
-                          (f"absorbing_n0_{n0:g}", dens(n0, None))):
-            for x, v in zip(dn.positions, dn.values):
-                rows.append((panel, curve, float(x), float(v)))
-    for curve, dn in (("ell=0", dens(2.0, 0)), ("ell=1", dens(2.0, 1)),
-                      ("ell=2", dens(2.0, 2)), ("unconditional", dens(2.0, None))):
-        for x, v in zip(dn.positions, dn.values):
-            rows.append(("c", curve, float(x), float(v)))
+        curves += [(panel, "phase_only", phase_only),
+                   (panel, f"absorbing_n0_{n0:g}", dens(n0, None))]
+    curves += [("c", "ell=0", dens(2.0, 0)), ("c", "ell=1", dens(2.0, 1)),
+               ("c", "ell=2", dens(2.0, 2)), ("c", "unconditional", dens(2.0, None))]
     name = f"figure4_farfield.{_ext(args)}"
     _writer(args)(outdir / name,
                   {"command": "figure 4", "phi0": 2.5, "collimator_ratio": 10.0,
                    "period_over_sep": 1e-3, "sigma_det": 0.1},
-                  ["panel", "curve", "position", "density"], rows)
+                  ["panel", "curve", "position", "density"],
+                  [(panel, curve, dn.positions, dn.values) for panel, curve, dn in curves])
     return [name, _plot_script(outdir, 4, name)]
 
 
 def figure5(args, outdir: Path) -> list[str]:
     f = 0.42
-    rows = []
     cases = (("eta_1", 1.0, 1.0), ("eta_a_1.5", 1.0, 1.5), ("eta_p_1.5", 1.5, 1.0))
     lts = np.linspace(0.02, 4.0, 200)
-    for curve, eta_p, eta_a in cases:
-        g = GratingParameters(phi0=1.875, n0=1.5, eta_p=eta_p, eta_a=eta_a)
-        kern = dynamics.ladder_analytic(dynamics.LadderConfig(g, envelope="constant"))
-        for lt, v in zip(lts, _vis_curve(None, f, lts, dynamics.kernel_source(kern, "sum"))):
-            rows.append(("a", curve, float(lt), v))
     n0s = np.linspace(0.02, 4.0, 200)
-    for curve, eta_p, eta_a in cases:
-        for n0 in n0s:
-            g = GratingParameters(phi0=1.25 * float(n0), n0=float(n0),
-                                  eta_p=eta_p, eta_a=eta_a)
-            kern = dynamics.ladder_analytic(dynamics.LadderConfig(g, envelope="constant"))
-            rows.append(("b", curve, float(n0),
-                         _vis_curve(None, f, [2.2], dynamics.kernel_source(kern, "sum"))[0]))
+
+    def ladder_vis(phi0, n0, eta_p, eta_a, lts):
+        g = GratingParameters(phi0=phi0, n0=n0, eta_p=eta_p, eta_a=eta_a)
+        kern = dynamics.ladder_analytic(dynamics.LadderConfig(g, envelope="constant"))
+        return _vis_curve(None, f, lts, dynamics.kernel_source(kern, "sum"))
+
+    blocks = [("a", curve, lts, ladder_vis(1.875, 1.5, eta_p, eta_a, lts))
+              for curve, eta_p, eta_a in cases]
+    blocks += [("b", curve, n0s,
+                np.array([ladder_vis(1.25 * n0, n0, eta_p, eta_a, [2.2])[0]
+                          for n0 in n0s.tolist()]))
+               for curve, eta_p, eta_a in cases]
     name = f"figure5_visibility.{_ext(args)}"
     _writer(args)(outdir / name,
                   {"command": "figure 5", "open_fraction": f, "n0_panel_a": 1.5,
                    "phi0_over_n0": 1.25, "talbot_parameter_panel_b": 2.2},
-                  ["panel", "curve", "x", "visibility"], rows)
+                  ["panel", "curve", "x", "visibility"], blocks)
     return [name, _plot_script(outdir, 5, name)]
 
 
@@ -515,24 +502,22 @@ def figure6(args, outdir: Path) -> list[str]:
     rc = rabi.RabiConfig(pulse_area=4.0 * math.pi, detuning=0.0, lifetime=1.0)
     xs, p0 = rabi.rabi_solve(rc).transmission_profile()
     ladder_ref = np.exp(-1.2 * np.cos(np.pi * xs) ** 2)
-    rows = [(float(x), float(p), float(r)) for x, p, r in zip(xs, p0, ladder_ref)]
     prof = f"figure6_profile.{_ext(args)}"
     _writer(args)(outdir / prof,
                   {"command": "figure 6", "pulse_area_pi": 4.0, "detuning": 0.0,
                    "lifetime_tl": 1.0, "ladder_n0": 1.2},
-                  ["x", "p_ground_rabi", "p_ell0_ladder"], rows)
+                  ["x", "p_ground_rabi", "p_ell0_ladder"], [(xs, p0, ladder_ref)])
     files.append(prof)
-    rows = []
+    blocks = []
     for panel, area_pi in (("b", 2.0), ("c", 4.0), ("d", 6.0), ("e", 8.0)):
         rc = rabi.RabiConfig(pulse_area=area_pi * math.pi, detuning=0.0, lifetime=1.0)
         sig = rabi.rabi_kdtli(rc, open_fraction=0.1, talbot_parameter=2.0)
-        for xsft, s in zip(sig.shifts, sig.values):
-            rows.append((panel, area_pi, float(xsft), float(s)))
+        blocks.append((panel, area_pi, sig.shifts, sig.values))
     name = f"figure6_interferograms.{_ext(args)}"
     _writer(args)(outdir / name,
                   {"command": "figure 6", "detuning": 0.0, "lifetime_tl": 1.0,
                    "open_fraction": 0.1, "talbot_parameter": 2.0},
-                  ["panel", "pulse_area_pi", "shift", "signal"], rows)
+                  ["panel", "pulse_area_pi", "shift", "signal"], blocks)
     files.append(name)
     files.append(_plot_script(outdir, 6, name))
     return files

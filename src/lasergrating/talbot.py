@@ -202,16 +202,6 @@ class TalbotCoefficientSet:
     orders: np.ndarray
     tables: dict = field(default_factory=dict)  # key: "quantum"|"classical"|ell -> (n_j, n_xi)
 
-    def records(self):
-        """(variant, ell, j, xi, value) for every table entry, the row order
-        of the talbot command's output."""
-        for key in self.tables:
-            label, ell = (key, "") if isinstance(key, str) else ("conditional", key)
-            tab = self.tables[key]
-            for ij, j in enumerate(self.orders):
-                for ix, x in enumerate(self.xi):
-                    yield label, ell, int(j), float(x), tab[ij, ix]
-
 
 def build_coefficient_table(grating: GratingParameters,
                             xi_grid=None,

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csvio import read_csv
 from lasergrating.cli import main, parse_sweep
 from lasergrating.errors import ConfigError
-from lasergrating.output import read_csv
 
 BEAM_CFG = """\
 [beam]
@@ -98,6 +98,30 @@ def test_numerical_regime_exit_code(tmp_path):
     cfg.write_text("[grating]\nphi0 = 8.0\nn0 = 4.0\n\n"
                    "[talbot]\nj_max = 10000\n")
     assert run(["talbot", "--config", cfg, "--out", tmp_path]) == 3
+
+
+@pytest.mark.parametrize("command, section, line", [
+    ("talbot", "talbot", "j_max = 2.9"),
+    ("talbot", "talbot", "j_max = -1"),
+    ("talbot", "talbot", "j_max = inf"),
+    ("talbot", "talbot", "xi_points = 0"),
+    ("talbot", "talbot", "xi_points = nan"),
+    ("farfield", "farfield", "screen_points = nan"),
+])
+def test_bad_integer_key_is_config_error(command, section, line, tmp_path):
+    cfg = tmp_path / "int.cfg"
+    cfg.write_text(f"[grating]\nphi0 = 2.5\nn0 = 1.0\n\n[{section}]\n{line}\n")
+    assert run([command, "--config", cfg, "--out", tmp_path]) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_integral_float_key_is_accepted(tmp_path):
+    cfg = tmp_path / "int.cfg"
+    cfg.write_text("[grating]\nphi0 = 2.5\nn0 = 1.0\n\n[talbot]\nj_max = 2.0\nxi_points = 4e0\n")
+    assert run(["talbot", "--config", cfg, "--out", tmp_path]) == 0
+    meta, _, rows = read_csv(tmp_path / "talbot_coefficients.csv")
+    assert meta["j_max"] == "2"
+    assert len(rows) == 2 * 5 * 4
 
 
 def test_spectral_cap_exit_code(tmp_path):

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from csvio import read_csv
 from lasergrating import talbot
 from lasergrating.dynamics import (LadderConfig, kernel_source, ladder_analytic,
                                    ladder_ode_solve, poisson_kernel, t1_integral_kernel)
 from lasergrating.errors import InvalidInputError
 from lasergrating.grating import MeasurementProfile, m_ell
 from lasergrating.nearfield import KdtliConfig, sinusoidal_visibility
-from lasergrating.output import read_csv, write_csv
+from lasergrating.output import write_csv
 from lasergrating.params import GratingParameters
 
 G1 = GratingParameters(phi0=math.pi, n0=1.0)
@@ -185,10 +186,9 @@ def test_kernel_line_csv(tmp_path):
     u = np.arange(512) / 512
     line = kern.channel_values(u - 0.25, u + 0.25)
     assert line.shape == (4, 512)
-    rows = [(ch, float(u[k]), float(u[k] - 0.25), float(u[k] + 0.25), v.real, v.imag)
-            for ic, ch in enumerate(kern.channels) for k, v in enumerate(line[ic])]
     path = tmp_path / "kernel.csv"
-    write_csv(path, {"xi": 0.5}, ["channel", "u", "x", "xp", "re", "im"], rows)
+    write_csv(path, {"xi": 0.5}, ["channel", "u", "x", "xp", "re", "im"],
+              [(ch, u, u - 0.25, u + 0.25, v.real, v.imag) for ch, v in zip(kern.channels, line)])
     meta, cols, back = read_csv(path)
     assert meta["xi"] == "0.5"
     assert cols == ["channel", "u", "x", "xp", "re", "im"]

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csvio import read_csv
+from lasergrating.cli import _talbot_blocks
 from lasergrating.dynamics import poisson_kernel
 from lasergrating.errors import CutoffError, InvalidInputError, ResolutionError
 from lasergrating.grating import MeasurementProfile
-from lasergrating.output import read_csv, write_csv
+from lasergrating.output import write_csv
 from lasergrating.params import GratingParameters
 from lasergrating.talbot import (ClosedForm, KernelSource, b_conditional, b_numeric_oracle,
                                  b_unconditional, build_coefficient_table,
@@ -229,8 +231,7 @@ def test_table_csv_round_trip(tmp_path):
     xi = np.linspace(0.0, 2.0, 8, endpoint=False)
     table = build_coefficient_table(G, xi_grid=xi, j_max=2, ells=(0, 1))
     path = tmp_path / "coeffs.csv"
-    write_csv(path, {}, ["variant", "ell", "j", "xi", "re", "im"],
-              [(label, ell, j, x, v.real, v.imag) for label, ell, j, x, v in table.records()])
+    write_csv(path, {}, ["variant", "ell", "j", "xi", "re", "im"], _talbot_blocks(table))
     _, columns, rows = read_csv(path)
     assert columns == ["variant", "ell", "j", "xi", "re", "im"]
     # one row per (variant/ell, j, xi)
