@@ -260,12 +260,13 @@ def cmd_talbot(cfg, args, outdir: Path) -> list[str]:
 
 
 def _talbot_blocks(table):
-    """One (variant, ell, j, xi, re, im) block per table, rows j-major."""
+    """One (variant, ell, j, xi, re, im) block per table, rows j-major; the
+    closed forms are real, so im is 0."""
     j = np.repeat(table.orders, table.xi.size)
     xi = np.tile(table.xi, table.orders.size)
     for key, tab in table.tables.items():
         label, ell = (key, "") if isinstance(key, str) else ("conditional", key)
-        yield label, ell, j, xi, tab.real.ravel(), tab.imag.ravel()
+        yield label, ell, j, xi, tab.ravel(), 0.0
 
 
 def _kdtli_point(task):
@@ -323,10 +324,9 @@ def cmd_farfield(cfg, args, outdir: Path) -> list[str]:
     variants = (args.variant,) if args.variant else ("quantum",)
     blocks = []
     for variant in variants:
-        for ell in _ell_list(args, grating) or [None]:
-            dens = farfield.farfield_density(fc, ell, variant)
+        for dens in farfield.farfield_densities(fc, _ell_list(args, grating) or [None], variant):
             smooth = farfield.apply_detector_resolution(dens, fc.sigma_det)
-            blocks.append((variant, "sum" if ell is None else ell,
+            blocks.append((variant, "sum" if dens.ell is None else dens.ell,
                            dens.positions, dens.values, smooth.values))
     name = f"farfield_density.{_ext(args)}"
     _writer(args)(outdir / name,
@@ -448,21 +448,19 @@ def figure2(args, outdir: Path) -> list[str]:
 def figure4(args, outdir: Path) -> list[str]:
     screen = np.linspace(-3.0, 3.0, 2401)
 
-    def dens(n0, ell, variant="quantum"):
-        g = GratingParameters(phi0=2.5, n0=n0)
-        fc = farfield.FarFieldConfig(grating=g, collimator_ratio=10.0,
-                                     period_over_sep=1e-3, sigma_det=0.1,
-                                     screen=screen)
-        d = farfield.farfield_density(fc, ell, variant)
-        return farfield.apply_detector_resolution(d, 0.1)
+    def dens(n0, ells):
+        fc = farfield.FarFieldConfig(grating=GratingParameters(phi0=2.5, n0=n0),
+                                     collimator_ratio=10.0, period_over_sep=1e-3,
+                                     sigma_det=0.1, screen=screen)
+        return [farfield.apply_detector_resolution(d, 0.1)
+                for d in farfield.farfield_densities(fc, ells)]
 
-    phase_only = dens(0.0, None)
-    curves = []
-    for panel, n0 in (("a", 2.0), ("b", 10.0)):
-        curves += [(panel, "phase_only", phase_only),
-                   (panel, f"absorbing_n0_{n0:g}", dens(n0, None))]
-    curves += [("c", "ell=0", dens(2.0, 0)), ("c", "ell=1", dens(2.0, 1)),
-               ("c", "ell=2", dens(2.0, 2)), ("c", "unconditional", dens(2.0, None))]
+    (phase_only,), (absorbing_10,) = dens(0.0, [None]), dens(10.0, [None])
+    absorbing_2, ell0, ell1, ell2 = dens(2.0, [None, 0, 1, 2])
+    curves = [("a", "phase_only", phase_only), ("a", "absorbing_n0_2", absorbing_2),
+              ("b", "phase_only", phase_only), ("b", "absorbing_n0_10", absorbing_10),
+              ("c", "ell=0", ell0), ("c", "ell=1", ell1), ("c", "ell=2", ell2),
+              ("c", "unconditional", absorbing_2)]
     name = f"figure4_farfield.{_ext(args)}"
     _writer(args)(outdir / name,
                   {"command": "figure 4", "phi0": 2.5, "collimator_ratio": 10.0,

@@ -194,22 +194,27 @@ def _screen_transform(x: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray
     return conv * np.exp(2j * np.pi * post)
 
 
-def _screen_coefficients(config: FarFieldConfig, ell, variant: str, fraunhofer: bool):
-    """q grid and the weighted Talbot sum c_k = g(q_k) w_k of the screen
-    transform, with the trapezoid weights w_k."""
+def _screen_coefficients(config: FarFieldConfig, ells, variant: str, fraunhofer: bool):
+    """q grid and the weighted Talbot sums c_k = g(q_k) w_k of the screen
+    transform (trapezoid weights w_k), one row per entry of `ells`: a count,
+    or None for the unconditional sum.  Blocks hold Q_BLOCK entries."""
     ratio = 0.0 if fraunhofer else config.period_over_sep
     j_max = config.order_cutoff()
     q = _q_grid(config, j_max, ratio)
     orders = np.arange(-j_max, j_max + 1)
-    source = talbot.ClosedForm(config.grating, variant if ell is None else ell)
-    g = np.empty(q.size, complex)
+    counts = [ell for ell in ells if ell is not None]
+    g = np.empty((len(ells), q.size))
     edge = 0.0
-    step = max(1, Q_BLOCK // orders.size)
+    step = max(1, Q_BLOCK // (len(ells) * orders.size))
     for i in range(0, q.size, step):
-        rows = source.rows(orders, q[i:i + step])
-        edge = max(edge, float(np.max(np.abs(rows[[0, -1]]))))
-        rows *= _sine_factor(orders, q[i:i + step], config.collimator_ratio, ratio)
-        g[i:i + step] = rows.sum(axis=0)
+        qb = q[i:i + step]
+        cond = iter(talbot.conditional_rows(orders, qb, counts, config.grating)
+                    if counts else ())
+        rows = np.stack([talbot.unconditional_rows(orders, qb, config.grating, variant)
+                         if ell is None else next(cond) for ell in ells])
+        edge = max(edge, float(np.max(np.abs(rows[:, [0, -1]]))))
+        rows *= _sine_factor(orders, qb, config.collimator_ratio, ratio)
+        g[:, i:i + step] = rows.sum(axis=1)
     if edge > config.tail:
         raise ResolutionError(
             f"order cutoff {j_max} too small: |B_jmax| = {edge:.2e} > {config.tail:.0e}")
@@ -219,14 +224,20 @@ def _screen_coefficients(config: FarFieldConfig, ell, variant: str, fraunhofer: 
     return q, g * wts
 
 
+def farfield_densities(config: FarFieldConfig, ells, variant: str = "quantum",
+                       fraunhofer: bool = False) -> list[ScreenDensity]:
+    """farfield_density for every entry of `ells`, from one pass over q."""
+    q, c = _screen_coefficients(config, ells, variant, fraunhofer)
+    w = [_screen_transform(config.screen, q, ck) / (math.pi * config.collimator_ratio) for ck in c]
+    label = "fraunhofer-" + variant if fraunhofer else variant
+    return [ScreenDensity(config.screen.copy(), wk.real, ell, label) for ell, wk in zip(ells, w)]
+
+
 def farfield_density(config: FarFieldConfig, ell=None, variant: str = "quantum",
                      fraunhofer: bool = False) -> ScreenDensity:
     """Screen density from the Talbot-coefficient sum (conditional for an
     integer `ell`, unconditional for ell=None)."""
-    q, c = _screen_coefficients(config, ell, variant, fraunhofer)
-    w = _screen_transform(config.screen, q, c) / (math.pi * config.collimator_ratio)
-    return ScreenDensity(config.screen.copy(), w.real, ell,
-                         "fraunhofer-" + variant if fraunhofer else variant)
+    return farfield_densities(config, [ell], variant, fraunhofer)[0]
 
 
 def farfield_kirchhoff(config: FarFieldConfig, ell: int = 0,

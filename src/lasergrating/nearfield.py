@@ -59,7 +59,7 @@ class FringeSignal:
 
     shifts: np.ndarray            # x_s grid, units of d
     values: np.ndarray            # real signal
-    components: dict              # j -> complex S_j
+    components: dict              # j -> S_j (real for the closed forms)
     mean: float
     talbot_parameter: float
     label: str = "quantum"

@@ -1,15 +1,16 @@
-"""Special-function kernels: the spectral Fourier coefficients of
-exp(a e^{it} + b e^{-it} + c), integer-order Bessel J, modified Bessel I of
-complex argument, the confluent hypergeometric 1F1(l; l+1; z), and sinc.
+"""Special-function kernels: spectral Fourier coefficients, integer-order
+Bessel J, modified Bessel I of complex argument, the confluent
+hypergeometric 1F1(l; l+1; z), and sinc.
 
 `exp_fourier_rows` is the production route of every closed-form Talbot
-coefficient: a trapezoid rule in t, which is one FFT per argument and gives
-every order at once.  The other kernels use power series with term-ratio
-stopping for small arguments and Miller-type backward recurrence beyond; no
-special-function library calls.  The series threshold is |x| <= 10 so that
-alternating-series cancellation stays below the 1e-10 relative-accuracy
-contract.  The series `exp_bessel_coeff` cancels catastrophically once
-|a| + |b| exceeds about 20 and is kept only as a test reference.
+coefficient: a trapezoid rule in t with real arguments, one real FFT per
+count giving every order.  The other kernels use power series with
+term-ratio stopping for small arguments and Miller-type backward recurrence
+beyond; no special-function library calls.  The series threshold is
+|x| <= 10 so that alternating-series cancellation stays below the 1e-10
+relative-accuracy contract.  The series `exp_bessel_coeff` cancels
+catastrophically once |a| + |b| exceeds about 20 and is kept only as a test
+reference.
 """
 
 from __future__ import annotations
@@ -74,42 +75,56 @@ def spectral_points(reach: float, j_max: int) -> int:
     return n
 
 
-def exp_fourier_rows(orders, a, b, c=0.0) -> np.ndarray:
-    """Fourier coefficients of exp(a e^{it} + b e^{-it} + c),
-    c_j = (1/2 pi) int exp(a e^{it} + b e^{-it} + c) e^{-ijt} dt over one
-    period, for every j in `orders` and every element of the 1-D arrays
-    a, b, c (broadcast together): shape (len(orders), len(a)).
+def exp_fourier_rows(orders, a, b, c=0.0, counts=0, p0=0.0, p1=0.0) -> np.ndarray:
+    """Fourier coefficients of exp(a e^{it} + b e^{-it} + c) P(t)^l / l!,
+    P(t) = p0 + p1 cos t, for every j in `orders`, every element of the real
+    1-D arrays a, b, c, p0, p1 (broadcast together) and every count l in
+    `counts`: shape (len(orders), len(a)) for one count, (len(counts),
+    len(orders), len(a)) for a sequence.
 
-    Trapezoid rule on N = spectral_points(max(|a| + |b|), max|j|) points,
-    which is one FFT along t per element.  Callers choose c so that the
-    integrand has modulus <= 1; then nothing cancels, and the error is
-    round-off plus aliasing, which falls off exponentially in N (Trefethen &
-    Weideman, SIAM Review 56, 2014).  The computed coefficients around
-    order N/2 bound the aliases; above SPECTRAL_TAIL they raise CutoffError.
-    Elements are taken in blocks of SPECTRAL_BLOCK // N, so no array of all
-    elements times N is built.
+    The integrand f has f(-t) = conj f(t), so the coefficients are real: exp
+    is taken once on the half period 0 <= t <= pi, times P^l / l! (a running
+    product) for each count, and one np.fft.hfft per count gives every order
+    by the trapezoid rule on N = spectral_points(max(|a| + |b|), max|j| +
+    max l) points.  Callers choose c so that |f| <= 1; then nothing cancels,
+    and the error is round-off plus aliasing, which falls off exponentially
+    in N (Trefethen & Weideman, SIAM Review 56, 2014).  Coefficients around
+    order N/2 above SPECTRAL_TAIL raise CutoffError.  Elements are taken in
+    blocks of SPECTRAL_BLOCK // N, so no array of all elements times N is built.
     """
+    if any(np.iscomplexobj(v) for v in (a, b, c, p0, p1)) or np.any(np.asarray(counts) < 0):
+        raise DomainError("exp_fourier_rows takes real arguments and counts >= 0")
     orders = np.asarray(orders, int).ravel()
-    a, b, c = (v.ravel() for v in np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, complex)) for v in (a, b, c))))
-    reach = float(np.max(np.abs(a) + np.abs(b))) if a.size else 0.0
-    n = spectral_points(reach, int(np.max(np.abs(orders))) if orders.size else 0)
-    w = np.exp(2j * np.pi * np.arange(n) / n)
+    a, b, c, p0, p1 = (v.ravel() for v in np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, float)) for v in (a, b, c, p0, p1))))
+    single, counts = np.ndim(counts) == 0, np.atleast_1d(np.asarray(counts, int))
+    l_max = int(np.max(counts, initial=0))
+    reach = float(np.max(np.abs(a) + np.abs(b), initial=0.0))
+    n = spectral_points(reach, int(np.max(np.abs(orders), initial=0)) + l_max)
+    t = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+    cos_t, sin_t = np.cos(t), np.sin(t)
     cols = orders % n
     guard = np.arange(n // 2 - 4, n // 2 + 5)
-    out = np.empty((orders.size, a.size), complex)
+    out = np.empty((counts.size, orders.size, a.size))
     step = max(1, SPECTRAL_BLOCK // n)
     for i in range(0, a.size, step):
         blk = slice(i, i + step)
-        e = a[blk, None] * w + b[blk, None] * w.conj() + c[blk, None]
-        spec = np.fft.fft(np.exp(e, out=e), axis=1)
-        spec /= n
-        tail = float(np.max(np.abs(spec[:, guard])))
-        if tail > SPECTRAL_TAIL:
-            raise CutoffError(f"spectral Talbot kernel aliases: |c_j| = {tail:.2e} "
-                              f"near order N/2 = {n // 2} exceeds {SPECTRAL_TAIL:.0e}")
-        out[:, blk] = spec[:, cols].T
-    return out
+        # a e^{it} + b e^{-it} + c = (a + b) cos t + c + i (a - b) sin t
+        f = np.multiply.outer(a[blk] + b[blk], cos_t) + c[blk, None] + 0j
+        f.imag = np.multiply.outer(a[blk] - b[blk], sin_t)
+        np.exp(f, out=f)
+        poly = p0[blk, None] + np.multiply.outer(p1[blk], cos_t) if l_max else None
+        for ell in range(l_max + 1):
+            if ell:
+                f *= poly / ell
+            if (hit := np.flatnonzero(counts == ell)).size:
+                spec = np.fft.hfft(f, n, axis=1, norm="forward")
+                tail = float(np.max(np.abs(spec[:, guard])))
+                if tail > SPECTRAL_TAIL:
+                    raise CutoffError(f"spectral Talbot kernel aliases: |c_j| = {tail:.2e} near "
+                                      f"order N/2 = {n // 2} exceeds {SPECTRAL_TAIL:.0e}")
+                out[hit, :, blk] = spec[:, cols].T
+    return out[0] if single else out
 
 
 def _bessel_j_series(n: int, x: float, tol: SeriesTolerance) -> float:

@@ -1,21 +1,21 @@
 """Talbot coefficients of the laser grating.
 
 Every coefficient source answers one array-valued call,
-rows(orders, xi) -> complex array of shape (len(orders), len(xi)):
+rows(orders, xi) -> array of shape (len(orders), len(xi)):
 
 * `ClosedForm`: the unconditional closed form B_j(xi), its classical
-  random-walk variant, or the conditional closed form B_j(xi; l);
+  random-walk variant, or the conditional closed form B_j(xi; l), all real;
 * `KernelSource`: the numeric Fourier reduction of a two-point kernel, the
   bridge for dynamical models, with one FFT per unique kernel line.
 
-The closed forms are Fourier coefficients of exp(a e^{it} + b e^{-it} + c),
-never the textbook (ratio)^{j/2} J_j(sqrt(...)) form, which is ambiguous
-where |zeta_coh| = |zeta_abs|.  They run on the spectral kernel
-`specfun.exp_fourier_rows`: zeta is computed once per xi array, and one FFT
-along t gives every order.  The prefactor is folded into c, so the integrand
-has modulus <= 1 and nothing cancels at any phi0; the FFT size follows from
-|phi0| + n0 and the largest order, and an FFT size above its cap or an
-aliasing tail raises CutoffError (see `specfun.spectral_points`).
+The closed forms are Fourier coefficients of
+exp(a e^{it} + b e^{-it} + c) P(t)^l / l! with real a, b, c (l = 0 but for
+the conditional form), never the textbook (ratio)^{j/2} J_j(sqrt(...))
+form, which is ambiguous where |zeta_coh| = |zeta_abs|.  They run on the
+spectral kernel `specfun.exp_fourier_rows`, once per xi array for all
+orders and counts.  The prefactor is folded into c, so the integrand has
+modulus <= 1 and nothing cancels at any phi0 or n0; an FFT size above its
+cap or an aliasing tail raises CutoffError (see `specfun.spectral_points`).
 
 `b_numeric_oracle`, the trapezoid of one coefficient over a kernel line, is
 the oracle of the tests.
@@ -23,7 +23,6 @@ the oracle of the tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,7 @@ import numpy as np
 from .errors import InvalidInputError, ResolutionError
 from .grating import MeasurementProfile, m_ell, poisson_ell_max
 from .params import GratingParameters
-from .specfun import exp_fourier_rows
+from .specfun import exp_fourier_rows, spectral_points
 
 VARIANTS = ("quantum", "classical")
 NYQUIST_MARGIN = 32
@@ -47,32 +46,22 @@ def zeta(xi, grating: GratingParameters):
     return za, zc, zap
 
 
-def conditional_rows(orders, xi, ell: int, grating: GratingParameters) -> np.ndarray:
-    """B_j(xi; ell) for every j in `orders` over a 1-D xi array, shape
-    (len(orders), len(xi)).
+def conditional_rows(orders, xi, ell, grating: GratingParameters) -> np.ndarray:
+    """B_j(xi; l) for every j in `orders` over a 1-D xi array: shape
+    (len(orders), len(xi)) for one count `ell`, (len(ell), len(orders),
+    len(xi)) for a sequence of counts.
 
-    l = 0 is the photo-depletion closed form; l >= 1 is the double sum over
-    recoil splittings of shifted l = 0 coefficients, all taken from one
-    spectral table over the orders min(j) - l .. max(j) + l.
+    The l = 0 photo-depletion integrand times P(t)^l / l!,
+    P(t) = za + (n0/2) cos t, which resums the recoil splittings; all counts
+    share one exp table.
     """
-    if ell < 0:
+    if np.any(np.asarray(ell) < 0):
         raise InvalidInputError("absorption count must be >= 0")
-    orders = np.asarray(orders, int).ravel()
     za, zc, _ = zeta(np.asarray(xi, float).ravel(), grating)
-    lo = int(orders.min()) - ell
     # l = 0 exponent: i zc sin(t) - za cos(t) - n0/2 = a e^{it} + b e^{-it} + c
     # with a = (zc - za)/2, b = -(zc + za)/2; its real part is <= |za| - n0/2 <= 0
-    base = exp_fourier_rows(np.arange(lo, int(orders.max()) + ell + 1),
-                            0.5 * (zc - za), -0.5 * (zc + za), -0.5 * grating.n0)
-    if ell == 0:
-        return base[orders - lo]
-    out = np.zeros((orders.size, za.size), complex)
-    for n in range(ell + 1):
-        for r in range(n + 1):
-            coef = (grating.n0 / 4.0) ** n \
-                / (math.factorial(r) * math.factorial(n - r) * math.factorial(ell - n))
-            out += coef * za ** (ell - n) * base[orders - lo - n + 2 * r]
-    return out
+    return exp_fourier_rows(orders, 0.5 * (zc - za), -0.5 * (zc + za), -0.5 * grating.n0,
+                            ell, za, 0.5 * grating.n0)
 
 
 def unconditional_rows(orders, xi, grating: GratingParameters,
@@ -219,10 +208,12 @@ def build_coefficient_table(grating: GratingParameters,
     xi_grid = np.asarray(xi_grid, float)
     if ells == "auto":
         ells = range(poisson_ell_max(grating) + 1)
+    ells = [int(ell) for ell in ells]
+    spectral_points(0.0, j_max + max(ells, default=0))  # the cap, before any array
     orders = np.arange(-j_max, j_max + 1)
     out = TalbotCoefficientSet(grating=grating, xi=xi_grid, orders=orders)
     for variant in variants:
         out.tables[variant] = unconditional_rows(orders, xi_grid, grating, variant)
-    for ell in ells:
-        out.tables[int(ell)] = conditional_rows(orders, xi_grid, int(ell), grating)
+    if ells:
+        out.tables.update(zip(ells, conditional_rows(orders, xi_grid, ells, grating)))
     return out

@@ -132,6 +132,15 @@ def test_spectral_cap_exit_code(tmp_path):
     assert not (tmp_path / "kdtli_signal.csv").exists()
 
 
+def test_talbot_j_max_cap_exit_code(tmp_path):
+    """j_max is checked against the FFT cap before any order array exists;
+    at 1e9 that array alone would take 16 GB."""
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("[grating]\nphi0 = 3.0\nn0 = 1.0\n\n[talbot]\nj_max = 1000000000\n")
+    assert run(["talbot", "--config", cfg, "--out", tmp_path, "--ell", "all"]) == 3
+    assert not (tmp_path / "talbot_coefficients.csv").exists()
+
+
 def test_import_keeps_scipy_out():
     """scipy serves only the ODE oracles and the phase-space route, so
     importing the CLI loads none of it."""

@@ -269,7 +269,7 @@ def test_screen_transform_vs_extended_precision(ell):
     """Full figure-4 size (2401 x 5121), reference on every 8th screen row;
     no less accurate than the dense double sum it replaced."""
     config = fig4_config(screen=np.linspace(-3.0, 3.0, 2401))
-    q, c = _screen_coefficients(config, ell, "quantum", False)
+    q, (c,) = _screen_coefficients(config, [ell], "quantum", False)
     w = _screen_transform(config.screen, q, c)
     rows = config.screen[::8]
     ref = extended_sum(rows, q, c)
@@ -291,7 +291,7 @@ def test_screen_transform_vs_extended_precision(ell):
 ], ids=["odd", "even", "asymmetric", "M=1", "M=2", "descending", "fraunhofer"])
 def test_screen_transform_grid_shapes(screen, fraunhofer):
     config = fig4_config(screen=screen, q_points_per_unit=64)
-    q, c = _screen_coefficients(config, None, "quantum", fraunhofer)
+    q, (c,) = _screen_coefficients(config, [None], "quantum", fraunhofer)
     ref = extended_sum(screen, q, c)
     w = _screen_transform(screen, q, c)
     assert w.shape == screen.shape
@@ -303,7 +303,7 @@ def test_nonuniform_screen_is_the_dense_sum():
     # 601 rows span three row blocks of the fallback
     screen = 3.0 * np.linspace(-1.0, 1.0, 601) ** 3
     config = fig4_config(screen=screen)
-    q, c = _screen_coefficients(config, 1, "quantum", False)
+    q, (c,) = _screen_coefficients(config, [1], "quantum", False)
     dense = (np.exp(2j * np.pi * np.outer(screen, q)) * c[None, :]).sum(axis=1)
     w = farfield_density(config, 1)
     assert np.array_equal(w.values, (dense / (math.pi * config.collimator_ratio)).real)

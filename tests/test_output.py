@@ -211,8 +211,9 @@ def test_mismatched_columns_are_rejected(tmp_path):
 
 
 def test_talbot_table_json_streams_in_bounded_memory(tmp_path):
-    # the talbot-table benchmark table: 249,600 rows, about 35 MB of JSON; the
-    # row-wise writer peaked at about 100 MB on top of its input rows
+    # the talbot-table benchmark table: 249,600 rows, about 29 MB of JSON (the
+    # closed-form im cells are all 0); the row-wise writer peaked at about
+    # 100 MB on top of its input rows
     g = GratingParameters(phi0=3.0, n0=0.95)
     xi = np.linspace(0.0, 2.0, 256, endpoint=False)
     table = build_coefficient_table(g, xi_grid=xi, j_max=32, ells="auto")
@@ -225,5 +226,5 @@ def test_talbot_table_json_streams_in_bounded_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert path.stat().st_size > 30 * 2**20
+    assert path.stat().st_size > 27.5 * 2**20
     assert peak < 16 * 2**20

@@ -220,13 +220,18 @@ def test_exp_fourier_rows_vs_mpmath(phi0, n0, xi):
 
 
 def test_exp_fourier_rows_matches_series_where_it_holds():
-    a = np.array([0.8 - 0.4j, 0.1, -1.2 + 0.3j])
-    b = np.array([-1.1 + 0.2j, 0.0, 0.4j])
+    a = np.array([0.8, 0.1, -1.2, -0.5])
+    b = np.array([-1.1, 0.0, 0.4, -0.7])
     c = -(np.abs(a) + np.abs(b))
     got = exp_fourier_rows(range(-6, 7), a, b, c)
-    assert got.shape == (13, 3)
+    assert got.shape == (13, 4)
+    assert got.dtype == float
     for ij, j in enumerate(range(-6, 7)):
-        assert got[ij] == pytest.approx(np.exp(c) * exp_bessel_coeff(j, a, b), abs=1e-15)
+        assert got[ij] == pytest.approx(np.exp(c) * exp_bessel_coeff(j, a, b).real, abs=1e-15)
+    with pytest.raises(DomainError):
+        exp_fourier_rows([0], [0.8 - 0.4j], [0.1])
+    with pytest.raises(DomainError):
+        exp_fourier_rows([0], [0.8], [0.1], counts=1, p0=[1j])
 
 
 def test_spectral_points_rule_and_cap():

@@ -1,6 +1,7 @@
 """Talbot coefficients: closed forms, classical variant, numeric oracle."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,7 +13,7 @@ from csvio import read_csv
 from lasergrating.cli import _talbot_blocks
 from lasergrating.dynamics import poisson_kernel
 from lasergrating.errors import CutoffError, InvalidInputError, ResolutionError
-from lasergrating.grating import MeasurementProfile
+from lasergrating.grating import MeasurementProfile, poisson_ell_max
 from lasergrating.output import write_csv
 from lasergrating.params import GratingParameters
 from lasergrating.talbot import (ClosedForm, KernelSource, b_conditional, b_numeric_oracle,
@@ -292,3 +293,87 @@ def test_spectral_size_above_cap_raises():
         unconditional_rows([0, 2], [0.5], g)
     with pytest.raises(CutoffError):
         conditional_rows([0], [0.5], 1, g)
+
+
+# ---------------------------------------------------------------------------
+# conditional product form up to n0 = 20
+# ---------------------------------------------------------------------------
+
+def mp_conditional_rows(orders, xi, ells, g, m=256):
+    """B_j(xi; l) as the m-point trapezoid in 40 digits of the product form
+    exp(i zc sin t - za cos t - n0/2) (za + (n0/2) cos t)^l / l!.
+
+    The integrand satisfies f(-t) = conj f(t), so the trapezoid is taken over
+    the half period with weights 1, 2, ..., 2, 1.  At n0 = 20 and phi0 <= 20
+    the aliases of |j| <= 20 lie past order 236, far below double precision:
+    256 and 384 points give the same doubles."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(xi)) * mpmath.pi
+        half = mpmath.mpf(g.n0) / 2
+        za = half * mpmath.cos(x)
+        zc = mpmath.mpf(g.phi0) * mpmath.sin(x)
+        roots = [mpmath.expj(-2 * mpmath.pi * k / m) for k in range(m)]
+        ks = range(m // 2 + 1)
+        wts = [1 if k in (0, m // 2) else 2 for k in ks]
+        e = [w * mpmath.exp(mpmath.mpc(-za * roots[k].real - half, -zc * roots[k].imag))
+             for k, w in zip(ks, wts)]
+        h = [[mpmath.re(e[k] * roots[(int(j) * k) % m]) for k in ks] for j in orders]
+        p = [za + half * roots[k].real for k in ks]
+        g_l = [mpmath.mpf(1)] * len(ks)
+        out = {}
+        for ell in range(max(ells) + 1):
+            if ell:
+                g_l = [gk * pk / ell for gk, pk in zip(g_l, p)]
+            if ell in ells:
+                out[ell] = [float(mpmath.fdot(g_l, hj) / m) for hj in h]
+        return np.array([out[ell] for ell in ells])
+
+
+@pytest.mark.parametrize("phi0", [1.0, 20.0])
+@pytest.mark.parametrize("xi", [0.0, 0.77])
+def test_conditional_rows_vs_mpmath_at_n0_20(phi0, xi):
+    """Every count up to the Poisson tail rule (l <= 54) at n0 = 20.  The
+    double sum over shifted l = 0 rows missed by 3e-10 at xi = 0."""
+    g = GratingParameters(phi0=phi0, n0=20.0)
+    orders = np.arange(-20, 21)
+    ells = list(range(poisson_ell_max(g) + 1))
+    assert ells[-1] == 54
+    got = conditional_rows(orders, [xi], ells, g)[:, :, 0]
+    ref = mp_conditional_rows(orders, xi, ells, g)
+    assert np.max(np.abs(got - ref)) < 1e-13
+
+
+def test_batched_counts_match_single_counts():
+    g = GratingParameters(phi0=7.0, n0=12.0)
+    orders = np.arange(-30, 31)
+    xi = np.linspace(0.0, 2.0, 37)
+    ells = range(poisson_ell_max(g) + 1)
+    batched = conditional_rows(orders, xi, ells, g)
+    assert batched.shape == (len(ells), orders.size, xi.size)
+    for ell in ells:
+        assert np.max(np.abs(batched[ell] - conditional_rows(orders, xi, ell, g))) <= 1e-15
+    # counts in any order, repeated
+    picked = conditional_rows(orders, xi, [5, 0, 5], g)
+    assert np.max(np.abs(picked - batched[[5, 0, 5]])) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["quantum", "classical", 0, 3])
+def test_closed_form_rows_are_real(kind):
+    """f(-t) = conj f(t) for every closed-form integrand, so the coefficients
+    are real; the complex kernel left imaginary parts of about 1e-16."""
+    g = GratingParameters(phi0=45.0, n0=3.0)
+    rows = ClosedForm(g, kind).rows(np.arange(-60, 61), np.linspace(0.0, 2.0, 50))
+    assert np.all(np.imag(rows) == 0)
+
+
+def test_table_j_max_checked_before_allocation():
+    """No FFT size serves |j| = 1e9, and the check runs before the order
+    array of 2e9 + 1 entries (16 GB) is built."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CutoffError):
+            build_coefficient_table(G, j_max=10**9, ells="auto")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
