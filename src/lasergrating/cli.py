@@ -14,7 +14,6 @@ import configparser
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +191,7 @@ def run_pool(worker, tasks, jobs: int):
     """Map `worker` over `tasks`, preserving input order."""
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks))
 

@@ -5,8 +5,13 @@ evolves as an independent lower-bidiagonal linear ODE envelope(t) A y over
 the internal ladder.  A does not depend on t and both envelopes integrate to
 one, so the kernel K_l(x, x') = [exp(A) y0]_l is the same closed form
 (confluent hypergeometric, ladder_analytic) for either envelope; it is the
-production route; all of its channels come from one series at ell_max and
-the contiguous recurrence of specfun.hyp1f1_ladder_rows.  The adaptive ODE
+production route.  Its channels stop at the Poisson cutoff ell_max and come
+from one Gauss-Legendre product (specfun.hyp1f1_ladder_quad).  The kernel
+summed over every absorption count, which ladder visibilities use, is a
+closed form with no cutoff:
+    K(x, x') = M_0(x) conj M_0(x') [1 + y (e^w - 1) / w],
+y = n0 c c', w = i (eta_p - 1) dphi - (eta_a - 1) nbar + eta_a y (the sum
+over l taken under the integral of DLMF 13.4.1).  The adaptive ODE
 (ladder_ode_solve) and the first-absorption-time quadrature are kept as
 oracles for the tests.
 Internal ladder energies only contribute a global phase per level and drop
@@ -23,7 +28,7 @@ import numpy as np
 from .errors import InvalidInputError, SimulationError
 from .grating import MeasurementProfile, m_ell, poisson_ell_max
 from .params import GratingParameters
-from .specfun import hyp1f1_ladder_rows
+from .specfun import hyp1f1_ladder_quad
 from . import talbot
 
 ENVELOPES = ("gaussian", "constant")
@@ -41,7 +46,6 @@ class LadderConfig:
     grating: GratingParameters
     envelope: str = "gaussian"
     ell_max: int | None = None
-    n_points: int = 256
     rtol: float = 1e-9
     atol: float = 1e-12
 
@@ -57,15 +61,17 @@ class TwoPointKernel:
     """Multiplicative grating kernel K_l(x, x').
 
     `evaluator(x, xp)` returns an array of shape (n_channels, n_pairs);
-    channels are absorption counts for ladder kernels.  pair_values sums
-    channels, making the kernel usable directly as an unconditional kernel
-    in talbot.b_numeric_oracle and talbot.KernelSource.
+    channels are absorption counts for ladder kernels.  pair_values is the
+    unconditional kernel, usable directly in talbot.b_numeric_oracle and
+    talbot.KernelSource: `total(x, xp)` (shape (n_pairs,)) where the sum over
+    every count has a closed form, else the sum of the channels.
     """
 
     model: str
     channels: tuple
     evaluator: object
     meta: dict = field(default_factory=dict)
+    total: object = None
 
     def channel_values(self, x, xp) -> np.ndarray:
         x = np.asarray(x, float)
@@ -73,7 +79,10 @@ class TwoPointKernel:
         return out.reshape((len(self.channels),) + x.shape)
 
     def pair_values(self, x, xp) -> np.ndarray:
-        return self.channel_values(x, xp).sum(axis=0)
+        if self.total is None:
+            return self.channel_values(x, xp).sum(axis=0)
+        x = np.asarray(x, float)
+        return self.total(np.ravel(x), np.ravel(np.asarray(xp, float))).reshape(x.shape)
 
     def channel(self, ell) -> "ChannelKernel":
         if ell not in self.channels:
@@ -169,18 +178,29 @@ def _analytic_kernel_values(x, xp, config: LadderConfig) -> np.ndarray:
         weight *= g.eta_a ** (ells - 1)
         np.multiply(weight, out[0], out=out[1:])
         z = 1j * (g.eta_p - 1.0) * dphi - (g.eta_a - 1.0) * nbar
-        out[1:] *= hyp1f1_ladder_rows(ell_max, z)
+        out[1:] *= hyp1f1_ladder_quad(ell_max, z)
     return out
+
+
+def _summed_kernel_values(x, xp, grating: GratingParameters) -> np.ndarray:
+    """Sum over l >= 0 of K_l: M_0 conj M_0 [1 + y expm1(w) / w], 1 at w = 0."""
+    c, cp, dphi, nbar = _pair_coefficients(x, xp, grating)
+    y = grating.n0 * c * cp
+    w = 1j * (grating.eta_p - 1.0) * dphi - (grating.eta_a - 1.0) * nbar + grating.eta_a * y
+    ratio = np.divide(np.expm1(w), w, out=np.ones_like(w), where=w != 0)
+    return np.exp(1j * dphi - nbar) * (1.0 + y * ratio)
 
 
 def ladder_analytic(config: LadderConfig) -> TwoPointKernel:
     """Closed-form kernel for either envelope,
-    K_l = M_l(x) conj(M_l(x')) eta_a^{l-1} 1F1(l; l+1; z(x, x'))."""
+    K_l = M_l(x) conj(M_l(x')) eta_a^{l-1} 1F1(l; l+1; z(x, x')) for
+    l <= ell_max, and the untruncated sum over l as `total`."""
     return TwoPointKernel(
         model="ladder-analytic",
         channels=tuple(range(config.ell_max + 1)),
         evaluator=lambda x, xp: _analytic_kernel_values(x, xp, config),
         meta={"grating": config.grating, "envelope": config.envelope},
+        total=lambda x, xp: _summed_kernel_values(x, xp, config.grating),
     )
 
 

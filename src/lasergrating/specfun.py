@@ -4,11 +4,12 @@ hypergeometric 1F1(l; l+1; z), and sinc.
 
 `exp_fourier_rows` is the production route of every closed-form Talbot
 coefficient: a trapezoid rule in t with real arguments, one real FFT per
-count giving every order.  The other kernels use power series with
-term-ratio stopping for small arguments and Miller-type backward recurrence
-beyond; no special-function library calls.  The series threshold is
-|x| <= 10 so that alternating-series cancellation stays below the 1e-10
-relative-accuracy contract.  The series `exp_bessel_coeff` cancels
+count giving every order.  `hyp1f1_ladder_quad` takes 1F1 from its
+integral form by Gauss-Legendre quadrature.  The Bessel kernels use
+power series with term-ratio stopping for small arguments and Miller-type
+backward recurrence beyond; no special-function library calls.  The series
+threshold is |x| <= 10 so that alternating-series cancellation stays below
+the 1e-10 relative-accuracy contract.  The series `exp_bessel_coeff` cancels
 catastrophically once |a| + |b| exceeds about 20 and is kept only as a test
 reference.
 """
@@ -31,7 +32,7 @@ SPECTRAL_MARGIN = 32          # orders kept between the decay width and N/2
 SPECTRAL_MAX_POINTS = 1 << 14
 SPECTRAL_TAIL = 1e-13         # largest |coefficient| allowed around order N/2
 SPECTRAL_BLOCK = 1 << 16      # samples (arguments x N) held at once
-LADDER_GROWTH_MAX = 10.0      # error amplification allowed in the 1F1 recurrence
+LADDER_MAX_NODES = 128        # Gauss-Legendre nodes validated for the 1F1 rows
 
 
 @dataclass(frozen=True)
@@ -323,80 +324,29 @@ def exp_bessel_coeff(j: int, a, b, tol: SeriesTolerance = DEFAULT_TOL):
     return s if s.ndim else complex(s)
 
 
-def _ladder_series(w: np.ndarray, ratio, tol: SeriesTolerance) -> np.ndarray:
-    """sum_k t_k with t_0 = 1 and t_k = t_{k-1} w ratio(k), stopped once two
-    successive terms fall below tol.rel_tol of every partial sum."""
-    term = np.ones_like(w)
-    s = term.copy()
-    bound = np.empty(w.shape)
-    small = 0
-    for k in range(1, tol.max_terms):
-        term *= w
-        term *= ratio(k)
-        s += term
-        np.maximum(np.abs(s, out=bound), 1e-300, out=bound)
-        bound *= tol.rel_tol
-        if np.all(np.abs(term) <= bound):
-            small += 1
-            if small >= 2:
-                return s
-        else:
-            small = 0
-    raise DomainError("hyp1f1_ladder series did not converge")
-
-
-def hyp1f1_ladder(ell: int, z, tol: SeriesTolerance = DEFAULT_TOL):
-    """Confluent hypergeometric 1F1(ell; ell+1; z) for integer ell >= 1.
-
-    For Re z < 0 the Kummer transform 1F1(l; l+1; z) = e^z 1F1(1; l+1; -z)
-    avoids cancellation.  Accepts scalar or array z, |z| <= 100.
-    """
-    ell = int(ell)
-    if ell < 1:
-        raise DomainError("hyp1f1_ladder requires ell >= 1")
-    z = np.asarray(z, complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    if np.any(np.abs(z) > 100.0):
-        raise DomainError("hyp1f1_ladder requires |z| <= 100")
-    out = np.empty_like(z)
-    neg = z.real < 0
-    if np.any(~neg):
-        # direct series: l * sum_k z^k / ((l+k) k!)
-        out[~neg] = _ladder_series(z[~neg], lambda k: (ell + k - 1) / ((ell + k) * k), tol)
-    if np.any(neg):
-        # Kummer: e^z * sum_k (-z)^k / (l+1)_k
-        out[neg] = np.exp(z[neg]) * _ladder_series(-z[neg], lambda k: 1.0 / (ell + k), tol)
-    return complex(out[0]) if scalar else out
-
-
-def hyp1f1_ladder_rows(ell_max: int, z) -> np.ndarray:
+def hyp1f1_ladder_quad(ell_max: int, z) -> np.ndarray:
     """1F1(l; l+1; z) for l = 1 .. ell_max over a 1-D array z, shape
     (ell_max, z.size).
 
-    The series runs once, at ell_max; the lower l follow from the contiguous
-    relation F_{l-1} = e^z - (z/l) F_l, which amplifies an error by
-    max(1, |z|/l) per step.  Elements whose product of these factors down to
-    l = 1 exceeds LADDER_GROWTH_MAX take every row from the per-l series.
+    DLMF 13.4.1 gives 1F1(l; l+1; z) = l int_0^1 s^(l-1) e^(zs) ds.  The
+    integrand is entire, so Gauss-Legendre quadrature on n = 16 + (ell_max +
+    max|z|) / 2 nodes reaches round-off of l int_0^1 s^(l-1) |e^(zs)| ds for
+    either sign of Re z, and every row comes from one (ell_max x n) @ (n x
+    z.size) product.  The rule is validated against mpmath up to
+    LADDER_MAX_NODES nodes; beyond it DomainError is raised.
     """
     ell_max = int(ell_max)
     if ell_max < 1:
-        raise DomainError("hyp1f1_ladder_rows requires ell_max >= 1")
-    z = np.atleast_1d(np.asarray(z, complex))
-    out = np.empty((ell_max, z.size), complex)
-    out[-1] = hyp1f1_ladder(ell_max, z)
-    ez = np.exp(z)
-    step = z / -np.arange(1, ell_max + 1)[:, None]     # row l - 1 holds -z/l
-    for ell in range(ell_max, 1, -1):
-        np.multiply(out[ell - 1], step[ell - 1], out=out[ell - 2])
-        out[ell - 2] += ez
-    az = np.abs(z)
-    growth = np.ones(z.size)
-    # factors with l > max|z| are 1
-    for ell in range(2, min(ell_max, int(np.max(az, initial=0.0))) + 1):
-        growth *= np.maximum(1.0, az / ell)
-    redo = growth > LADDER_GROWTH_MAX
-    if redo.any():
-        for ell in range(1, ell_max):
-            out[ell - 1, redo] = hyp1f1_ladder(ell, z[redo])
-    return out
+        raise DomainError("hyp1f1_ladder_quad requires ell_max >= 1")
+    z = np.atleast_1d(np.asarray(z, complex)).ravel()
+    reach = float(np.max(np.abs(z), initial=0.0))
+    if not math.isfinite(reach):
+        raise DomainError("hyp1f1_ladder_quad needs finite z")
+    n = 16 + int(0.5 * (ell_max + reach))
+    if n > LADDER_MAX_NODES:
+        raise DomainError(f"hyp1f1_ladder_quad needs {n} > {LADDER_MAX_NODES} nodes "
+                          f"(ell_max = {ell_max}, |z| up to {reach:.4g})")
+    x, w = np.polynomial.legendre.leggauss(n)
+    s = 0.5 * (x + 1.0)
+    ells = np.arange(1, ell_max + 1)[:, None]
+    return (0.5 * ells * w * s ** (ells - 1)) @ np.exp(np.multiply.outer(s, z))

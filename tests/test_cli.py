@@ -154,6 +154,19 @@ def test_import_keeps_scipy_out():
     assert out.strip() == "[]"
 
 
+def test_import_keeps_process_pool_out():
+    """Only a run with jobs > 1 needs a process pool, so importing the CLI
+    loads neither concurrent.futures nor multiprocessing."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, lasergrating.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_kdtli_phi0_45_matches_kernel_fft(tmp_path):
     """At phi0 = 45 the series closed form returned a min-max visibility of
     0.499 without an error; the kernel FFT gives 0.0726."""

@@ -3,8 +3,12 @@ quadrature representation, and the Talbot bridge."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from csvio import read_csv
 from lasergrating import talbot
@@ -26,6 +30,21 @@ XP = RNG.uniform(-1.0, 1.0, 24)
 
 def tight(grating, envelope, **kw):
     return LadderConfig(grating, envelope=envelope, rtol=1e-11, atol=1e-13, **kw)
+
+
+def expm_reference(grating, x, xp, ell_max=70):
+    """K_l(x, x') for l = 0..ell_max as exp(A) e_0 with the lower-bidiagonal
+    ladder generator A, shape (ell_max + 1, n_pairs)."""
+    c, cp = np.cos(np.pi * x), np.cos(np.pi * xp)
+    dphi = grating.phi0 * (c * c - cp * cp)
+    nbar = 0.5 * grating.n0 * (c * c + cp * cp)
+    idx = np.arange(ell_max + 1)
+    gen = np.zeros((x.size, ell_max + 1, ell_max + 1), complex)
+    gen[:, 0, 0] = 1j * dphi - nbar
+    gen[:, idx[1:], idx[1:]] = (1j * grating.eta_p * dphi - grating.eta_a * nbar)[:, None]
+    gen[:, idx[1:], idx[:-1]] = (grating.n0 * c * cp)[:, None] \
+        * grating.eta_a ** np.minimum(idx[:-1], 1)
+    return expm(gen)[:, :, 0].T
 
 
 def poisson_reference(grating, ell_max):
@@ -114,6 +133,70 @@ def test_ode_matches_hypergeometric_form(eta_p, eta_a):
     assert np.max(np.abs(num - ana)) < 1e-7
 
 
+@pytest.mark.parametrize("phi0", [1.875, 20.0, 60.0, 100.0])
+@pytest.mark.parametrize("eta_p,eta_a", [(1.5, 1.0), (1.0, 1.5), (0.5, 0.7)])
+def test_summed_kernel_matches_expm(phi0, eta_p, eta_a):
+    """The untruncated sum over l against exp(A) at ell_max = 70, and the
+    channels (cut at the Poisson tail) against the same reference;
+    eta_a = 0.7 makes Re z > 0."""
+    g = GratingParameters(phi0=phi0, n0=1.5, eta_p=eta_p, eta_a=eta_a)
+    kern = ladder_analytic(LadderConfig(g, envelope="constant"))
+    ref = expm_reference(g, X, XP)
+    assert np.max(np.abs(kern.pair_values(X, XP) - ref.sum(axis=0))) < 1e-13
+    chans = kern.channel_values(X, XP)
+    assert np.max(np.abs(chans - ref[:chans.shape[0]])) < 1e-13
+
+
+def test_summed_kernel_at_eta_one_is_unconditional():
+    kern = ladder_analytic(LadderConfig(G_ETA, envelope="constant"))
+    c2, cp2 = np.cos(np.pi * X) ** 2, np.cos(np.pi * XP) ** 2
+    cc = np.cos(np.pi * X) * np.cos(np.pi * XP)
+    ref = np.exp(1j * G_ETA.phi0 * (c2 - cp2) - G_ETA.n0 * (c2 + cp2) / 2 + G_ETA.n0 * cc)
+    assert np.max(np.abs(kern.pair_values(X, XP) - ref)) < 1e-15
+
+
+def test_summed_kernel_at_w_zero():
+    """w = 0 (no absorption; a node pair) takes the limit 1 of expm1(w)/w
+    without a division warning."""
+    kern = ladder_analytic(LadderConfig(GratingParameters(phi0=1.3, n0=0.0),
+                                        envelope="constant"))
+    c2, cp2 = np.cos(np.pi * X) ** 2, np.cos(np.pi * XP) ** 2
+    assert np.max(np.abs(kern.pair_values(X, XP) - np.exp(1.3j * (c2 - cp2)))) < 1e-15
+    kern = ladder_analytic(LadderConfig(G_ETA, envelope="constant"))
+    assert kern.pair_values(np.array([0.5]), np.array([0.5]))[0] == pytest.approx(1.0, abs=1e-15)
+
+
+def mp_channels(grating, x, xp, ell_max):
+    """K_l = M_0 conj M_0 y^l / l! eta_a^(l-1) 1F1(l; l+1; z) in mpmath."""
+    c, cp = mpmath.cos(mpmath.pi * x), mpmath.cos(mpmath.pi * xp)
+    dphi = grating.phi0 * (c * c - cp * cp)
+    nbar = grating.n0 * (c * c + cp * cp) / 2
+    y = grating.n0 * c * cp
+    z = 1j * (grating.eta_p - 1) * dphi - (grating.eta_a - 1) * nbar
+    m0 = mpmath.exp(1j * dphi - nbar)
+    out = [m0]
+    for ell in range(1, ell_max + 1):
+        out.append(m0 * y**ell / mpmath.factorial(ell) * mpmath.mpf(grating.eta_a) ** (ell - 1)
+                   * mpmath.hyp1f1(ell, ell + 1, z))
+    return np.array([complex(v) for v in out])
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.floats(0.0, 100.0), st.floats(0.0, 20.0), st.floats(0.0, 2.0),
+       st.floats(0.5, 1.5), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+@example(100.0, 20.0, 2.0, 0.5, 0.05, 0.45)     # Re z = +5, |Im z| near 100
+@example(100.0, 20.0, 0.0, 1.5, 0.05, 0.45)     # Re z < 0
+def test_analytic_channels_vs_mpmath(phi0, n0, eta_p, eta_a, x, xp):
+    """Channels from the Gauss-Legendre rule up to phi0 = 100 and n0 = 20,
+    both signs of Re z = -(eta_a - 1) nbar."""
+    g = GratingParameters(phi0=phi0, n0=n0, eta_p=eta_p, eta_a=eta_a)
+    kern = ladder_analytic(LadderConfig(g, envelope="constant"))
+    got = kern.channel_values(np.array([x]), np.array([xp]))[:, 0]
+    with mpmath.workdps(30):
+        ref = mp_channels(g, mpmath.mpf(x), mpmath.mpf(xp), len(kern.channels) - 1)
+    assert np.max(np.abs(got - ref)) < 1e-12
+
+
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_t1_integral_matches_hypergeometric(ell):
     g = GratingParameters(phi0=1.875, n0=1.5, eta_p=1.5, eta_a=1.3)
@@ -168,8 +251,8 @@ def test_kernel_to_talbot_table():
 def test_kernel_source_one_line_per_unique_xi():
     kern = ladder_analytic(tight(G1, "constant", ell_max=10))
     pairs = []
-    evaluator = kern.evaluator
-    kern.evaluator = lambda x, xp: pairs.append(x.size) or evaluator(x, xp)
+    total = kern.total
+    kern.total = lambda x, xp: pairs.append(x.size) or total(x, xp)
     src = kernel_source(kern, "sum")
     tab = src.rows([2, 0], [0.5, 0.0, 0.5])
     assert pairs == [2 * 512]          # two unique lines, one kernel call

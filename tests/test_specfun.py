@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from lasergrating.errors import CutoffError, DomainError
 from lasergrating.specfun import (SPECTRAL_MAX_POINTS, SeriesTolerance, bessel_i_complex,
                                   bessel_j, exp_bessel_coeff, exp_fourier_rows,
-                                  hyp1f1_ladder, hyp1f1_ladder_rows, sinc, spectral_points)
+                                  hyp1f1_ladder_quad, sinc, spectral_points)
 
 mpmath.mp.dps = 40
 
@@ -260,24 +260,28 @@ def test_exp_fourier_rows_alias_guard():
 
 
 # ---------------------------------------------------------------------------
-# hyp1f1_ladder
+# hyp1f1_ladder_quad
 # ---------------------------------------------------------------------------
 
+def one_f1(ell, z):
+    return complex(hyp1f1_ladder_quad(ell, [z])[ell - 1, 0])
+
+
 def test_hyp1f1_at_zero():
-    assert hyp1f1_ladder(1, 0.0) == pytest.approx(1.0, abs=1e-14)
-    assert hyp1f1_ladder(4, 0.0) == pytest.approx(1.0, abs=1e-14)
+    assert one_f1(1, 0.0) == pytest.approx(1.0, abs=1e-14)
+    assert one_f1(4, 0.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_hyp1f1_ell1_closed_form():
     z = 0.3 - 0.2j
-    assert hyp1f1_ladder(1, z) == pytest.approx((np.exp(z) - 1.0) / z, rel=1e-12)
+    assert one_f1(1, z) == pytest.approx((np.exp(z) - 1.0) / z, rel=1e-12)
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 6])
 @pytest.mark.parametrize("z", [1.5 + 0.5j, -2.0 + 1.0j, -40.0, 12.0 - 9.0j, -30.0 + 25.0j])
 def test_hyp1f1_vs_mpmath(ell, z):
     ref = complex(mpmath.hyp1f1(ell, ell + 1, mpmath.mpc(z)))
-    assert hyp1f1_ladder(ell, z) == pytest.approx(ref, rel=1e-10)
+    assert one_f1(ell, z) == pytest.approx(ref, rel=1e-10)
 
 
 def test_hyp1f1_integral_representation():
@@ -290,38 +294,63 @@ def test_hyp1f1_integral_representation():
     re = quad(lambda a: f(a).real, 0, 1, epsabs=1e-13)[0]
     im = quad(lambda a: f(a).imag, 0, 1, epsabs=1e-13)[0]
     ref = ell * (re + 1j * im)
-    assert hyp1f1_ladder(ell, z) == pytest.approx(ref, rel=1e-8)
+    assert one_f1(ell, z) == pytest.approx(ref, rel=1e-8)
+
+
+def mp_rows(ell_max, zs):
+    return np.array([[complex(mpmath.hyp1f1(ell, ell + 1, mpmath.mpc(z))) for z in zs]
+                     for ell in range(1, ell_max + 1)])
+
+
+def abs_scale(ell_max, zs):
+    """l int_0^1 s^(l-1) |e^(zs)| ds: the size of the terms the rule adds,
+    against which its round-off is measured where Re z < 0 cancels."""
+    return mp_rows(ell_max, np.real(zs))
 
 
 def test_hyp1f1_ladder_rows_in_figure5_range():
-    """|z| <= 2 (figure 5): the recurrence needs no restart and agrees with
-    the per-l series and with mpmath to round-off."""
+    """|z| <= 2 (figure 5) with the rows of a large-n0 kernel: every row
+    agrees with mpmath to round-off."""
     zs = np.linspace(-2.0, 2.0, 9) + 1j * np.linspace(1.5, -1.5, 9)
-    got = hyp1f1_ladder_rows(30, zs)
+    got = hyp1f1_ladder_quad(30, zs)
     assert got.shape == (30, zs.size)
-    for ell in range(1, 31):
-        ref = np.array([complex(mpmath.hyp1f1(ell, ell + 1, mpmath.mpc(z))) for z in zs])
-        assert got[ell - 1] == pytest.approx(ref, rel=1e-13)
-        assert got[ell - 1] == pytest.approx(hyp1f1_ladder(ell, zs), rel=1e-13)
+    assert np.max(np.abs(got / mp_rows(30, zs) - 1.0)) < 1e-13
 
 
-def test_hyp1f1_ladder_rows_restarts_vs_mpmath():
-    """Large |z|, where the recurrence amplifies errors and restarts from the
-    per-l series, within the contract of test_hyp1f1_vs_mpmath."""
-    zs = np.array([12.0 - 9.0j, -40.0, 60.0, -30.0 + 25.0j, 0.0])
-    got = hyp1f1_ladder_rows(30, zs)
-    for ell in range(1, 31):
-        ref = np.array([complex(mpmath.hyp1f1(ell, ell + 1, mpmath.mpc(z))) for z in zs])
-        assert got[ell - 1] == pytest.approx(ref, rel=1e-10)
+def test_hyp1f1_quadrature_large_z_vs_mpmath():
+    """|z| up to 100 in every direction, both signs of Re z: the error stays
+    at round-off of the terms summed (relative where nothing cancels)."""
+    zs = np.array([20j, 40j, 95j, -5.0 + 40.0j, 3.0 + 20.0j, 50.0, -50.0, 10.0 - 80.0j,
+                   -100.0, 100.0, -20.0 + 97.0j, 60.0 - 75.0j, 0.0])
+    got = hyp1f1_ladder_quad(30, zs)
+    ref = mp_rows(30, zs)
+    assert np.max(np.abs(got - ref) / abs_scale(30, zs)) < 1e-11
+    pos = zs.real >= 0
+    assert np.max(np.abs(got[:, pos] / ref[:, pos] - 1.0)) < 1e-11
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 100), st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+def test_hyp1f1_quadrature_property(ell_max, radius, angle):
+    """Up to the largest node count accepted: ell_max + |z| = 2 (128 - 16)."""
+    z = radius * (224 - ell_max) * complex(math.cos(angle), math.sin(angle))
+    rows = [ell_max // 2, ell_max - 1]
+    got = hyp1f1_ladder_quad(ell_max, [z])[rows, 0]
+    ref = mp_rows(ell_max, [z])[rows, 0]
+    scale = abs_scale(ell_max, [z])[rows, 0]
+    assert np.max(np.abs(got - ref) / scale) < 1e-11
 
 
 def test_hyp1f1_rejects_bad_input():
     with pytest.raises(DomainError):
-        hyp1f1_ladder(0, 1.0)
+        hyp1f1_ladder_quad(0, [1.0])
     with pytest.raises(DomainError):
-        hyp1f1_ladder(2, 200.0)
+        hyp1f1_ladder_quad(2, [300.0])
     with pytest.raises(DomainError):
-        hyp1f1_ladder_rows(0, [1.0])
+        hyp1f1_ladder_quad(240, [0.0])
+    with pytest.raises(DomainError):
+        hyp1f1_ladder_quad(2, [complex(math.nan, 0.0)])
+    assert hyp1f1_ladder_quad(24, [200.0j]).shape == (24, 1)
 
 
 # ---------------------------------------------------------------------------
