@@ -4,7 +4,8 @@ Commands: derive-params, talbot, kdtli, farfield, ladder, rabi, figure.
 Configuration is a sectioned key/value file with units spelled out in the
 key names (see docs/formats.md).  Outputs are deterministic: fixed float
 formatting, sorted manifests, no timestamps; sweep points are computed by a
-work pool but written in input order.
+work pool but written in input order.  The physics layers are imported by
+the commands that run them, so a run compiles and loads only what it needs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dynamics, farfield, nearfield, output, rabi, talbot
+from . import output
 from .errors import (ConfigError, CutoffError, DomainError, InvalidInputError,
                      RegimeError, ResolutionError, SimulationError)
 from . import constants
@@ -147,7 +148,10 @@ def parse_sweep(expr: str):
         if not key:
             section, key = _default_sweep_section(target), target
         start, stop, count = rng.split(":")
-        values = np.linspace(float(start), float(stop), int(count))
+        start, stop = float(start), float(stop)
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ConfigError(f"sweep {expr!r} needs a finite start and stop")
+        values = np.linspace(start, stop, int(count))
     except (ValueError, AttributeError) as exc:
         raise ConfigError(f"cannot parse sweep {expr!r}: {exc}") from exc
     if values.size < 1:
@@ -243,6 +247,7 @@ def cmd_derive_params(cfg, args, outdir: Path) -> list[str]:
 
 
 def cmd_talbot(cfg, args, outdir: Path) -> list[str]:
+    from . import talbot
     grating = grating_from_config(cfg)
     sec = cfg["talbot"] if "talbot" in cfg else {}
     j_max = _getint(sec, "j_max", 8, 0)
@@ -260,16 +265,17 @@ def cmd_talbot(cfg, args, outdir: Path) -> list[str]:
 
 
 def _talbot_blocks(table):
-    """One (variant, ell, j, xi, re, im) block per table, rows j-major; the
-    closed forms are real, so im is 0."""
-    j = np.repeat(table.orders, table.xi.size)
-    xi = np.tile(table.xi, table.orders.size)
+    """One (variant, ell, j, xi, re, im) block per table and order j, so j
+    is a scalar and every block repeats the same xi array, which the writers
+    format once per write.  The closed forms are real, so im is 0."""
     for key, tab in table.tables.items():
         label, ell = (key, "") if isinstance(key, str) else ("conditional", key)
-        yield label, ell, j, xi, tab.ravel(), 0.0
+        for j, row in zip(table.orders.tolist(), tab):
+            yield label, ell, j, table.xi, row, 0.0
 
 
 def _kdtli_point(task):
+    from . import nearfield
     label, value, cfg, variants = task
     grating = grating_from_config(cfg)
     lt = talbot_parameter_from_config(cfg)
@@ -278,7 +284,7 @@ def _kdtli_point(task):
     curves = []
     for variant in variants:
         kc = nearfield.KdtliConfig(grating, f, lt, source=variant)
-        sig = nearfield.velocity_average(kc, spread) if spread > 0 else nearfield.kdtli_signal(kc)
+        sig = nearfield.velocity_average(kc, spread)
         curves.append((label, value, variant, lt, nearfield.sinusoidal_visibility(kc), sig))
     return curves
 
@@ -286,6 +292,7 @@ def _kdtli_point(task):
 def cmd_kdtli(cfg, args, outdir: Path) -> list[str]:
     """One (sweep_key, sweep_value, variant, talbot_parameter, visibility,
     signal) curve per sweep point and variant, then one per --ell count."""
+    from . import nearfield, talbot  # before the pool, so forked workers inherit them
     variants = (args.variant,) if args.variant else talbot.VARIANTS
     tasks = [task + (variants,) for task in sweep_values_or_single(cfg, args)]
     curves = [c for point in run_pool(_kdtli_point, tasks, args.jobs) for c in point]
@@ -308,9 +315,12 @@ def cmd_kdtli(cfg, args, outdir: Path) -> list[str]:
     return names
 
 
-def _farfield_cfg(cfg, grating) -> farfield.FarFieldConfig:
+def _farfield_cfg(cfg, grating):
+    from . import farfield
     sec = cfg["farfield"] if "farfield" in cfg else {}
     xmax = _getfloat(sec, "screen_max", 3.0)
+    if not 0 < xmax < math.inf:
+        raise ConfigError(f"key 'screen_max' must be finite and positive, got {xmax!r}")
     return farfield.FarFieldConfig(
         grating=grating, collimator_ratio=_getfloat(sec, "collimator_ratio", 10.0),
         period_over_sep=_getfloat(sec, "period_over_sep", 1e-3),
@@ -319,6 +329,7 @@ def _farfield_cfg(cfg, grating) -> farfield.FarFieldConfig:
 
 
 def cmd_farfield(cfg, args, outdir: Path) -> list[str]:
+    from . import farfield
     grating = grating_from_config(cfg)
     fc = _farfield_cfg(cfg, grating)
     variants = (args.variant,) if args.variant else ("quantum",)
@@ -340,6 +351,7 @@ def cmd_farfield(cfg, args, outdir: Path) -> list[str]:
 def cmd_ladder(cfg, args, outdir: Path) -> list[str]:
     """Closed-form ladder kernel line and visibility sweep.  `[ladder] envelope`
     is validated and written to the metadata but does not change the kernel."""
+    from . import dynamics
     grating = grating_from_config(cfg)
     envelope = cfg["ladder"]["envelope"] if "ladder" in cfg and "envelope" in cfg["ladder"] \
         else "constant"
@@ -369,7 +381,8 @@ def cmd_ladder(cfg, args, outdir: Path) -> list[str]:
     return names
 
 
-def _rabi_cfg(cfg) -> rabi.RabiConfig:
+def _rabi_cfg(cfg):
+    from . import rabi
     if "rabi" not in cfg:
         raise ConfigError("config has no [rabi] section")
     r = cfg["rabi"]
@@ -381,6 +394,7 @@ def _rabi_cfg(cfg) -> rabi.RabiConfig:
 
 
 def cmd_rabi(cfg, args, outdir: Path) -> list[str]:
+    from . import rabi
     rc = _rabi_cfg(cfg)
     kern = rabi.rabi_solve(rc)
     names = [f"rabi_profile.{_ext(args)}"]
@@ -406,6 +420,7 @@ def cmd_rabi(cfg, args, outdir: Path) -> list[str]:
 
 def _vis_curve(grating, f, lts, source) -> np.ndarray:
     """Sine visibility over the L/L_T values `lts`, from one rows call."""
+    from . import nearfield
     kc = nearfield.KdtliConfig(grating, f, float(lts[0]), source=source)
     return nearfield.sinusoidal_visibility(kc, lts)
 
@@ -430,6 +445,7 @@ def figure1(args, outdir: Path) -> list[str]:
 
 
 def figure2(args, outdir: Path) -> list[str]:
+    from . import nearfield
     f = 0.42
     g = GratingParameters(phi0=math.pi, n0=1.0)
     blocks = []
@@ -446,6 +462,7 @@ def figure2(args, outdir: Path) -> list[str]:
 
 
 def figure4(args, outdir: Path) -> list[str]:
+    from . import farfield
     screen = np.linspace(-3.0, 3.0, 2401)
 
     def dens(n0, ells):
@@ -471,6 +488,7 @@ def figure4(args, outdir: Path) -> list[str]:
 
 
 def figure5(args, outdir: Path) -> list[str]:
+    from . import dynamics
     f = 0.42
     cases = (("eta_1", 1.0, 1.0), ("eta_a_1.5", 1.0, 1.5), ("eta_p_1.5", 1.5, 1.0))
     lts = np.linspace(0.02, 4.0, 200)
@@ -496,6 +514,7 @@ def figure5(args, outdir: Path) -> list[str]:
 
 
 def figure6(args, outdir: Path) -> list[str]:
+    from . import rabi
     files = []
     rc = rabi.RabiConfig(pulse_area=4.0 * math.pi, detuning=0.0, lifetime=1.0)
     xs, p0 = rabi.rabi_solve(rc).transmission_profile()

@@ -57,13 +57,17 @@ class FarFieldConfig:
     tail: float = 1e-10
 
     def __post_init__(self):
-        if self.collimator_ratio <= 0:
-            raise InvalidInputError("collimator ratio D/d must be positive")
-        if self.period_over_sep <= 0:
-            raise InvalidInputError("d/Dx must be positive")
+        if not 0 < self.collimator_ratio < math.inf:
+            raise InvalidInputError("collimator ratio D/d must be finite and positive")
+        if not 0 < self.period_over_sep < math.inf:
+            raise InvalidInputError("d/Dx must be finite and positive")
+        if not 0 <= self.sigma_det < math.inf:
+            raise InvalidInputError("sigma_det must be finite and >= 0")
         self.screen = np.asarray(self.screen, float)
         if self.screen.ndim != 1 or self.screen.size == 0:
             raise InvalidInputError("screen must be a non-empty 1-D array of positions")
+        if not np.isfinite(self.screen).all():
+            raise InvalidInputError("screen positions must be finite")
 
     def order_cutoff(self) -> int:
         if self.j_max is not None:

@@ -194,8 +194,8 @@ def velocity_average(config: KdtliConfig, dv_over_v: float,
     one (samples x orders) coefficient table; each sample passes the j_max
     tail check and the imaginary-residue check on its own.
     """
-    if dv_over_v < 0:
-        raise InvalidInputError("velocity spread must be >= 0")
+    if not 0 <= dv_over_v < math.inf:
+        raise InvalidInputError(f"velocity spread must be finite and >= 0, got {dv_over_v!r}")
     if dv_over_v == 0 or n_samples == 1:
         return kdtli_signal(config)
     rel = 1.0 + dv_over_v * np.linspace(-n_sigma, n_sigma, n_samples)

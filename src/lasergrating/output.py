@@ -8,12 +8,16 @@ sub-table, with one value per column: a scalar (a label, repeated on every
 row) or a 1-D array or list; the arrays of a block give its rows (one row if
 it has none).  Each chunk of CHUNK_ROWS rows is formatted from one `%`
 template and written at once, so no writer holds the rows or the document.
-The byte contract is in docs/formats.md.
+A number array that one write meets again (the same abscissa in every
+curve) has its cell texts formatted once and baked into the template of
+each later block, so `%` fills only the columns that change; the bytes are
+the same either way.  The byte contract is in docs/formats.md.
 """
 
 from __future__ import annotations
 
 import json
+import zlib
 from itertools import chain
 
 import numpy as np
@@ -21,6 +25,10 @@ import numpy as np
 VERSION = "0.1.0"
 CHUNK_ROWS = 4096
 _NUMBER_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}  # by dtype kind
+# (open, sep, close, between) of a row: see _chunks
+_CSV_FRAME = ("", ",", "\n", "")
+_JSON_FRAME = ("    [\n      ", ",\n      ", "\n    ]", ",\n")
+_JSON_EMPTY_FRAME = ("    [", "", "]", ",\n")
 
 
 def _cell(value) -> str:
@@ -30,17 +38,45 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _chunks(columns, blocks, quote):
-    """(cell templates, row count, values) per chunk of at most CHUNK_ROWS rows.
+def _repeated_texts(memo: dict, arr: np.ndarray, quote):
+    """The '%'-escaped cell texts of number array `arr` if this write met the
+    same content before, else None.
 
-    Scalars are baked into their template by `_cell`, '%' escaped; other
-    arrays than numbers fill '%s' with their `_cell` texts.  `quote` is
+    The first meeting stores only a digest; the second formats the texts and
+    keeps them with a copy of the bytes, which every later hit must match
+    byte for byte (so -0.0 and 0.0, or two NaN payloads, never share texts,
+    and a digest collision only costs the reuse).
+    """
+    data = np.ascontiguousarray(arr)
+    key = data.dtype.str, data.shape, zlib.crc32(data)
+    entry = memo.get(key, False)
+    if entry is False:
+        memo[key] = None
+        return None
+    if entry is None:
+        text = (quote(_NUMBER_FORMATS[arr.dtype.kind]) + "\n") * arr.size % tuple(arr.tolist())
+        texts = text.replace("%", "%%").split("\n")[:-1]
+        memo[key] = data.tobytes(), texts
+        return texts
+    return entry[1] if entry[0] == data.tobytes() else None
+
+
+def _chunks(columns, blocks, quote, frame):
+    """The text of each chunk of at most CHUNK_ROWS rows.
+
+    A row is open + the cells joined by sep + close, and rows are joined by
+    between (`frame`).  Scalars are baked into the row template by `_cell`,
+    '%' escaped, and so is the first number array per block that this write
+    has met before (`_repeated_texts`); other number arrays fill '%d' or
+    '%.17g', other arrays '%s' with their `_cell` texts.  `quote` is
     json.dumps for JSON cells, str for CSV.
     """
+    open_, sep, close, between = frame
+    memo = {}
     for block in blocks:
         if len(block) != len(columns):
             raise ValueError(f"block has {len(block)} values for {len(columns)} columns")
-        cells, arrays = [], []
+        cells, arrays, baked, sizes = [], [], None, set()
         for value in block:
             if np.ndim(value) == 0:
                 cells.append(quote(_cell(value)).replace("%", "%%"))
@@ -48,20 +84,34 @@ def _chunks(columns, blocks, quote):
             arr = np.asarray(value)
             if arr.ndim != 1:
                 raise ValueError(f"column arrays must be 1-D, got shape {arr.shape}")
+            sizes.add(arr.size)
             if arr.dtype.kind in _NUMBER_FORMATS:
+                if baked is None and (texts := _repeated_texts(memo, arr, quote)) is not None:
+                    baked = len(cells), texts
+                    cells.append("")
+                    continue
                 cells.append(quote(_NUMBER_FORMATS[arr.dtype.kind]))
             else:
                 cells.append("%s")
                 arr = np.array([quote(_cell(v)) for v in arr.tolist()], object)
             arrays.append(arr)
-        sizes = {arr.size for arr in arrays}
         if len(sizes) > 1:
             raise ValueError(f"column arrays of one block differ in length: {sorted(sizes)}")
         n_rows = sizes.pop() if sizes else 1
+        if baked is None:
+            row = open_ + sep.join(cells) + close
+        else:
+            k, texts = baked
+            pre = open_ + "".join(c + sep for c in cells[:k])
+            post = "".join(sep + c for c in cells[k + 1:]) + close
         for start in range(0, n_rows, CHUNK_ROWS):
             stop = min(start + CHUNK_ROWS, n_rows)
             parts = [arr[start:stop].tolist() for arr in arrays]
-            yield cells, stop - start, tuple(chain.from_iterable(zip(*parts)))
+            if baked is None:
+                template = row + (between + row) * (stop - start - 1)
+            else:
+                template = pre + (post + between + pre).join(texts[start:stop]) + post
+            yield template % tuple(chain.from_iterable(zip(*parts)))
 
 
 def write_csv(path, header_meta: dict, columns: list[str], blocks) -> None:
@@ -71,8 +121,8 @@ def write_csv(path, header_meta: dict, columns: list[str], blocks) -> None:
         for key in sorted(header_meta):
             fh.write(f"# {key}={header_meta[key]}\n")
         fh.write(",".join(columns) + "\n")
-        for cells, n_rows, values in _chunks(columns, blocks, str):
-            fh.write((",".join(cells) + "\n") * n_rows % values)
+        for text in _chunks(columns, blocks, str, _CSV_FRAME):
+            fh.write(text)
 
 
 def write_manifest(path, command: str, parameters: dict, files: list[str]) -> None:
@@ -99,9 +149,10 @@ def write_json_table(path, header_meta: dict, columns: list[str], blocks) -> Non
     with open(path, "w") as fh:
         fh.write(head + '\n  "rows": [')
         lead = "\n"
-        for cells, n_rows, values in _chunks(columns, blocks, json.dumps):
-            row = "    [\n      " + ",\n      ".join(cells) + "\n    ]" if cells else "    []"
-            fh.write((lead + row + (",\n" + row) * (n_rows - 1)) % values)
+        frame = _JSON_FRAME if columns else _JSON_EMPTY_FRAME
+        for text in _chunks(columns, blocks, json.dumps, frame):
+            fh.write(lead)
+            fh.write(text)
             lead = ",\n"
         fh.write("]" if lead == "\n" else "\n  ]")
         fh.write(tail + "\n")

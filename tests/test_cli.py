@@ -115,6 +115,56 @@ def test_bad_integer_key_is_config_error(command, section, line, tmp_path):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("line", [
+    "collimator_ratio = nan", "collimator_ratio = inf",
+    "screen_max = nan", "screen_max = inf", "screen_max = -1",
+    "sigma_det = nan", "sigma_det = inf", "sigma_det = -1",
+    "period_over_sep = nan",
+])
+def test_bad_farfield_key_is_config_error(line, tmp_path):
+    # each of these used to end in a traceback (exit 1) or in a misleading
+    # numerical error (exit 3)
+    cfg = tmp_path / "ff.cfg"
+    cfg.write_text(f"[grating]\nphi0 = 2.5\nn0 = 1.0\n\n[farfield]\nscreen_points = 101\n{line}\n")
+    assert run(["farfield", "--config", cfg, "--out", tmp_path]) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("spread", ["nan", "inf", "-0.1"])
+def test_bad_velocity_spread_is_config_error(spread, tmp_path):
+    # nan used to write an unaveraged signal, inf an all-NaN one, -0.1 the
+    # unaveraged signal
+    cfg = tmp_path / "spread.cfg"
+    cfg.write_text(GRATING_CFG + f"velocity_spread = {spread}\n")
+    assert run(["kdtli", "--config", cfg, "--out", tmp_path]) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("sweep", ["talbot_parameter=0.3:nan:3", "talbot_parameter=inf:1:2",
+                                   "talbot_parameter=0.3:nan:1"])
+def test_non_finite_sweep_is_config_error(sweep, grating_cfg, tmp_path):
+    with pytest.raises(ConfigError):
+        parse_sweep(sweep)
+    out = tmp_path / "run"
+    assert run(["kdtli", "--config", grating_cfg, "--sweep", sweep, "--out", out]) == 2
+    assert not list(out.glob("*.csv"))
+
+
+def test_commands_import_only_their_layers(grating_cfg, tmp_path):
+    code = ("import sys, lasergrating.cli as cli\n"
+            "idle = {'farfield', 'dynamics', 'rabi'}\n"
+            "loaded = lambda: sorted(m for m in idle if 'lasergrating.' + m in sys.modules)\n"
+            "print(loaded(), end=' ')\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(loaded())\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code, "talbot", "--config", str(grating_cfg),
+                           "--ell", "all", "--out", str(tmp_path / "run")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]", "[]"]
+
+
 def test_integral_float_key_is_accepted(tmp_path):
     cfg = tmp_path / "int.cfg"
     cfg.write_text("[grating]\nphi0 = 2.5\nn0 = 1.0\n\n[talbot]\nj_max = 2.0\nxi_points = 4e0\n")

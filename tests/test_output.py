@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -203,6 +204,45 @@ def test_long_blocks_span_chunks(tmp_path):
         _assert_matches_oracle(fmt, tmp_path / f"long.{fmt}", {}, ["k", "i", "x"], blocks)
 
 
+_ZEROS = np.array([0.0, 1.5, 0.0])
+_NAN_PAYLOADS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000abc],
+                         np.uint64).view(np.float64)
+_LONG = np.linspace(-1.0, 1.0, 2 * output.CHUNK_ROWS + 3)
+# blocks that repeat number arrays, which the writers format once per write
+REPEATED_BLOCKS = {
+    "signed-zero": (["k", "x"], [("a", _ZEROS), ("b", -_ZEROS), ("a", _ZEROS), ("b", -_ZEROS),
+                                 ("c", _ZEROS * -1.0), ("a", _ZEROS)]),
+    "nan-payloads": (["k", "x", "y"], [
+        ("a", _NAN_PAYLOADS, _NAN_PAYLOADS[::-1]), ("b", _NAN_PAYLOADS[::-1], _NAN_PAYLOADS),
+        ("c", np.full(3, math.nan), _NAN_PAYLOADS), ("d", _NAN_PAYLOADS, np.full(3, math.nan))]),
+    "int-float-same-bytes": (["k", "x"], [
+        ("i", np.arange(4, dtype=np.int64)), ("f", np.arange(4, dtype=np.int64).view(np.float64)),
+        ("i", np.arange(4, dtype=np.int64)), ("f", np.arange(4, dtype=np.int64).view(np.float64)),
+        ("u", np.arange(4, dtype=np.uint64))]),
+    "two-columns": (["k", "x", "y", "z"], [
+        ("a", _ZEROS, _ZEROS, np.arange(3)), ("b", _ZEROS, _ZEROS, np.arange(3)),
+        ("c", np.arange(3), _ZEROS, np.arange(3)), (1, _ZEROS, [2.0, 3.0, 4.0], _ZEROS)]),
+    "percent-label": (["k", "x", "v", "t"], [
+        ("100%", _ZEROS, np.arange(3), "%s %d %%"), ("%(x)s", _ZEROS, np.arange(3), 'a "%"'),
+        ("%", _ZEROS, np.arange(3) * 2, "%%"), ("%d", _ZEROS, ["%s", "a", "%"], "x")]),
+    "longer-than-chunk": (["k", "x", "i"], [
+        ("a", _LONG, np.arange(_LONG.size)), ("b", _LONG, np.arange(_LONG.size) * 3),
+        ("c", _LONG[:5], np.arange(5)), ("d", _LONG, -np.arange(_LONG.size))]),
+}
+
+
+@pytest.mark.parametrize("collide", [False, True], ids=["digest", "collide"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", list(REPEATED_BLOCKS))
+def test_repeated_arrays_match_row_writers(case, fmt, collide, tmp_path, monkeypatch):
+    if collide:
+        # every array of one dtype and shape gets the same digest: the byte
+        # for byte check alone must keep the texts apart
+        monkeypatch.setattr(output, "zlib", SimpleNamespace(crc32=lambda data: 0))
+    columns, blocks = REPEATED_BLOCKS[case]
+    _assert_matches_oracle(fmt, tmp_path / f"repeat.{fmt}", {"n": "100%"}, columns, blocks)
+
+
 def test_mismatched_columns_are_rejected(tmp_path):
     with pytest.raises(ValueError):
         output.write_csv(tmp_path / "bad.csv", {}, ["a", "b"], [("x", np.arange(3), 1.0)])
@@ -210,21 +250,33 @@ def test_mismatched_columns_are_rejected(tmp_path):
         output.write_csv(tmp_path / "bad.csv", {}, ["a", "b"], [(np.arange(3), np.arange(4))])
 
 
-def test_talbot_table_json_streams_in_bounded_memory(tmp_path):
-    # the talbot-table benchmark table: 249,600 rows, about 29 MB of JSON (the
-    # closed-form im cells are all 0); the row-wise writer peaked at about
-    # 100 MB on top of its input rows
+def _talbot_table_write_peak(writer, path):
+    """Traced peak of writing the talbot-table benchmark table: 249,600 rows
+    (the closed-form im cells are all 0)."""
     g = GratingParameters(phi0=3.0, n0=0.95)
     xi = np.linspace(0.0, 2.0, 256, endpoint=False)
     table = build_coefficient_table(g, xi_grid=xi, j_max=32, ells="auto")
     assert sum(t.size for t in table.tables.values()) == 249_600
-    path = tmp_path / "talbot_coefficients.json"
     tracemalloc.start()
     try:
-        output.write_json_table(path, {"command": "talbot"},
-                                ["variant", "ell", "j", "xi", "re", "im"], _talbot_blocks(table))
-        peak = tracemalloc.get_traced_memory()[1]
+        writer(path, {"command": "talbot"}, ["variant", "ell", "j", "xi", "re", "im"],
+               _talbot_blocks(table))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_talbot_table_json_streams_in_bounded_memory(tmp_path):
+    # about 29 MB of JSON; the row-wise writer peaked at about 100 MB on top
+    # of its input rows
+    path = tmp_path / "talbot_coefficients.json"
+    peak = _talbot_table_write_peak(output.write_json_table, path)
     assert path.stat().st_size > 27.5 * 2**20
+    assert peak < 16 * 2**20
+
+
+def test_talbot_table_csv_streams_in_bounded_memory(tmp_path):
+    path = tmp_path / "talbot_coefficients.csv"
+    peak = _talbot_table_write_peak(output.write_csv, path)
+    assert path.stat().st_size > 11.5 * 2**20
     assert peak < 16 * 2**20
