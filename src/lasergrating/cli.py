@@ -192,11 +192,15 @@ def sweep_values_or_single(cfg, args):
 
 
 def run_pool(worker, tasks, jobs: int):
-    """Map `worker` over `tasks`, preserving input order."""
-    if jobs <= 1 or len(tasks) <= 1:
+    """Map `worker` over `tasks`, preserving input order, on at most `jobs`
+    processes, one per task and per usable CPU; serial for one."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") \
+        else range(os.cpu_count() or 1)
+    workers = min(jobs, len(tasks), len(cpus))
+    if workers <= 1:
         return [worker(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 
 
@@ -355,8 +359,10 @@ def cmd_ladder(cfg, args, outdir: Path) -> list[str]:
     grating = grating_from_config(cfg)
     envelope = cfg["ladder"]["envelope"] if "ladder" in cfg and "envelope" in cfg["ladder"] \
         else "constant"
-    kernel = dynamics.ladder_analytic(dynamics.LadderConfig(grating, envelope=envelope))
     xi = float(_getfloat(cfg["ladder"], "kernel_xi", 0.0)) if "ladder" in cfg else 0.0
+    if not math.isfinite(xi):
+        raise ConfigError(f"key 'kernel_xi' must be finite, got {xi!r}")
+    kernel = dynamics.ladder_analytic(dynamics.LadderConfig(grating, envelope=envelope))
     u = np.arange(512) / 512
     line = kernel.channel_values(u - 0.5 * xi, u + 0.5 * xi)
     names = [f"ladder_kernel.{_ext(args)}"]
@@ -419,7 +425,7 @@ def cmd_rabi(cfg, args, outdir: Path) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _vis_curve(grating, f, lts, source) -> np.ndarray:
-    """Sine visibility over the L/L_T values `lts`, from one rows call."""
+    """Sine visibility over the L/L_T values `lts`, from one pairs call."""
     from . import nearfield
     kc = nearfield.KdtliConfig(grating, f, float(lts[0]), source=source)
     return nearfield.sinusoidal_visibility(kc, lts)
@@ -626,6 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         outdir = Path(args.out or os.environ.get(OUT_ENV, "."))
         outdir.mkdir(parents=True, exist_ok=True)
         if args.command == "figure":

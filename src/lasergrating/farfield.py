@@ -11,6 +11,11 @@ integral, and the free Schroedinger propagator e^{+ik(dx)^2/2L} to agree):
   of the conditional density equal the transmission probability of that
   absorption count (checked by Parseval).
 
+The Talbot sums g_k run on the q grid folded by `talbot.fold_xi`: the
+coefficients repeat with period 2 in q, and B_j(-q) = B_{-j}(q), so they are
+evaluated once per distinct value of q folded onto [0, 1] (exact argument
+reduction) and gathered, flipped in j where needed, at every q point.
+
 The screen sum w(x_m) = sum_k g_k e^{2 pi i x_m q_k} runs as a centred
 Bluestein chirp-z transform when the screen is uniform, so no screen x q
 matrix is built.  A non-uniform screen falls back to the
@@ -198,27 +203,46 @@ def _screen_transform(x: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray
     return conv * np.exp(2j * np.pi * post)
 
 
+def _talbot_block(grating, j_max: int, distinct, ells, variant: str) -> np.ndarray:
+    """Talbot rows (len(ells), 2 j_max + 1, len(distinct)) at folded q
+    values: conditional for a count, unconditional for None.  A function of
+    its own, so that the per-kind tables are freed before the q points
+    gather from the stack."""
+    counts = [ell for ell in ells if ell is not None]
+    cond = iter(talbot.symmetric_rows(j_max, distinct, counts, grating) if counts else ())
+    return np.stack([talbot.symmetric_rows(j_max, distinct, variant, grating)
+                     if ell is None else next(cond) for ell in ells])
+
+
 def _screen_coefficients(config: FarFieldConfig, ells, variant: str, fraunhofer: bool):
     """q grid and the weighted Talbot sums c_k = g(q_k) w_k of the screen
     transform (trapezoid weights w_k), one row per entry of `ells`: a count,
-    or None for the unconditional sum.  Blocks hold Q_BLOCK entries."""
+    or None for the unconditional sum.
+
+    The q grid is folded once (`talbot.fold_xi`): the Talbot rows run on
+    blocks of the distinct folded values, and each block's q points gather
+    their rows, flipped in j where the fold says so, in blocks of their
+    own.  Every array holds at most Q_BLOCK table entries, however often a
+    folded value repeats."""
     ratio = 0.0 if fraunhofer else config.period_over_sep
     j_max = config.order_cutoff()
     q = _q_grid(config, j_max, ratio)
     orders = np.arange(-j_max, j_max + 1)
-    counts = [ell for ell in ells if ell is not None]
+    distinct, index, flip = talbot.fold_xi(q)
+    by_value = np.argsort(index, kind="stable")
+    step = max(1, Q_BLOCK // (len(ells) * orders.size))
+    starts = np.searchsorted(index, np.arange(0, distinct.size + step, step), sorter=by_value)
     g = np.empty((len(ells), q.size))
     edge = 0.0
-    step = max(1, Q_BLOCK // (len(ells) * orders.size))
-    for i in range(0, q.size, step):
-        qb = q[i:i + step]
-        cond = iter(talbot.conditional_rows(orders, qb, counts, config.grating)
-                    if counts else ())
-        rows = np.stack([talbot.unconditional_rows(orders, qb, config.grating, variant)
-                         if ell is None else next(cond) for ell in ells])
+    for i, lo, hi in zip(range(0, distinct.size, step), starts, starts[1:]):
+        rows = _talbot_block(config.grating, j_max, distinct[i:i + step], ells, variant)
         edge = max(edge, float(np.max(np.abs(rows[:, [0, -1]]))))
-        rows *= _sine_factor(orders, qb, config.collimator_ratio, ratio)
-        g[:, i:i + step] = rows.sum(axis=1)
+        for k in range(lo, hi, step):
+            pts = by_value[k:min(k + step, hi)]
+            for sel, tab in ((pts[~flip[pts]], rows), (pts[flip[pts]], rows[:, ::-1])):
+                part = tab[:, :, index[sel] - i]
+                part *= _sine_factor(orders, q[sel], config.collimator_ratio, ratio)
+                g[:, sel] = part.sum(axis=1)
     if edge > config.tail:
         raise ResolutionError(
             f"order cutoff {j_max} too small: |B_jmax| = {edge:.2e} > {config.tail:.0e}")

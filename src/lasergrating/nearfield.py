@@ -2,11 +2,11 @@
 
 The detected signal is a Fourier series in the third-grating shift
 S(x_s) = sum_j f^2 sinc^2(j pi f) B_2j(j L/L_T) e^{2 pi i j x_s / d},
-synthesized from any Talbot-coefficient source with rows(orders, xi)
+synthesized from any Talbot-coefficient source with pairs(orders, xi)
 (talbot.ClosedForm: the unconditional closed form, its classical
 random-walk variant or a conditional absorption count; talbot.KernelSource:
 a dynamical two-point kernel).  A signal, a whole velocity average and a
-whole visibility curve each take one rows table, and the synthesis is one
+whole visibility curve each take one pairs call, and the synthesis is one
 complex inverse FFT per signal, whose imaginary residue is checked.
 """
 
@@ -30,7 +30,7 @@ class KdtliConfig:
     """Interferometer configuration.
 
     source: "quantum" | "classical" | ell (int) | an object with
-    rows(orders, xi), such as talbot.KernelSource.  grating may be None when
+    pairs(orders, xi), such as talbot.KernelSource.  grating may be None when
     the source carries its own parameters (dynamical kernels).
     """
 
@@ -45,11 +45,12 @@ class KdtliConfig:
     def __post_init__(self):
         if not 0.0 < self.open_fraction < 1.0:
             raise InvalidInputError(f"open fraction must be in (0,1), got {self.open_fraction}")
-        if self.talbot_parameter <= 0:
-            raise InvalidInputError("talbot parameter must be positive")
+        if not 0 < self.talbot_parameter < math.inf:
+            raise InvalidInputError(
+                f"talbot parameter must be finite and positive, got {self.talbot_parameter!r}")
         if self.n_shift < 256:
             raise InvalidInputError("need >= 256 shift samples per period")
-        if self.grating is None and not hasattr(self.source, "rows"):
+        if self.grating is None and not hasattr(self.source, "pairs"):
             raise InvalidInputError("closed-form sources need grating parameters")
 
 
@@ -79,21 +80,19 @@ class FringeSignal:
 
 
 def resolve_source(config: KdtliConfig):
-    """The config's source spec as an object with rows(orders, xi)."""
+    """The config's source spec as an object with pairs(orders, xi)."""
     src = config.source
-    return src if hasattr(src, "rows") else talbot.ClosedForm(config.grating, src)
+    return src if hasattr(src, "pairs") else talbot.ClosedForm(config.grating, src)
 
 
 def _components(config: KdtliConfig, source, talbot_parameters):
     """(orders, S) with S_j = f^2 sinc^2(j pi f) B_2j(j L/L_T) for
     j = -j_max..j_max and each L/L_T, shape (len(talbot_parameters),
-    2 j_max + 1), from one rows table.  Every row passes the j_max tail check."""
+    2 j_max + 1), from one pairs call.  Every row passes the j_max tail check."""
     f = config.open_fraction
     orders = np.arange(-config.j_max, config.j_max + 1)
     xi = np.outer(talbot_parameters, orders).ravel()
-    table = source.rows(2 * orders, xi)
-    paired = table[np.tile(np.arange(orders.size), len(talbot_parameters)),
-                   np.arange(xi.size)]
+    paired = source.pairs(np.tile(2 * orders, len(talbot_parameters)), xi)
     comps = f * f * sinc(np.pi * orders * f) ** 2 * paired.reshape(-1, orders.size)
     edge = np.maximum(np.abs(comps[:, 0]), np.abs(comps[:, -1]))
     scale = np.max(np.abs(comps), axis=1)
@@ -141,18 +140,19 @@ def sinusoidal_visibility(config: KdtliConfig, talbot_parameters=None):
     kernel sources the mean transmission normalizes the contrast.  Negative
     values indicate a phase-flipped fringe.  Without `talbot_parameters` the
     value at config.talbot_parameter; with an array of L/L_T, the curve over
-    it, from one rows call.
+    it, from one pairs call.
     """
     lts = np.atleast_1d(np.asarray(
         config.talbot_parameter if talbot_parameters is None else talbot_parameters, float))
-    if np.any(lts <= 0):
-        raise InvalidInputError("talbot parameter must be positive")
-    table = resolve_source(config).rows([0, 2], np.concatenate(([0.0], lts)))
-    b0 = table[0, 0]
+    if not np.all((lts > 0) & (lts < math.inf)):
+        raise InvalidInputError("talbot parameter must be finite and positive")
+    b = resolve_source(config).pairs(np.repeat([0, 2], [1, lts.size]),
+                                     np.concatenate(([0.0], lts)))
+    b0 = b[0]
     if abs(b0) < 1e-14:
         raise InvalidInputError(
             "visibility undefined: zero mean transmission for this source")
-    v = 2.0 * float(sinc(math.pi * config.open_fraction)) ** 2 * (table[1, 1:] / b0)
+    v = 2.0 * float(sinc(math.pi * config.open_fraction)) ** 2 * (b[1:] / b0)
     resid = np.abs(v.imag) - REALITY_TOL * np.maximum(1.0, np.abs(v.real))
     if np.any(resid > 0):
         raise InvalidInputError(f"visibility has imaginary residue {np.max(np.abs(v.imag)):.2e}")

@@ -47,6 +47,8 @@ class RabiConfig:
     atol: float = 1e-12
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.pulse_area, self.detuning, self.lifetime))):
+            raise InvalidInputError("pulse area, detuning and lifetime must be finite")
         if self.lifetime <= 0:
             raise InvalidInputError("excited-state lifetime must be positive")
         if self.pulse_area < 0:

@@ -1,12 +1,13 @@
 """Talbot coefficients of the laser grating.
 
 Every coefficient source answers one array-valued call,
-rows(orders, xi) -> array of shape (len(orders), len(xi)):
+pairs(orders, xi) -> B_{orders[k]}(xi[k]) for paired 1-D arrays:
 
 * `ClosedForm`: the unconditional closed form B_j(xi), its classical
   random-walk variant, or the conditional closed form B_j(xi; l), all real;
 * `KernelSource`: the numeric Fourier reduction of a two-point kernel, the
-  bridge for dynamical models, with one FFT per unique kernel line.
+  bridge for dynamical models, with one FFT per unique kernel line; its
+  rows(orders, xi) gives the whole (orders x xi) table.
 
 The closed forms are Fourier coefficients of
 exp(a e^{it} + b e^{-it} + c) P(t)^l / l! with real a, b, c (l = 0 but for
@@ -16,6 +17,15 @@ spectral kernel `specfun.exp_fourier_rows`, once per xi array for all
 orders and counts.  The prefactor is folded into c, so the integrand has
 modulus <= 1 and nothing cancels at any phi0 or n0; an FFT size above its
 cap or an aliasing tail raises CutoffError (see `specfun.spectral_points`).
+
+The closed forms depend on xi only through cos(pi xi) and sin(pi xi), and
+zeta_coh is odd in xi while zeta_abs and zeta_abs' are even, so
+B_j(xi + 2) = B_j(xi) and B_j(-xi) = B_{-j}(xi).  `fold_xi` maps every xi
+onto [0, 1] with exact arithmetic (fmod by 2, then 2 - r by Sterbenz) and
+records where j flips sign; the kernel runs once per distinct folded value,
+on the symmetric orders -m..m (`symmetric_rows`, which the far field calls
+on its own folded q), and each requested (j, xi) is gathered from that
+table.  No digits of sin(pi xi) are lost at large xi.
 
 `b_numeric_oracle`, the trapezoid of one coefficient over a kernel line, is
 the oracle of the tests.
@@ -27,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, ResolutionError
+from .errors import DomainError, InvalidInputError, ResolutionError
 from .grating import MeasurementProfile, m_ell, poisson_ell_max
 from .params import GratingParameters
 from .specfun import exp_fourier_rows, spectral_points
@@ -46,6 +56,58 @@ def zeta(xi, grating: GratingParameters):
     return za, zc, zap
 
 
+def fold_xi(xi):
+    """(distinct, index, flip) for a xi array: `distinct` holds the sorted
+    distinct values of xi folded onto [0, 1], and
+    B_j(xi[k]) = B_{-j if flip[k] else j}(distinct[index[k]]).
+
+    r = fmod(|xi|, 2) is exact, and so is 2 - r for r > 1 (Sterbenz); j
+    flips where xi < 0 or r > 1, but not both."""
+    xi = np.asarray(xi, float).ravel()
+    if not np.isfinite(xi).all():
+        raise DomainError("Talbot coefficients need finite xi")
+    r = np.fmod(np.abs(xi), 2.0)
+    over = r > 1.0
+    r[over] = 2.0 - r[over]
+    distinct, index = np.unique(r, return_inverse=True)
+    return distinct, index, (xi < 0) ^ over
+
+
+def symmetric_rows(m: int, distinct, kind, grating: GratingParameters) -> np.ndarray:
+    """Closed-form B_j for j = -m..m at xi already folded onto [0, 1] (the
+    `distinct` of `fold_xi`): shape (2m + 1, len(distinct)), with a leading
+    count axis for a sequence of counts.  `kind` is "quantum", "classical",
+    a count or a sequence of counts; one exp_fourier_rows call."""
+    if isinstance(kind, str):
+        if kind not in VARIANTS:
+            raise InvalidInputError(f"unknown variant {kind!r}")
+    elif np.any(np.asarray(kind) < 0):
+        raise InvalidInputError("absorption count must be >= 0")
+    za, zc, zap = zeta(distinct, grating)
+    symmetric = np.arange(-m, m + 1)
+    if isinstance(kind, str):
+        # exponent: i zc sin(t) + zap cos(t) - zap, real part <= 0
+        table = exp_fourier_rows(symmetric, 0.5 * (zc + zap), 0.5 * (zap - zc), -zap)
+        # the classical random-walk variant flips the sign of zeta_coh, which
+        # is the same as exchanging j with -j
+        return table[::-1] if kind == "classical" else table
+    # l = 0 exponent: i zc sin(t) - za cos(t) - n0/2 = a e^{it} + b e^{-it} + c
+    # with a = (zc - za)/2, b = -(zc + za)/2; its real part is <= |za| - n0/2 <= 0
+    return exp_fourier_rows(symmetric, 0.5 * (zc - za), -0.5 * (zc + za), -0.5 * grating.n0,
+                            kind, za, 0.5 * grating.n0)
+
+
+def _folded(orders, xi, kind, grating: GratingParameters) -> np.ndarray:
+    """Closed-form B_j(xi) at `orders` broadcast against the 1-D xi: an
+    (n, 1) column of orders gives an (n, len(xi)) table, a len(xi) array
+    one value per xi; a sequence of counts adds a leading count axis.
+    Gathered from the symmetric rows at the distinct folded xi."""
+    distinct, index, flip = fold_xi(xi)
+    m = int(np.max(np.abs(orders), initial=0))
+    table = symmetric_rows(m, distinct, kind, grating)
+    return table[..., np.where(flip, -orders, orders) + m, index]
+
+
 def conditional_rows(orders, xi, ell, grating: GratingParameters) -> np.ndarray:
     """B_j(xi; l) for every j in `orders` over a 1-D xi array: shape
     (len(orders), len(xi)) for one count `ell`, (len(ell), len(orders),
@@ -55,30 +117,15 @@ def conditional_rows(orders, xi, ell, grating: GratingParameters) -> np.ndarray:
     P(t) = za + (n0/2) cos t, which resums the recoil splittings; all counts
     share one exp table.
     """
-    if np.any(np.asarray(ell) < 0):
-        raise InvalidInputError("absorption count must be >= 0")
-    za, zc, _ = zeta(np.asarray(xi, float).ravel(), grating)
-    # l = 0 exponent: i zc sin(t) - za cos(t) - n0/2 = a e^{it} + b e^{-it} + c
-    # with a = (zc - za)/2, b = -(zc + za)/2; its real part is <= |za| - n0/2 <= 0
-    return exp_fourier_rows(orders, 0.5 * (zc - za), -0.5 * (zc + za), -0.5 * grating.n0,
-                            ell, za, 0.5 * grating.n0)
+    return _folded(np.asarray(orders, int).reshape(-1, 1), xi, ell, grating)
 
 
 def unconditional_rows(orders, xi, grating: GratingParameters,
                        variant: str = "quantum") -> np.ndarray:
     """B_j(xi) for every j in `orders` over a 1-D xi array, shape
-    (len(orders), len(xi)).
-
-    The classical random-walk variant flips the sign of zeta_coh, which is
-    the same as exchanging j with -j.
-    """
-    if variant not in VARIANTS:
-        raise InvalidInputError(f"unknown variant {variant!r}")
-    _, zc, zap = zeta(np.asarray(xi, float).ravel(), grating)
-    if variant == "classical":
-        zc = -zc
-    # exponent: i zc sin(t) + zap cos(t) - zap, real part <= 0
-    return exp_fourier_rows(orders, 0.5 * (zc + zap), 0.5 * (zap - zc), -zap)
+    (len(orders), len(xi)), for the quantum or the classical random-walk
+    variant."""
+    return _folded(np.asarray(orders, int).reshape(-1, 1), xi, variant, grating)
 
 
 def _at(rows: np.ndarray, xi):
@@ -114,10 +161,9 @@ class ClosedForm:
     def label(self) -> str:
         return self.kind if isinstance(self.kind, str) else f"ell={self.kind}"
 
-    def rows(self, orders, xi) -> np.ndarray:
-        if isinstance(self.kind, str):
-            return unconditional_rows(orders, xi, self.grating, self.kind)
-        return conditional_rows(orders, xi, int(self.kind), self.grating)
+    def pairs(self, orders, xi) -> np.ndarray:
+        """B_{orders[k]}(xi[k]) for paired 1-D arrays."""
+        return _folded(np.asarray(orders, int).ravel(), xi, self.kind, self.grating)
 
 
 def _check_grid(n_points: int, j_max: int):
@@ -142,7 +188,9 @@ class KernelSource:
     label: str = "kernel"
     n_points: int = 512
 
-    def rows(self, orders, xi) -> np.ndarray:
+    def _line_rows(self, orders, xi):
+        """(table, inverse): the rows of `orders` on the distinct lines of
+        xi, and the index of each xi among those lines."""
         orders = np.asarray(orders, int).ravel()
         n = self.n_points
         _check_grid(n, int(np.max(np.abs(orders))))
@@ -155,7 +203,21 @@ class KernelSource:
             vals = self.kernel.pair_values((u - half).ravel(), (u + half).ravel())
             spec = np.fft.fft(vals.reshape(-1, n), axis=1)
             out[:, i:i + step] = spec[:, orders % n].T / n
+        return out, inverse
+
+    def rows(self, orders, xi) -> np.ndarray:
+        out, inverse = self._line_rows(orders, xi)
         return out[:, inverse]
+
+    def pairs(self, orders, xi) -> np.ndarray:
+        """B_{orders[k]}(xi[k]) for paired 1-D arrays, gathered from the rows
+        of the order range spanning 0 and every requested order, on the
+        distinct lines; a range, not np.unique, so the orders need no sort."""
+        orders = np.asarray(orders, int).ravel()
+        lo = int(np.min(orders, initial=0))
+        span = np.arange(lo, int(np.max(orders, initial=0)) + 1)
+        out, inverse = self._line_rows(span, xi)
+        return out[orders - lo, inverse]
 
 
 def _kernel_line(kernel, xi: float, n_points: int):

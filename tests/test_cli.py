@@ -5,12 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from csvio import read_csv
+from lasergrating import cli
 from lasergrating.cli import main, parse_sweep
 from lasergrating.errors import ConfigError
 
@@ -147,6 +149,82 @@ def test_non_finite_sweep_is_config_error(sweep, grating_cfg, tmp_path):
         parse_sweep(sweep)
     out = tmp_path / "run"
     assert run(["kdtli", "--config", grating_cfg, "--sweep", sweep, "--out", out]) == 2
+    assert not list(out.glob("*.csv"))
+
+
+def run_quietly(args):
+    """Exit code of a CLI run, with every warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(args)
+    return code, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("line", ["lifetime_tl = nan", "detuning_tl = inf",
+                                  "pulse_area_pi = nan"])
+def test_non_finite_rabi_key_is_config_error(line, tmp_path):
+    # each used to write an all-NaN rabi_profile.csv with exit 0
+    key = line.split()[0]
+    cfg = tmp_path / "rabi.cfg"
+    cfg.write_text("\n".join(row if not row.startswith(key) else line
+                             for row in RABI_CFG.splitlines()) + "\n")
+    out = tmp_path / "run"
+    assert run_quietly(["rabi", "--config", cfg, "--out", out]) == (2, [])
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, text", [
+    ("kdtli", GRATING_CFG.replace("talbot_parameter = 3.25", "talbot_parameter = nan")),
+    ("kdtli", GRATING_CFG.replace("talbot_parameter = 3.25", "talbot_parameter = inf")),
+    ("ladder", "[grating]\nphi0 = 1.875\nn0 = 1.5\n\n[ladder]\nkernel_xi = nan\n"),
+    ("ladder", "[grating]\nphi0 = 1.875\nn0 = 1.5\n\n[ladder]\nkernel_xi = -inf\n"),
+])
+def test_non_finite_talbot_argument_is_config_error(command, text, tmp_path):
+    # each used to exit 3 ("spectral coefficients need finite arguments"),
+    # inf with RuntimeWarnings from talbot.zeta
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    assert run_quietly([command, "--config", cfg, "--out", out]) == (2, [])
+    assert not list(out.glob("*.csv"))
+
+
+class StubExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs, tasks, cpus, workers", [
+    (8, 2, 4, 2), (8, 10, 4, 4), (3, 10, 4, 3), (4, 1, 4, None), (1, 10, 4, None),
+    (6, 10, 1, None),
+])
+def test_run_pool_bounds_its_workers(jobs, tasks, cpus, workers, monkeypatch):
+    """At most one process per task and per usable CPU; one means serial."""
+    import concurrent.futures
+    StubExecutor.created = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubExecutor)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert cli.run_pool(abs, list(range(-tasks, 0)), jobs) == list(range(tasks, 0, -1))
+    assert StubExecutor.created == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_config_error(jobs, grating_cfg, tmp_path):
+    out = tmp_path / "run"
+    assert run(["kdtli", "--config", grating_cfg, "--jobs", jobs, "--out", out]) == 2
     assert not list(out.glob("*.csv"))
 
 

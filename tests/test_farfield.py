@@ -11,11 +11,12 @@ import pytest
 from lasergrating.errors import InvalidInputError, ResolutionError
 from lasergrating.farfield import (ALIAS_MARGIN, FarFieldConfig, PhaseSpaceState,
                                    ScreenDensity, _screen_coefficients, _screen_transform,
-                                   apply_detector_resolution, collimation_transform,
-                                   farfield_density, farfield_kirchhoff,
-                                   fraunhofer_density, plane_wave_pipeline)
-from lasergrating.grating import MeasurementProfile
+                                   _sine_factor, apply_detector_resolution,
+                                   collimation_transform, farfield_density,
+                                   farfield_kirchhoff, fraunhofer_density, plane_wave_pipeline)
+from lasergrating.grating import MeasurementProfile, poisson_ell_max
 from lasergrating.params import GratingParameters
+from lasergrating.talbot import conditional_rows, fold_xi, unconditional_rows
 
 FIG4 = GratingParameters(phi0=2.5, n0=2.0)
 
@@ -324,6 +325,41 @@ def test_screen_transform_time_and_memory():
         _screen_transform(x, q, c)
         best = min(best, time.perf_counter() - t0)
     assert best < 0.05
+
+
+@pytest.mark.parametrize("ratio", [10.0, 10.3])
+def test_screen_coefficients_memory(ratio):
+    """A `farfield --ell all` pass of the benchmark's size (7 counts), with
+    about 20 q points per folded value at D/d = 10 and none repeated at
+    D/d = 10.3, stays within a few Q_BLOCK arrays."""
+    g = GratingParameters(phi0=2.4, n0=0.1)
+    ells = list(range(poisson_ell_max(g) + 1))
+    assert len(ells) == 7
+    config = FarFieldConfig(grating=g, collimator_ratio=ratio, period_over_sep=1e-3,
+                            sigma_det=0.1, screen=np.linspace(-3.0, 3.0, 801))
+    tracemalloc.start()
+    try:
+        _screen_coefficients(config, ells, "quantum", False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_non_dyadic_collimator_matches_per_q_rows():
+    """At D/d = 10.3 no folded q repeats but its mirror image; the blocked
+    gather equals the rows taken at every q point and summed directly."""
+    config = fig4_config(collimator_ratio=10.3)
+    ells = [None, 0, 2]
+    q, c = _screen_coefficients(config, ells, "quantum", False)
+    assert fold_xi(q)[0].size >= q.size // 2
+    orders = np.arange(-config.order_cutoff(), config.order_cutoff() + 1)
+    sine = _sine_factor(orders, q, config.collimator_ratio, config.period_over_sep)
+    rows = [unconditional_rows(orders, q, FIG4), *conditional_rows(orders, q, [0, 2], FIG4)]
+    wts = np.full(q.size, q[1] - q[0])
+    wts[0] = wts[-1] = 0.5 * (q[1] - q[0])
+    for ck, r in zip(c, rows):
+        assert np.max(np.abs(ck - (r * sine).sum(axis=0) * wts)) <= 1e-15
 
 
 def alias_bound(config):

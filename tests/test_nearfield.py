@@ -176,6 +176,14 @@ def test_config_validation():
         kdtli_signal(cfg(source="bogus"))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_talbot_parameter_must_be_finite_and_positive(bad):
+    with pytest.raises(InvalidInputError):
+        KdtliConfig(G, 0.5, bad)
+    with pytest.raises(InvalidInputError):
+        sinusoidal_visibility(cfg(), [1.0, bad])
+
+
 def test_jmax_tail_guard():
     g = GratingParameters(phi0=8.0, n0=4.0)
     with pytest.raises(CutoffError):

@@ -12,13 +12,15 @@ from hypothesis import strategies as st
 from csvio import read_csv
 from lasergrating.cli import _talbot_blocks
 from lasergrating.dynamics import poisson_kernel
-from lasergrating.errors import CutoffError, InvalidInputError, ResolutionError
+from lasergrating.errors import CutoffError, DomainError, InvalidInputError, ResolutionError
 from lasergrating.grating import MeasurementProfile, poisson_ell_max
+from lasergrating import farfield, talbot
 from lasergrating.output import write_csv
 from lasergrating.params import GratingParameters
+from lasergrating.specfun import exp_fourier_rows
 from lasergrating.talbot import (ClosedForm, KernelSource, b_conditional, b_numeric_oracle,
                                  b_unconditional, build_coefficient_table,
-                                 conditional_rows, unconditional_rows, zeta)
+                                 conditional_rows, fold_xi, unconditional_rows, zeta)
 
 mpmath.mp.dps = 30
 
@@ -245,14 +247,16 @@ def test_table_csv_round_trip(tmp_path):
 
 
 def test_sources():
-    xi = np.array([0.0, 0.7, 1.45])
-    orders = [2, -3, 0]
+    """Every (j, xi) of the grid, so the flip of xi = 1.45 > 1 is checked at
+    nonzero j for the classical and the conditional source."""
+    o, x = np.meshgrid([2, -3, 0], [0.0, 0.7, 1.45])
+    o, x = o.ravel(), x.ravel()
     src = ClosedForm(G, "classical")
-    tab = src.rows(orders, xi)
-    for ij, j in enumerate(orders):
-        assert tab[ij] == pytest.approx(b_unconditional(j, xi, G, "classical"))
+    for j, xi, b in zip(o, x, src.pairs(o, x)):
+        assert b == pytest.approx(complex(b_unconditional(j, xi, G, "classical")))
     csrc = ClosedForm(G, 1)
-    assert csrc.rows(orders, xi)[2, 0] == pytest.approx(complex(b_conditional(0, 0.0, 1, G)))
+    for j, xi, b in zip(o, x, csrc.pairs(o, x)):
+        assert b == pytest.approx(complex(b_conditional(j, xi, 1, G)))
     assert csrc.label == "ell=1"
     assert src.label == "classical"
     for bad in ("bogus", -1, None):
@@ -362,8 +366,8 @@ def test_closed_form_rows_are_real(kind):
     """f(-t) = conj f(t) for every closed-form integrand, so the coefficients
     are real; the complex kernel left imaginary parts of about 1e-16."""
     g = GratingParameters(phi0=45.0, n0=3.0)
-    rows = ClosedForm(g, kind).rows(np.arange(-60, 61), np.linspace(0.0, 2.0, 50))
-    assert np.all(np.imag(rows) == 0)
+    orders, xi = np.meshgrid(np.arange(-60, 61), np.linspace(0.0, 2.0, 50))
+    assert np.all(np.imag(ClosedForm(g, kind).pairs(orders.ravel(), xi.ravel())) == 0)
 
 
 def test_table_j_max_checked_before_allocation():
@@ -377,3 +381,83 @@ def test_table_j_max_checked_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# ---------------------------------------------------------------------------
+# the xi fold
+# ---------------------------------------------------------------------------
+
+def direct_rows(orders, xi, kind, g):
+    """exp_fourier_rows at the raw xi, with zeta taken from mpmath's sinpi
+    and cospi, which reduce the argument exactly."""
+    x = [mpmath.mpf(float(v)) for v in xi]
+    za = np.array([float(g.n0 / 2 * mpmath.cospi(v)) for v in x])
+    zc = np.array([float(g.phi0 * mpmath.sinpi(v)) for v in x])
+    zap = np.array([float(g.n0 * mpmath.sinpi(v / 2) ** 2) for v in x])
+    if isinstance(kind, str):
+        zc = -zc if kind == "classical" else zc
+        return exp_fourier_rows(orders, 0.5 * (zc + zap), 0.5 * (zap - zc), -zap)
+    return exp_fourier_rows(orders, 0.5 * (zc - za), -0.5 * (zc + za), -0.5 * g.n0,
+                            kind, za, 0.5 * g.n0)
+
+
+XI = st.one_of(st.floats(-200.0, 200.0), st.integers(-200, 200).map(float),
+               st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 5.0), st.floats(0.0, 3.0),
+       st.sampled_from([[0, 2], [-3, 5], [7], [-9, -1, 0, 4], list(range(-12, 13))]),
+       st.sampled_from(["quantum", "classical", 0, 3, [2, 0, 5]]),
+       st.lists(XI, min_size=1, max_size=12))
+def test_folded_rows_match_direct_evaluation(phi0, n0, orders, kind, xi):
+    """Rows from the folded, deduplicated xi equal the spectral kernel run
+    at every raw xi (exact trigonometry), whatever the order set, sign or
+    size of xi."""
+    g = GratingParameters(phi0=phi0, n0=n0)
+    got = (unconditional_rows(orders, xi, g, kind) if isinstance(kind, str)
+           else conditional_rows(orders, xi, kind, g))
+    ref = direct_rows(orders, xi, kind, g)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-15
+
+
+def test_fold_xi_is_exact():
+    xi = np.array([0.0, -0.0, 0.25, -0.25, 1.75, 2.25, -1.75, 1.0, -1.0, 3.0, 199.5, -200.0,
+                   0.1 + 2 * 37])
+    distinct, index, flip = fold_xi(xi)
+    assert np.all(np.diff(distinct) > 0) and distinct[0] >= 0 and distinct[-1] <= 1
+    assert distinct[index].tolist() == [0.0, 0.0, 0.25, 0.25, 0.25, 0.25, 0.25, 1.0, 1.0,
+                                        1.0, 0.5, 0.0, math.fmod(0.1 + 2 * 37, 2.0)]
+    assert flip.tolist() == [False, False, False, True, True, False, False, False, True,
+                             False, True, True, False]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_xi_is_domain_error(bad, recwarn):
+    with pytest.raises(DomainError):
+        unconditional_rows([0, 2], [0.5, bad], G)
+    assert not recwarn.list
+
+
+def test_farfield_evaluates_each_folded_q_once(monkeypatch):
+    """On the figure-4 configs the spectral kernel sees each folded q once
+    per pass and kind: q_points_per_unit + 1 values, not the 5121 points
+    of the q grid."""
+    seen = []
+
+    def counting(orders, a, *args):
+        seen.append((np.ndim(args[2]) if len(args) > 2 else None, np.size(a)))
+        return exp_fourier_rows(orders, a, *args)
+
+    monkeypatch.setattr(talbot, "exp_fourier_rows", counting)
+    for n0, ells in [(0.0, [None]), (10.0, [None]), (2.0, [None, 0, 1, 2])]:
+        fc = farfield.FarFieldConfig(grating=GratingParameters(phi0=2.5, n0=n0),
+                                     collimator_ratio=10.0, period_over_sep=1e-3,
+                                     sigma_det=0.1, screen=np.linspace(-3.0, 3.0, 2401))
+        seen.clear()
+        farfield.farfield_densities(fc, ells)
+        kinds = {kind for kind, _ in seen}
+        assert len(kinds) == (1 if ells == [None] else 2)
+        for kind in kinds:
+            assert sum(n for k, n in seen if k == kind) <= fc.q_points_per_unit + 1
