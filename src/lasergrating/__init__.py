@@ -15,7 +15,7 @@ _EXPORTS = {
     "params": ("BeamSetup", "GratingParameters", "InterferometerScales", "derive_grating",
                "derive_n0", "derive_phi0", "derive_scales"),
     "grating": ("MeasurementProfile", "absorption_probability", "m_ell"),
-    "talbot": ("b_conditional", "b_numeric_oracle", "b_unconditional"),
+    "talbot": ("b_conditional", "b_unconditional"),
     "nearfield": ("FringeSignal", "KdtliConfig", "kdtli_signal", "sinusoidal_visibility"),
     "farfield": ("FarFieldConfig", "ScreenDensity", "farfield_density"),
     "dynamics": ("LadderConfig", "TwoPointKernel", "ladder_analytic", "ladder_ode_solve"),

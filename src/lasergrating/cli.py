@@ -377,7 +377,7 @@ def cmd_ladder(cfg, args, outdir: Path) -> list[str]:
         if key != "talbot_parameter":
             raise ConfigError("ladder sweeps support talbot_parameter only")
         f = open_fraction_from_config(cfg)
-        vis = _vis_curve(None, f, values, dynamics.kernel_source(kernel, "sum"))
+        vis = _vis_curve(grating, f, values, "ladder")
         names.append(f"ladder_visibility.{_ext(args)}")
         _writer(args)(outdir / names[1],
                       {"command": "ladder", "phi0": grating.phi0, "n0": grating.n0,
@@ -494,23 +494,24 @@ def figure4(args, outdir: Path) -> list[str]:
 
 
 def figure5(args, outdir: Path) -> list[str]:
-    from . import dynamics
+    from . import talbot
+    from .specfun import sinc
     f = 0.42
     cases = (("eta_1", 1.0, 1.0), ("eta_a_1.5", 1.0, 1.5), ("eta_p_1.5", 1.5, 1.0))
     lts = np.linspace(0.02, 4.0, 200)
     n0s = np.linspace(0.02, 4.0, 200)
 
-    def ladder_vis(phi0, n0, eta_p, eta_a, lts):
-        g = GratingParameters(phi0=phi0, n0=n0, eta_p=eta_p, eta_a=eta_a)
-        kern = dynamics.ladder_analytic(dynamics.LadderConfig(g, envelope="constant"))
-        return _vis_curve(None, f, lts, dynamics.kernel_source(kern, "sum"))
+    def panel_b(eta_p, eta_a):
+        """2 sinc^2(pi f) B_2(2.2) / B_0(0) over the gratings phi0 = 1.25 n0,
+        from one ladder_pairs call."""
+        b = talbot.ladder_pairs(np.repeat([0, 2], n0s.size), np.repeat([0.0, 2.2], n0s.size),
+                                np.tile(1.25 * n0s, 2), np.tile(n0s, 2), eta_p, eta_a)
+        return 2.0 * float(sinc(math.pi * f)) ** 2 * (b[n0s.size:] / b[:n0s.size])
 
-    blocks = [("a", curve, lts, ladder_vis(1.875, 1.5, eta_p, eta_a, lts))
+    blocks = [("a", curve, lts,
+               _vis_curve(GratingParameters(1.875, 1.5, eta_p, eta_a), f, lts, "ladder"))
               for curve, eta_p, eta_a in cases]
-    blocks += [("b", curve, n0s,
-                np.array([ladder_vis(1.25 * n0, n0, eta_p, eta_a, [2.2])[0]
-                          for n0 in n0s.tolist()]))
-               for curve, eta_p, eta_a in cases]
+    blocks += [("b", curve, n0s, panel_b(eta_p, eta_a)) for curve, eta_p, eta_a in cases]
     name = f"figure5_visibility.{_ext(args)}"
     _writer(args)(outdir / name,
                   {"command": "figure 5", "open_fraction": f, "n0_panel_a": 1.5,

@@ -5,15 +5,14 @@ evolves as an independent lower-bidiagonal linear ODE envelope(t) A y over
 the internal ladder.  A does not depend on t and both envelopes integrate to
 one, so the kernel K_l(x, x') = [exp(A) y0]_l is the same closed form
 (confluent hypergeometric, ladder_analytic) for either envelope; it is the
-production route.  Its channels stop at the Poisson cutoff ell_max and come
-from one Gauss-Legendre product (specfun.hyp1f1_ladder_quad).  The kernel
-summed over every absorption count, which ladder visibilities use, is a
-closed form with no cutoff:
-    K(x, x') = M_0(x) conj M_0(x') [1 + y (e^w - 1) / w],
-y = n0 c c', w = i (eta_p - 1) dphi - (eta_a - 1) nbar + eta_a y (the sum
-over l taken under the integral of DLMF 13.4.1).  The adaptive ODE
-(ladder_ode_solve) and the first-absorption-time quadrature are kept as
-oracles for the tests.
+production route of the `ladder_kernel` lines.  Its channels stop at the
+Poisson cutoff ell_max and come from one Gauss-Legendre product
+(specfun.hyp1f1_ladder_quad).  Summed over every absorption count the kernel
+is M_0(x) conj M_0(x') [1 + y (e^w - 1) / w], y = n0 c c',
+w = i (eta_p - 1) dphi - (eta_a - 1) nbar + eta_a y (DLMF 13.4.1); ladder
+visibilities take its Talbot coefficients in closed form (the "ladder" kind
+of talbot.ClosedForm).  The adaptive ODE (ladder_ode_solve) and the
+first-absorption-time quadrature are kept as oracles for the tests.
 Internal ladder energies only contribute a global phase per level and drop
 out of the populations, so they are omitted from the integrated equations.
 """
@@ -21,7 +20,7 @@ out of the populations, so they are omitted from the integrated equations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .errors import InvalidInputError, SimulationError
 from .grating import MeasurementProfile, m_ell, poisson_ell_max
 from .params import GratingParameters
 from .specfun import hyp1f1_ladder_quad
-from . import talbot
 
 ENVELOPES = ("gaussian", "constant")
 ENVELOPE_SPAN = 6.0  # gaussian integration half-range in units of w_z/v_z
@@ -62,16 +60,12 @@ class TwoPointKernel:
 
     `evaluator(x, xp)` returns an array of shape (n_channels, n_pairs);
     channels are absorption counts for ladder kernels.  pair_values is the
-    unconditional kernel, usable directly in talbot.b_numeric_oracle and
-    talbot.KernelSource: `total(x, xp)` (shape (n_pairs,)) where the sum over
-    every count has a closed form, else the sum of the channels.
+    sum of the channels.
     """
 
     model: str
     channels: tuple
     evaluator: object
-    meta: dict = field(default_factory=dict)
-    total: object = None
 
     def channel_values(self, x, xp) -> np.ndarray:
         x = np.asarray(x, float)
@@ -79,26 +73,7 @@ class TwoPointKernel:
         return out.reshape((len(self.channels),) + x.shape)
 
     def pair_values(self, x, xp) -> np.ndarray:
-        if self.total is None:
-            return self.channel_values(x, xp).sum(axis=0)
-        x = np.asarray(x, float)
-        return self.total(np.ravel(x), np.ravel(np.asarray(xp, float))).reshape(x.shape)
-
-    def channel(self, ell) -> "ChannelKernel":
-        if ell not in self.channels:
-            raise InvalidInputError(f"kernel has no channel {ell!r}")
-        return ChannelKernel(self, self.channels.index(ell))
-
-
-@dataclass
-class ChannelKernel:
-    """Single-channel view of a TwoPointKernel (usable as a kernel itself)."""
-
-    parent: TwoPointKernel
-    index: int
-
-    def pair_values(self, x, xp):
-        return self.parent.channel_values(x, xp)[self.index]
+        return self.channel_values(x, xp).sum(axis=0)
 
 
 def _pair_coefficients(x, xp, grating: GratingParameters):
@@ -159,7 +134,6 @@ def ladder_ode_solve(config: LadderConfig) -> TwoPointKernel:
         model=f"ladder-ode-{config.envelope}",
         channels=tuple(range(config.ell_max + 1)),
         evaluator=lambda x, xp: _ode_kernel_values(x, xp, config),
-        meta={"grating": config.grating, "envelope": config.envelope},
     )
 
 
@@ -182,25 +156,14 @@ def _analytic_kernel_values(x, xp, config: LadderConfig) -> np.ndarray:
     return out
 
 
-def _summed_kernel_values(x, xp, grating: GratingParameters) -> np.ndarray:
-    """Sum over l >= 0 of K_l: M_0 conj M_0 [1 + y expm1(w) / w], 1 at w = 0."""
-    c, cp, dphi, nbar = _pair_coefficients(x, xp, grating)
-    y = grating.n0 * c * cp
-    w = 1j * (grating.eta_p - 1.0) * dphi - (grating.eta_a - 1.0) * nbar + grating.eta_a * y
-    ratio = np.divide(np.expm1(w), w, out=np.ones_like(w), where=w != 0)
-    return np.exp(1j * dphi - nbar) * (1.0 + y * ratio)
-
-
 def ladder_analytic(config: LadderConfig) -> TwoPointKernel:
     """Closed-form kernel for either envelope,
     K_l = M_l(x) conj(M_l(x')) eta_a^{l-1} 1F1(l; l+1; z(x, x')) for
-    l <= ell_max, and the untruncated sum over l as `total`."""
+    l <= ell_max."""
     return TwoPointKernel(
         model="ladder-analytic",
         channels=tuple(range(config.ell_max + 1)),
         evaluator=lambda x, xp: _analytic_kernel_values(x, xp, config),
-        meta={"grating": config.grating, "envelope": config.envelope},
-        total=lambda x, xp: _summed_kernel_values(x, xp, config.grating),
     )
 
 
@@ -217,7 +180,7 @@ def poisson_kernel(grating: GratingParameters, ell_max: int | None = None) -> Tw
         return out
 
     return TwoPointKernel(model="poisson", channels=tuple(range(ell_max + 1)),
-                          evaluator=values, meta={"grating": grating})
+                          evaluator=values)
 
 
 def t1_integral_kernel(x, xp, ell: int, grating: GratingParameters,
@@ -248,13 +211,3 @@ def t1_integral_kernel(x, xp, ell: int, grating: GratingParameters,
     frac = s[None, :]
     vals = m_tilde(x, frac) * np.conj(m_tilde(xp, frac))
     return vals @ w
-
-
-def kernel_source(kernel: TwoPointKernel, channel="sum",
-                  n_points: int = 512) -> talbot.KernelSource:
-    """Coefficient source of a dynamical kernel, channel-summed or one
-    absorption count: numeric Fourier reduction, one FFT per kernel line."""
-    if channel == "sum":
-        return talbot.KernelSource(kernel, kernel.model, n_points)
-    return talbot.KernelSource(kernel.channel(channel), f"{kernel.model},ell={channel}",
-                               n_points)

@@ -4,8 +4,9 @@ The detected signal is a Fourier series in the third-grating shift
 S(x_s) = sum_j f^2 sinc^2(j pi f) B_2j(j L/L_T) e^{2 pi i j x_s / d},
 synthesized from any Talbot-coefficient source with pairs(orders, xi)
 (talbot.ClosedForm: the unconditional closed form, its classical
-random-walk variant or a conditional absorption count; talbot.KernelSource:
-a dynamical two-point kernel).  A signal, a whole velocity average and a
+random-walk variant, a conditional absorption count or the summed ladder
+kernel; talbot.RankOneSource: the ground-state kernel of the Rabi model),
+all closed forms.  A signal, a whole velocity average and a
 whole visibility curve each take one pairs call, and the synthesis is one
 complex inverse FFT per signal, whose imaginary residue is checked.
 """
@@ -29,9 +30,9 @@ REALITY_TOL = 1e-10
 class KdtliConfig:
     """Interferometer configuration.
 
-    source: "quantum" | "classical" | ell (int) | an object with
-    pairs(orders, xi), such as talbot.KernelSource.  grating may be None when
-    the source carries its own parameters (dynamical kernels).
+    source: "quantum" | "classical" | "ladder" | ell (int) | an object with
+    pairs(orders, xi), such as talbot.RankOneSource.  grating may be None
+    when the source carries its own parameters.
     """
 
     grating: GratingParameters | None

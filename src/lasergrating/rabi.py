@@ -8,8 +8,10 @@ Hamiltonian acting at x from the left and at x' from the right and the
 position-independent jump |2><1|/sqrt(tau).  The jump never feeds the
 driven {|0>,|1>} sector, so the production route is closed form:
 K_00(x,x') = c0(x) conj(c0(x')) and p_1 = |c1|^2 with the damped two-level
-amplitudes of `amplitudes`.  solve_pairs integrates all nine elements (ODE
-or matrix exponential) and is kept as the oracle of the tests.
+amplitudes of `amplitudes`; K_00 is rank one, so its Talbot coefficients
+come from one FFT of c0 (`rabi_source`).  solve_pairs integrates all nine
+elements (ODE or matrix exponential) and, like the short-lifetime limit, is
+kept as an oracle of the tests.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 
 from .errors import InvalidInputError, RegimeError, SimulationError
 from .specfun import sinc
-from .params import GratingParameters
 from .dynamics import TwoPointKernel
 from . import nearfield, talbot
 
@@ -36,6 +37,7 @@ class RabiConfig:
     pulse_area: Omega_0 t_L at the antinode
     detuning: Delta t_L
     lifetime: tau / t_L
+    n_points: points of the period grid of the populations of rabi_solve
     rtol, atol: tolerances of the solve_pairs ODE oracle
     """
 
@@ -72,10 +74,10 @@ def amplitudes(omega_tl, det_tl: float, tau_over_tl: float, t: float = 1.0):
     c1 = -i (W t/2) sinc(s t/2) e^{-i d t/2}.  Both are entire in s^2, so the
     exceptional point s = 0 is not special.  As |Im s| <= |Im d|, cos(s t/2)
     grows at most as e^{t/(4 tau)}; beyond e^700 it would overflow, so
-    tau < t/2800 raises RegimeError (the short-lifetime limit holds there)."""
+    tau < t/2800 raises RegimeError."""
     if 0.25 * t / tau_over_tl > MAX_GROWTH:
-        raise RegimeError(f"lifetime tau = {tau_over_tl} t_L is below the closed "
-                          "form's range; use rabi_short_lifetime_limit")
+        raise RegimeError(f"lifetime_tl = {tau_over_tl:g} is below the range of the closed-form "
+                          f"amplitudes: tau < t/2800 = {t / 2800:.3g} t_L overflows them")
     w = np.asarray(omega_tl)
     d = -det_tl - 0.5j / tau_over_tl
     half = 0.5 * t * np.sqrt(d * d + w * w)
@@ -172,8 +174,7 @@ def rabi_solve(config: RabiConfig) -> RabiKernel:
     def evaluator(x, xp):
         return (sector(x)[0] * np.conj(sector(xp)[0]))[None, :]
 
-    kern = TwoPointKernel(model="rabi", channels=("00",), evaluator=evaluator,
-                          meta={"config": config, "grating": GratingParameters(0.0, 0.0)})
+    kern = TwoPointKernel(model="rabi", channels=("00",), evaluator=evaluator)
     xs = np.arange(config.n_points) / config.n_points
     c0, c1 = sector(xs)
     p0, p1 = np.abs(c0) ** 2, np.abs(c1) ** 2
@@ -206,27 +207,32 @@ def rabi_short_lifetime_limit(config: RabiConfig) -> RabiKernel:
         return vals[None, :]
 
     kern = TwoPointKernel(model="rabi-short-lifetime", channels=("00",),
-                          evaluator=evaluator,
-                          meta={"config": config, "phi0": phi0, "n0": n0,
-                                "grating": GratingParameters(phi0, n0)})
+                          evaluator=evaluator)
     xs = np.arange(config.n_points) / config.n_points
     p0 = np.exp(-n0 * np.cos(np.pi * xs) ** 2)
     pops = np.stack([p0, np.zeros_like(p0), 1.0 - p0])
     return RabiKernel(config=config, kernel=kern, positions=xs, populations=pops)
 
 
+def rabi_source(config: RabiConfig) -> talbot.RankOneSource:
+    """Talbot coefficients of K_00 = c0(x) conj c0(x'); c0 oscillates like
+    cos((pulse_area/2) cos(pi x)), with Fourier coefficients decaying beyond
+    order pulse_area/4."""
+    return talbot.RankOneSource(
+        lambda x: amplitudes(config.pulse_area * np.cos(np.pi * x), config.detuning,
+                             config.lifetime)[0],
+        0.25 * config.pulse_area, f"rabi,area={config.pulse_area / math.pi:g}pi")
+
+
 def rabi_kdtli(config: RabiConfig, open_fraction: float, talbot_parameter: float,
                j_max: int = 24, n_shift: int = 512) -> nearfield.FringeSignal:
-    """KDTLI fringe signal for ground-state-only detection: pipes K_00
-    through the numeric Talbot bridge into the fringe synthesis."""
-    source = talbot.KernelSource(rabi_solve(config).kernel,
-                                 f"rabi,area={config.pulse_area / math.pi:g}pi",
-                                 max(512, config.n_points))
+    """KDTLI fringe signal for ground-state-only detection: the coefficients
+    of `rabi_source` into the fringe synthesis."""
     cfg = nearfield.KdtliConfig(
         grating=None,
         open_fraction=open_fraction,
         talbot_parameter=talbot_parameter,
-        source=source,
+        source=rabi_source(config),
         n_shift=n_shift,
         j_max=j_max,
     )

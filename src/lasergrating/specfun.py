@@ -16,6 +16,7 @@ reference.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ SPECTRAL_MARGIN = 32          # orders kept between the decay width and N/2
 SPECTRAL_MAX_POINTS = 1 << 14
 SPECTRAL_TAIL = 1e-13         # largest |coefficient| allowed around order N/2
 SPECTRAL_BLOCK = 1 << 16      # samples (arguments x N) held at once
-LADDER_MAX_NODES = 128        # Gauss-Legendre nodes validated for the 1F1 rows
+LADDER_MAX_NODES = 128        # Gauss-Legendre nodes validated for DLMF 13.4.1
 
 
 @dataclass(frozen=True)
@@ -324,29 +325,58 @@ def exp_bessel_coeff(j: int, a, b, tol: SeriesTolerance = DEFAULT_TOL):
     return s if s.ndim else complex(s)
 
 
+def _legendre_p(n: int, x):
+    """(P_n(x), P_n'(x)) by the three-term recurrence, |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_legendre(n: int):
+    """n Gauss-Legendre nodes and weights on [0, 1], read-only: Newton on P_n
+    from cos(pi (k - 1/4) / (n + 1/2)), converged in four steps for every
+    n <= LADDER_MAX_NODES.  numpy's leggauss gives the same nodes but imports
+    numpy.polynomial, about 1.7 MB of resident memory per process."""
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(16):
+        step = np.divide(*_legendre_p(n, x))
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    w = 2.0 / ((1.0 - x * x) * _legendre_p(n, x)[1] ** 2)
+    s, w = 0.25 * (x - x[::-1]) + 0.5, 0.25 * (w + w[::-1])
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
+
+
+def legendre_unit_nodes(ell_max: int, reach: float):
+    """Gauss-Legendre nodes s and weights w on [0, 1] for the integrals
+    l int_0^1 s^(l-1) e^(zs) ds of DLMF 13.4.1, l <= ell_max, |z| <= reach.
+
+    The integrand is entire, so n = 16 + (ell_max + reach) / 2 nodes reach
+    round-off of l int_0^1 s^(l-1) |e^(zs)| ds for either sign of Re z.  The
+    rule is validated against mpmath up to LADDER_MAX_NODES nodes; beyond it
+    DomainError is raised.  Nodes are computed once per count (read-only)."""
+    if not math.isfinite(reach):
+        raise DomainError("Gauss-Legendre nodes need a finite reach")
+    n = 16 + int(0.5 * (ell_max + reach))
+    if n > LADDER_MAX_NODES:
+        raise DomainError(f"Gauss-Legendre rule needs {n} > {LADDER_MAX_NODES} nodes "
+                          f"(ell_max = {ell_max}, |z| up to {reach:.4g})")
+    return _unit_legendre(n)
+
+
 def hyp1f1_ladder_quad(ell_max: int, z) -> np.ndarray:
     """1F1(l; l+1; z) for l = 1 .. ell_max over a 1-D array z, shape
-    (ell_max, z.size).
-
-    DLMF 13.4.1 gives 1F1(l; l+1; z) = l int_0^1 s^(l-1) e^(zs) ds.  The
-    integrand is entire, so Gauss-Legendre quadrature on n = 16 + (ell_max +
-    max|z|) / 2 nodes reaches round-off of l int_0^1 s^(l-1) |e^(zs)| ds for
-    either sign of Re z, and every row comes from one (ell_max x n) @ (n x
-    z.size) product.  The rule is validated against mpmath up to
-    LADDER_MAX_NODES nodes; beyond it DomainError is raised.
-    """
+    (ell_max, z.size), by the Gauss-Legendre rule of `legendre_unit_nodes`
+    applied to DLMF 13.4.1, 1F1(l; l+1; z) = l int_0^1 s^(l-1) e^(zs) ds:
+    every row comes from one (ell_max x n) @ (n x z.size) product."""
     ell_max = int(ell_max)
     if ell_max < 1:
         raise DomainError("hyp1f1_ladder_quad requires ell_max >= 1")
     z = np.atleast_1d(np.asarray(z, complex)).ravel()
-    reach = float(np.max(np.abs(z), initial=0.0))
-    if not math.isfinite(reach):
-        raise DomainError("hyp1f1_ladder_quad needs finite z")
-    n = 16 + int(0.5 * (ell_max + reach))
-    if n > LADDER_MAX_NODES:
-        raise DomainError(f"hyp1f1_ladder_quad needs {n} > {LADDER_MAX_NODES} nodes "
-                          f"(ell_max = {ell_max}, |z| up to {reach:.4g})")
-    x, w = np.polynomial.legendre.leggauss(n)
-    s = 0.5 * (x + 1.0)
+    s, w = legendre_unit_nodes(ell_max, float(np.max(np.abs(z), initial=0.0)))
     ells = np.arange(1, ell_max + 1)[:, None]
-    return (0.5 * ells * w * s ** (ells - 1)) @ np.exp(np.multiply.outer(s, z))
+    return (ells * w * s ** (ells - 1)) @ np.exp(np.multiply.outer(s, z))

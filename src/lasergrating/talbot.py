@@ -4,10 +4,11 @@ Every coefficient source answers one array-valued call,
 pairs(orders, xi) -> B_{orders[k]}(xi[k]) for paired 1-D arrays:
 
 * `ClosedForm`: the unconditional closed form B_j(xi), its classical
-  random-walk variant, or the conditional closed form B_j(xi; l), all real;
-* `KernelSource`: the numeric Fourier reduction of a two-point kernel, the
-  bridge for dynamical models, with one FFT per unique kernel line; its
-  rows(orders, xi) gives the whole (orders x xi) table.
+  random-walk variant, the conditional closed form B_j(xi; l), or ("ladder")
+  the dynamical ladder kernel summed over every absorption count, all real;
+  `ladder_pairs` gives the ladder form over arrays of grating parameters;
+* `RankOneSource`: a rank-one kernel g(x) conj g(x'), such as the
+  ground-state kernel of the Rabi model, from one FFT of its factor g.
 
 The closed forms are Fourier coefficients of
 exp(a e^{it} + b e^{-it} + c) P(t)^l / l! with real a, b, c (l = 0 but for
@@ -17,6 +18,8 @@ spectral kernel `specfun.exp_fourier_rows`, once per xi array for all
 orders and counts.  The prefactor is folded into c, so the integrand has
 modulus <= 1 and nothing cancels at any phi0 or n0; an FFT size above its
 cap or an aliasing tail raises CutoffError (see `specfun.spectral_points`).
+The ladder form adds a Gauss-Legendre rule over the first-absorption
+fraction (`specfun.legendre_unit_nodes`, DomainError past its node cap).
 
 The closed forms depend on xi only through cos(pi xi) and sin(pi xi), and
 zeta_coh is odd in xi while zeta_abs and zeta_abs' are even, so
@@ -27,8 +30,8 @@ on the symmetric orders -m..m (`symmetric_rows`, which the far field calls
 on its own folded q), and each requested (j, xi) is gathered from that
 table.  No digits of sin(pi xi) are lost at large xi.
 
-`b_numeric_oracle`, the trapezoid of one coefficient over a kernel line, is
-the oracle of the tests.
+No route samples a kernel line: the numeric Fourier reduction of a sampled
+two-point kernel is the oracle of the tests, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -37,14 +40,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, ResolutionError
-from .grating import MeasurementProfile, m_ell, poisson_ell_max
+from .errors import CutoffError, DomainError, InvalidInputError
+from .grating import poisson_ell_max
 from .params import GratingParameters
-from .specfun import exp_fourier_rows, spectral_points
+from .specfun import SPECTRAL_TAIL, exp_fourier_rows, legendre_unit_nodes, spectral_points
 
 VARIANTS = ("quantum", "classical")
-NYQUIST_MARGIN = 32
-LINE_BLOCK = 1 << 14  # kernel pairs per evaluator call of KernelSource.rows
+KINDS = VARIANTS + ("ladder",)  # string kinds of a closed-form source
 
 
 def zeta(xi, grating: GratingParameters):
@@ -77,10 +79,14 @@ def symmetric_rows(m: int, distinct, kind, grating: GratingParameters) -> np.nda
     """Closed-form B_j for j = -m..m at xi already folded onto [0, 1] (the
     `distinct` of `fold_xi`): shape (2m + 1, len(distinct)), with a leading
     count axis for a sequence of counts.  `kind` is "quantum", "classical",
-    a count or a sequence of counts; one exp_fourier_rows call."""
+    "ladder" (the dynamical ladder kernel summed over counts), a count or a
+    sequence of counts; one exp_fourier_rows call, two for "ladder"."""
     if isinstance(kind, str):
-        if kind not in VARIANTS:
+        if kind not in KINDS:
             raise InvalidInputError(f"unknown variant {kind!r}")
+        if kind == "ladder":
+            g = grating
+            return _ladder_rows(m, distinct, g.phi0, g.n0, g.eta_p, g.eta_a)
     elif np.any(np.asarray(kind) < 0):
         raise InvalidInputError("absorption count must be >= 0")
     za, zc, zap = zeta(distinct, grating)
@@ -146,14 +152,14 @@ def b_unconditional(j: int, xi, grating: GratingParameters, variant: str = "quan
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Closed-form coefficient source; `kind` is "quantum", "classical" or an
-    absorption count l >= 0."""
+    """Closed-form coefficient source; `kind` is "quantum", "classical",
+    "ladder" or an absorption count l >= 0."""
 
     grating: GratingParameters
     kind: object = "quantum"
 
     def __post_init__(self):
-        if not (self.kind in VARIANTS
+        if not (self.kind in KINDS
                 or (isinstance(self.kind, (int, np.integer)) and self.kind >= 0)):
             raise InvalidInputError(f"cannot resolve coefficient source {self.kind!r}")
 
@@ -166,82 +172,82 @@ class ClosedForm:
         return _folded(np.asarray(orders, int).ravel(), xi, self.kind, self.grating)
 
 
-def _check_grid(n_points: int, j_max: int):
-    if n_points < 512:
-        raise ResolutionError("kernel must be sampled on >= 512 points per period")
-    if n_points // 2 < j_max + NYQUIST_MARGIN:
-        raise ResolutionError(
-            f"grid Nyquist order {n_points // 2} < |j| + {NYQUIST_MARGIN}")
+def _ladder_rows(m: int, r, phi0, n0, eta_p, eta_a) -> np.ndarray:
+    """Summed-ladder B_j for j = -m..m at xi folded onto [0, 1], grating
+    parameters broadcast against r: shape (2m + 1, len(r)).  F_j[l = 0] plus
+    sum_k w_k F_j[s_k; count 1] over Gauss-Legendre nodes s_k of the
+    first-absorption fraction, |w| <= |eta_p - 1| |phi0| + |eta_a - 1| n0 +
+    eta_a n0.  At s the exponent has a + b = (beta_s - nu_s cos pi xi)/2,
+    a - b = phi_s sin pi xi, c = (beta_s cos pi xi - nu_s)/2 and real part
+    <= 0, with phi_s = phi0 (1 + s (eta_p - 1)), nu_s = n0 (1 + s (eta_a - 1)),
+    beta_s = s eta_a n0; y = n0 c c' is P(t) = n0 (cos pi xi + cos t)/2."""
+    r, phi0, n0, eta_p, eta_a = (v[:, None] for v in np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, float)) for v in (r, phi0, n0, eta_p, eta_a))))
+    if np.any(n0 < 0) or np.any(eta_a < 0):
+        raise InvalidInputError("the ladder kernel needs n0 >= 0 and eta_a >= 0")
+    reach = float(np.max(np.abs(eta_p - 1.0) * np.abs(phi0) + np.abs(eta_a - 1.0) * n0
+                         + eta_a * n0, initial=0.0))
+    s, w = legendre_unit_nodes(1, reach)
+    cos, sin = np.cos(np.pi * r), np.sin(np.pi * r)
+    symmetric = np.arange(-m, m + 1)
+    # s = 0, no absorption: the l = 0 exponent of symmetric_rows
+    za, zc = 0.5 * n0 * cos, phi0 * sin
+    rows = exp_fourier_rows(symmetric, 0.5 * (zc - za), -0.5 * (zc + za), -0.5 * n0)
+    phi_s = phi0 * (1.0 + s * (eta_p - 1.0))
+    nu_s = n0 * (1.0 + s * (eta_a - 1.0))
+    beta_s = s * (eta_a * n0)
+    apb, amb = 0.5 * (beta_s - nu_s * cos), phi_s * sin
+    first = exp_fourier_rows(symmetric, 0.5 * (apb + amb), 0.5 * (apb - amb),
+                             0.5 * (beta_s * cos - nu_s), 1, za, 0.5 * n0)
+    return rows + (first.reshape(symmetric.size, r.size, s.size) * w).sum(axis=2)
+
+
+def ladder_pairs(orders, xi, phi0, n0, eta_p=1.0, eta_a=1.0) -> np.ndarray:
+    """B_{orders[k]}(xi[k]) of the ladder kernel summed over every absorption
+    count (see `dynamics`), with orders, xi and the grating parameters
+    broadcast together: a curve over gratings is one call."""
+    orders, xi, *grating = (v.ravel() for v in np.broadcast_arrays(
+        np.asarray(orders, int), *(np.asarray(v, float) for v in (xi, phi0, n0, eta_p, eta_a))))
+    distinct, index, flip = fold_xi(xi)
+    m = int(np.max(np.abs(orders), initial=0))
+    table = _ladder_rows(m, distinct[index], *grating)
+    return table[np.where(flip, -orders, orders) + m, np.arange(orders.size)]
 
 
 @dataclass
-class KernelSource:
-    """Numeric Fourier coefficients of a two-point kernel as a source.
+class RankOneSource:
+    """Talbot coefficients of K(x, x') = g(x) conj g(x') for an even factor g
+    of period 1, |g| <= 1, g = sum_m a_m e^{2 pi i m x}: real B_j(xi) =
+    e^{i pi j xi} sum_m a_m conj(a_{m-j}) e^{-2 pi i m xi}, which has the
+    period and parity of `fold_xi`.  The a_m come from one FFT of `factor`
+    on N = spectral_points(reach, 0) points, |a_m| decaying beyond |m| ~
+    reach; a coefficient above SPECTRAL_TAIL around order N/2 raises
+    CutoffError."""
 
-    `kernel` is anything with pair_values(x, xp): a TwoPointKernel, one of
-    its channels, or a RabiKernel.  rows() samples K(u - xi/2, u + xi/2) on
-    n_points values of u for each unique xi, in blocks of LINE_BLOCK pairs
-    per kernel call, and takes one FFT per line.
-    """
+    factor: object
+    reach: float
+    label: str = "rank-one"
 
-    kernel: object
-    label: str = "kernel"
-    n_points: int = 512
-
-    def _line_rows(self, orders, xi):
-        """(table, inverse): the rows of `orders` on the distinct lines of
-        xi, and the index of each xi among those lines."""
-        orders = np.asarray(orders, int).ravel()
-        n = self.n_points
-        _check_grid(n, int(np.max(np.abs(orders))))
-        lines, inverse = np.unique(np.asarray(xi, float).ravel(), return_inverse=True)
-        u = np.arange(n) / n
-        out = np.empty((orders.size, lines.size), complex)
-        step = max(1, LINE_BLOCK // n)
-        for i in range(0, lines.size, step):
-            half = 0.5 * lines[i:i + step, None]
-            vals = self.kernel.pair_values((u - half).ravel(), (u + half).ravel())
-            spec = np.fft.fft(vals.reshape(-1, n), axis=1)
-            out[:, i:i + step] = spec[:, orders % n].T / n
-        return out, inverse
-
-    def rows(self, orders, xi) -> np.ndarray:
-        out, inverse = self._line_rows(orders, xi)
-        return out[:, inverse]
+    def __post_init__(self):
+        n = spectral_points(self.reach, 0)
+        a = np.fft.fftshift(np.fft.fft(self.factor(np.arange(n) / n), norm="forward"))
+        tail = float(np.max(np.abs(np.concatenate((a[:5], a[-4:])))))
+        if tail > SPECTRAL_TAIL:
+            raise CutoffError(f"rank-one factor aliases: |a_m| = {tail:.2e} near order "
+                              f"N/2 = {n // 2} exceeds {SPECTRAL_TAIL:.0e}")
+        self._a = a  # a_m for m = -N/2 .. N/2 - 1
 
     def pairs(self, orders, xi) -> np.ndarray:
-        """B_{orders[k]}(xi[k]) for paired 1-D arrays, gathered from the rows
-        of the order range spanning 0 and every requested order, on the
-        distinct lines; a range, not np.unique, so the orders need no sort."""
-        orders = np.asarray(orders, int).ravel()
-        lo = int(np.min(orders, initial=0))
-        span = np.arange(lo, int(np.max(orders, initial=0)) + 1)
-        out, inverse = self._line_rows(span, xi)
-        return out[orders - lo, inverse]
-
-
-def _kernel_line(kernel, xi: float, n_points: int):
-    """Sample K(u - xi/2, u + xi/2) on the uniform period grid."""
-    u = np.arange(n_points) / n_points
-    if isinstance(kernel, MeasurementProfile):
-        return m_ell(u - 0.5 * xi, kernel) * np.conj(m_ell(u + 0.5 * xi, kernel))
-    if hasattr(kernel, "pair_values"):
-        return kernel.pair_values(u - 0.5 * xi, u + 0.5 * xi)
-    return kernel(u - 0.5 * xi, u + 0.5 * xi)
-
-
-def b_numeric_oracle(j: int, xi: float, kernel, n_points: int = 512):
-    """Numeric Fourier definition of B_j(xi): trapezoid (= uniform mean) of
-    e^{-2 pi i j u} K(u - xi/2, u + xi/2) over one period.
-
-    `kernel` may be a MeasurementProfile, an object with pair_values(x, xp),
-    or a plain callable K(x, xp).
-    """
-    j = int(j)
-    _check_grid(n_points, abs(j))
-    vals = _kernel_line(kernel, xi, n_points)
-    u = np.arange(n_points) / n_points
-    return complex(np.mean(vals * np.exp(-2j * np.pi * j * u)))
+        """B_{orders[k]}(xi[k]) for paired 1-D arrays."""
+        distinct, index, flip = fold_xi(xi)
+        j = np.asarray(orders, int).ravel()
+        j = np.where(flip, -j, j)[:, None]
+        a, half = self._a, self._a.size // 2
+        m = np.arange(-half, half)
+        k = m - j + half  # position of a_{m-j}, zero outside the band
+        shifted = np.where((k >= 0) & (k < a.size), a[np.clip(k, 0, a.size - 1)], 0.0)
+        phase = np.exp(1j * np.pi * ((j - 2 * m) * distinct[index][:, None]))
+        return (a * np.conj(shifted) * phase).sum(axis=1).real
 
 
 @dataclass

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import b_numeric_oracle
 from lasergrating import dynamics, farfield, nearfield, rabi, talbot
 from lasergrating.cli import main as cli_main
 from lasergrating.grating import MeasurementProfile, m_ell
@@ -103,8 +104,7 @@ def test_criterion_05_talbot_oracle_triangle():
             closed = complex(talbot.b_unconditional(j, xi, g))
             summed = sum(complex(talbot.b_conditional(j, xi, ell, g))
                          for ell in range(ell_max + 1))
-            oracle = talbot.b_numeric_oracle(j, xi, dynamics.poisson_kernel(g),
-                                             n_points=1024)
+            oracle = b_numeric_oracle(j, xi, dynamics.poisson_kernel(g), n_points=1024)
             assert abs(closed - summed) < 1e-7
             assert abs(summed - oracle) < 1e-7
             assert abs(oracle - closed) < 1e-7
@@ -168,11 +168,8 @@ def test_criterion_07_dynamics_closure():
         def vis(eta_p, eta_a):
             g = GratingParameters(phi0=1.25 * 4.0, n0=4.0,
                                   eta_p=eta_p, eta_a=eta_a)
-            kern = dynamics.ladder_analytic(
-                dynamics.LadderConfig(g, envelope="constant"))
-            src = dynamics.kernel_source(kern, "sum")
             return nearfield.sinusoidal_visibility(
-                nearfield.KdtliConfig(None, F42, 2.2, source=src))
+                nearfield.KdtliConfig(g, F42, 2.2, source="ladder"))
 
         v_ref, v_pol, v_abs = vis(1.0, 1.0), vis(1.5, 1.0), vis(1.0, 1.5)
         assert abs(v_pol - v_ref) > abs(v_abs - v_ref)

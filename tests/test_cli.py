@@ -298,9 +298,9 @@ def test_import_keeps_process_pool_out():
 def test_kdtli_phi0_45_matches_kernel_fft(tmp_path):
     """At phi0 = 45 the series closed form returned a min-max visibility of
     0.499 without an error; the kernel FFT gives 0.0726."""
+    from oracles import b_numeric_oracle
     from lasergrating.dynamics import poisson_kernel
     from lasergrating.params import GratingParameters
-    from lasergrating.talbot import b_numeric_oracle
     cfg = tmp_path / "phi0_45.cfg"
     cfg.write_text("[grating]\nphi0 = 45.0\nn0 = 0.5\n\n"
                    "[interferometer]\ntalbot_parameter = 0.77\nopen_fraction = 0.42\n")
@@ -454,6 +454,75 @@ def test_rabi_command(tmp_path):
     assert np.max(np.abs(total - 1.0)) < 1e-8
     _, _, srows = read_csv(out / "rabi_kdtli.csv")
     assert len(srows) == 512
+
+
+def test_ladder_sweep_at_phi0_400_matches_fine_reference(tmp_path):
+    """At phi0 = 400, eta_p = 1.3 the 512-point kernel lines aliased and the
+    written visibilities were off by 8.1e-3 with exit 0; the closed form
+    matches the summed kernel sampled on 16384 points."""
+    from oracles import KernelSource, SummedLadderKernel
+    from lasergrating.params import GratingParameters
+    cfg = tmp_path / "ladder.cfg"
+    cfg.write_text("[grating]\nphi0 = 400\nn0 = 2.0\neta_p = 1.3\n\n"
+                   "[interferometer]\ntalbot_parameter = 1.0\nopen_fraction = 0.42\n")
+    out = tmp_path / "run"
+    assert run(["ladder", "--config", cfg, "--out", out,
+                "--sweep", "talbot_parameter=0.05:4:80"]) == 0
+    _, _, rows = read_csv(out / "ladder_visibility.csv")
+    lts, vis = np.array(rows).T
+    src = KernelSource(SummedLadderKernel(GratingParameters(400.0, 2.0, eta_p=1.3)),
+                       n_points=16384)
+    b = src.pairs(np.repeat([0, 2], [1, lts.size]), np.concatenate(([0.0], lts)))
+    ref = 2.0 * np.sinc(0.42) ** 2 * (b[1:] / b[0]).real
+    assert np.max(np.abs(vis - ref)) < 1e-10
+
+
+@pytest.mark.parametrize("command, text", [
+    # |w| up to 500 needs 266 > 128 Gauss-Legendre nodes
+    ("ladder", "[grating]\nphi0 = 1000\nn0 = 1.0\neta_p = 1.5\n"),
+    # spectral FFT size above its cap
+    ("ladder", "[grating]\nphi0 = 1e5\nn0 = 1.0\n"),
+    ("rabi", "[rabi]\npulse_area_pi = 1e5\n"),
+])
+def test_dynamical_caps_exit_code(command, text, tmp_path):
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text(text + "\n[interferometer]\ntalbot_parameter = 2.0\nopen_fraction = 0.1\n")
+    args = [command, "--config", cfg, "--out", tmp_path / "run"]
+    assert run(args + (["--sweep", "talbot_parameter=0.5:2:3"] if command == "ladder" else [])) == 3
+
+
+def test_rabi_lifetime_below_closed_form_range_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "rabi.cfg"
+    cfg.write_text(RABI_CFG.replace("lifetime_tl = 1.0", "lifetime_tl = 1e-4"))
+    assert run(["rabi", "--config", cfg, "--out", tmp_path / "run"]) == 3
+    err = capsys.readouterr().err
+    assert "lifetime_tl = 0.0001" in err and "tau < t/2800" in err
+
+
+def test_commands_and_figures_import_no_scipy(beam_cfg, grating_cfg, tmp_path):
+    """Production routes need numpy alone: every command and figures 1, 2,
+    4, 5 and 6, run in one process, load no scipy module."""
+    (tmp_path / "rabi.cfg").write_text(RABI_CFG)
+    (tmp_path / "ff.cfg").write_text("[grating]\nphi0 = 2.5\nn0 = 2.0\n\n[farfield]\n"
+                                     "collimator_ratio = 4\nscreen_points = 401\nscreen_max = 1.5\n")
+    (tmp_path / "ladder.cfg").write_text(GRATING_CFG + "\n[ladder]\nkernel_xi = 0.3\n")
+    runs = [["derive-params", "--config", beam_cfg],
+            ["talbot", "--config", grating_cfg, "--ell", "all"],
+            ["kdtli", "--config", grating_cfg, "--sweep", "talbot_parameter=0.5:2:3"],
+            ["farfield", "--config", tmp_path / "ff.cfg", "--ell", "all"],
+            ["ladder", "--config", tmp_path / "ladder.cfg",
+             "--sweep", "talbot_parameter=0.5:2:3"],
+            ["rabi", "--config", tmp_path / "rabi.cfg"]]
+    runs += [["figure", fig] for fig in ("1", "2", "4", "5", "6")]
+    code = ("import sys\nfrom lasergrating.cli import main\n"
+            f"for k, args in enumerate({[[str(a) for a in r] for r in runs]!r}):\n"
+            f"    assert main(args + ['--out', {str(tmp_path)!r} + f'/run{{k}}']) == 0, args\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_figure_command_requires_valid_id(tmp_path):

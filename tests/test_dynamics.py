@@ -1,5 +1,6 @@
 """Ladder master equation: ODE route vs closed forms vs the first-absorption
-quadrature representation, and the Talbot bridge."""
+quadrature representation, and the closed-form Talbot coefficients against
+the sampled oracle."""
 
 import math
 
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from csvio import read_csv
+from oracles import (KernelSource, SummedLadderKernel, b_numeric_oracle, channel,
+                     kernel_source)
 from lasergrating import talbot
-from lasergrating.dynamics import (LadderConfig, kernel_source, ladder_analytic,
-                                   ladder_ode_solve, poisson_kernel, t1_integral_kernel)
+from lasergrating.dynamics import (LadderConfig, ladder_analytic, ladder_ode_solve,
+                                   poisson_kernel, t1_integral_kernel)
 from lasergrating.errors import InvalidInputError
 from lasergrating.grating import MeasurementProfile, m_ell
 from lasergrating.nearfield import KdtliConfig, sinusoidal_visibility
@@ -136,19 +139,20 @@ def test_ode_matches_hypergeometric_form(eta_p, eta_a):
 @pytest.mark.parametrize("phi0", [1.875, 20.0, 60.0, 100.0])
 @pytest.mark.parametrize("eta_p,eta_a", [(1.5, 1.0), (1.0, 1.5), (0.5, 0.7)])
 def test_summed_kernel_matches_expm(phi0, eta_p, eta_a):
-    """The untruncated sum over l against exp(A) at ell_max = 70, and the
-    channels (cut at the Poisson tail) against the same reference;
-    eta_a = 0.7 makes Re z > 0."""
+    """The untruncated sum over l (the oracle the summed coefficients are
+    checked against) against exp(A) at ell_max = 70, and the channels (cut
+    at the Poisson tail) against the same reference; eta_a = 0.7 makes
+    Re z > 0."""
     g = GratingParameters(phi0=phi0, n0=1.5, eta_p=eta_p, eta_a=eta_a)
     kern = ladder_analytic(LadderConfig(g, envelope="constant"))
     ref = expm_reference(g, X, XP)
-    assert np.max(np.abs(kern.pair_values(X, XP) - ref.sum(axis=0))) < 1e-13
+    assert np.max(np.abs(SummedLadderKernel(g).pair_values(X, XP) - ref.sum(axis=0))) < 1e-13
     chans = kern.channel_values(X, XP)
     assert np.max(np.abs(chans - ref[:chans.shape[0]])) < 1e-13
 
 
 def test_summed_kernel_at_eta_one_is_unconditional():
-    kern = ladder_analytic(LadderConfig(G_ETA, envelope="constant"))
+    kern = SummedLadderKernel(G_ETA)
     c2, cp2 = np.cos(np.pi * X) ** 2, np.cos(np.pi * XP) ** 2
     cc = np.cos(np.pi * X) * np.cos(np.pi * XP)
     ref = np.exp(1j * G_ETA.phi0 * (c2 - cp2) - G_ETA.n0 * (c2 + cp2) / 2 + G_ETA.n0 * cc)
@@ -158,11 +162,10 @@ def test_summed_kernel_at_eta_one_is_unconditional():
 def test_summed_kernel_at_w_zero():
     """w = 0 (no absorption; a node pair) takes the limit 1 of expm1(w)/w
     without a division warning."""
-    kern = ladder_analytic(LadderConfig(GratingParameters(phi0=1.3, n0=0.0),
-                                        envelope="constant"))
+    kern = SummedLadderKernel(GratingParameters(phi0=1.3, n0=0.0))
     c2, cp2 = np.cos(np.pi * X) ** 2, np.cos(np.pi * XP) ** 2
     assert np.max(np.abs(kern.pair_values(X, XP) - np.exp(1.3j * (c2 - cp2)))) < 1e-15
-    kern = ladder_analytic(LadderConfig(G_ETA, envelope="constant"))
+    kern = SummedLadderKernel(G_ETA)
     assert kern.pair_values(np.array([0.5]), np.array([0.5]))[0] == pytest.approx(1.0, abs=1e-15)
 
 
@@ -212,53 +215,64 @@ def test_t1_integral_rejects_ell_zero():
 
 
 # ---------------------------------------------------------------------------
-# Talbot bridge
+# closed-form coefficients and the sampled oracle
 # ---------------------------------------------------------------------------
 
 def test_poisson_kernel_coefficients_match_closed_form():
     kern = poisson_kernel(G1, ell_max=16)
     for ell in (0, 1, 2):
         for (j, xi) in ((0, 0.0), (2, 0.5), (-3, 1.3)):
-            num = talbot.b_numeric_oracle(j, xi, kern.channel(ell))
+            num = b_numeric_oracle(j, xi, channel(kern, ell))
             ref = complex(talbot.b_conditional(j, xi, ell, G1))
             assert num == pytest.approx(ref, abs=1e-8)
     # channel-summed kernel reproduces the unconditional coefficients
-    num = talbot.b_numeric_oracle(2, 0.7, kern)
+    num = b_numeric_oracle(2, 0.7, kern)
     assert num == pytest.approx(complex(talbot.b_unconditional(2, 0.7, G1)), abs=1e-8)
 
 
 def test_identity_kernel_gives_delta():
     g0 = GratingParameters(phi0=0.0, n0=0.0)
     kern = poisson_kernel(g0, ell_max=0)
-    assert talbot.b_numeric_oracle(0, 0.3, kern) == pytest.approx(1.0, abs=1e-13)
-    assert talbot.b_numeric_oracle(2, 0.3, kern) == pytest.approx(0.0, abs=1e-13)
+    assert b_numeric_oracle(0, 0.3, kern) == pytest.approx(1.0, abs=1e-13)
+    assert b_numeric_oracle(2, 0.3, kern) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_kernel_to_talbot_table():
+    """The summed-ladder closed form at eta = 1 against the unconditional
+    closed form and the sampled summed kernel; one sampled channel against
+    the conditional closed form."""
     kern = ladder_analytic(tight(G1, "constant", ell_max=10))
-    xi = np.array([0.0, 0.5, 1.3])
-    orders = np.arange(-4, 5)
-    total = kernel_source(kern, "sum").rows(orders, xi)
-    one = kernel_source(kern, 1).rows(orders, xi)
-    for ix, x in enumerate(xi):
-        for ij, j in enumerate(orders):
-            ref = complex(talbot.b_unconditional(int(j), float(x), G1))
-            assert total[ij, ix] == pytest.approx(ref, abs=1e-8)
-            ref0 = complex(talbot.b_conditional(int(j), float(x), 1, G1))
-            assert one[ij, ix] == pytest.approx(ref0, abs=1e-8)
+    orders, xi = (v.ravel() for v in np.meshgrid(np.arange(-4, 5), [0.0, 0.5, 1.3]))
+    total = talbot.ClosedForm(G1, "ladder").pairs(orders, xi)
+    sampled = KernelSource(SummedLadderKernel(G1)).pairs(orders, xi)
+    one = kernel_source(kern, 1).pairs(orders, xi)
+    for k, (j, x) in enumerate(zip(orders.tolist(), xi.tolist())):
+        ref = complex(talbot.b_unconditional(j, x, G1))
+        assert total[k] == pytest.approx(ref, abs=1e-8)
+        assert total[k] == pytest.approx(sampled[k], abs=1e-13)
+        ref0 = complex(talbot.b_conditional(j, x, 1, G1))
+        assert one[k] == pytest.approx(ref0, abs=1e-8)
 
 
 def test_kernel_source_one_line_per_unique_xi():
-    kern = ladder_analytic(tight(G1, "constant", ell_max=10))
+    """The sampled oracle evaluates each distinct kernel line once, in one
+    kernel call, and labels a channel source."""
     pairs = []
-    total = kern.total
-    kern.total = lambda x, xp: pairs.append(x.size) or total(x, xp)
-    src = kernel_source(kern, "sum")
+    summed = SummedLadderKernel(G1)
+
+    class Counting:
+        model = "counting"
+
+        def pair_values(self, x, xp):
+            pairs.append(x.size)
+            return summed.pair_values(x, xp)
+
+    src = kernel_source(Counting(), "sum")
     tab = src.rows([2, 0], [0.5, 0.0, 0.5])
     assert pairs == [2 * 512]          # two unique lines, one kernel call
     assert tab[0, 0] == tab[0, 2]
     assert tab[0, 0] == pytest.approx(complex(talbot.b_unconditional(2, 0.5, G1)), abs=1e-8)
-    child = kernel_source(kern, 0)
+    child = kernel_source(ladder_analytic(tight(G1, "constant", ell_max=10)), 0)
     assert child.label.endswith("ell=0")
     assert child.rows([0], [0.0])[0, 0] == pytest.approx(
         complex(talbot.b_conditional(0, 0.0, 0, G1)), abs=1e-10)
@@ -285,9 +299,7 @@ def test_kernel_line_csv(tmp_path):
 
 def eta_visibility(n0, eta_p, eta_a, lt=2.2, f=0.42):
     g = GratingParameters(phi0=1.25 * n0, n0=n0, eta_p=eta_p, eta_a=eta_a)
-    kern = ladder_analytic(LadderConfig(g, envelope="constant"))
-    src = kernel_source(kern, "sum")
-    return sinusoidal_visibility(KdtliConfig(None, f, lt, source=src))
+    return sinusoidal_visibility(KdtliConfig(g, f, lt, source="ladder"))
 
 
 def test_polarizability_change_matters_more_than_absorption_change():

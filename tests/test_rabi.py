@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lasergrating.errors import InvalidInputError, RegimeError
+from oracles import KernelSource
+from lasergrating.errors import CutoffError, DomainError, InvalidInputError, RegimeError
 from lasergrating.rabi import (RabiConfig, amplitudes, ground_amplitude, rabi_kdtli,
-                               rabi_short_lifetime_limit, rabi_solve,
+                               rabi_short_lifetime_limit, rabi_solve, rabi_source,
                                short_lifetime_parameters, solve_pairs)
 
 XS = np.linspace(-0.5, 0.5, 13)
@@ -266,6 +269,29 @@ def test_rabi_kdtli_signal_real_nonnegative_and_structured():
     assert np.min(sig.values) >= 0.0
     amps = sig.harmonic_amplitudes()
     assert amps[1] / amps[0] > 0.5  # strong first harmonic at 2 pi pulses
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(2.0, 20.0), st.floats(-0.5, 0.5), st.floats(-2.5, 0.5),
+       st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+@example(2.0, 0.0, None, [0.0, 2.0])     # exceptional point at the antinode
+@example(20.0, 0.5, None, [0.77, -1.3])
+@example(20.0, -0.5, -2.5, [2.0])
+def test_rabi_source_matches_sampled_kernel(area_pi, detuning, log_tau, xi):
+    """The rank-one coefficients from 2 pi to 20 pi pulses, detuning +-0.5
+    and lifetimes from 0.003 t_L to 3 t_L, through the exceptional point
+    W = 1/(2 tau) (log_tau None: tau = 1/(2 pulse_area)), against the FFT of
+    the K_00 lines at 4096 points: 1e-13, or a typed error."""
+    area = area_pi * math.pi
+    tau = 0.5 / area if log_tau is None else 10.0 ** log_tau
+    config = RabiConfig(pulse_area=area, detuning=detuning, lifetime=tau)
+    orders, x = (v.ravel() for v in np.meshgrid(np.arange(-48, 49), xi))
+    try:
+        got = rabi_source(config).pairs(orders, x)
+    except (DomainError, CutoffError):
+        return
+    ref = KernelSource(rabi_solve(config).kernel, n_points=4096).pairs(orders, x)
+    assert np.max(np.abs(got - ref)) < 1e-13
 
 
 def test_config_validation():

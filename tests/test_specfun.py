@@ -12,7 +12,8 @@ from scipy.integrate import quad
 from lasergrating.errors import CutoffError, DomainError
 from lasergrating.specfun import (SPECTRAL_MAX_POINTS, SeriesTolerance, bessel_i_complex,
                                   bessel_j, exp_bessel_coeff, exp_fourier_rows,
-                                  hyp1f1_ladder_quad, sinc, spectral_points)
+                                  hyp1f1_ladder_quad, legendre_unit_nodes, sinc,
+                                  spectral_points)
 
 mpmath.mp.dps = 40
 
@@ -351,6 +352,34 @@ def test_hyp1f1_rejects_bad_input():
     with pytest.raises(DomainError):
         hyp1f1_ladder_quad(2, [complex(math.nan, 0.0)])
     assert hyp1f1_ladder_quad(24, [200.0j]).shape == (24, 1)
+
+
+def test_legendre_nodes_are_one_rule_cached_per_count():
+    """16 + (ell_max + reach)/2 nodes on [0, 1], computed once per count and
+    read-only; past 128 nodes a DomainError."""
+    s, w = legendre_unit_nodes(1, 3.0)
+    assert s.size == 18 and w.sum() == pytest.approx(1.0, abs=1e-15)
+    assert 0.0 < s.min() and s.max() < 1.0
+    again = legendre_unit_nodes(2, 2.5)
+    assert again[0] is s and again[1] is w
+    assert not s.flags.writeable and not w.flags.writeable
+    with pytest.raises(DomainError):
+        legendre_unit_nodes(1, 226.0)
+    with pytest.raises(DomainError):
+        legendre_unit_nodes(1, math.inf)
+
+
+@pytest.mark.parametrize("n", [16, 17, 40, 77, 128])
+def test_legendre_nodes_integrate_polynomials_exactly(n):
+    """Every node count the rule can pick: nodes as numpy's leggauss, and
+    the rule exact for s^k, k <= 2n - 1, on [0, 1]."""
+    s, w = legendre_unit_nodes(2 * (n - 16), 0.0)
+    assert s.size == n
+    x = np.polynomial.legendre.leggauss(n)[0]
+    assert np.max(np.abs(s - 0.5 * (x + 1.0))) < 2e-16
+    k = np.arange(2 * n)
+    moments = (w * s ** k[:, None]).sum(axis=1)
+    assert np.max(np.abs(moments * (k + 1) - 1.0)) < 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csvio import read_csv
+from oracles import KernelSource, SummedLadderKernel, b_numeric_oracle, channel
 from lasergrating.cli import _talbot_blocks
 from lasergrating.dynamics import poisson_kernel
 from lasergrating.errors import CutoffError, DomainError, InvalidInputError, ResolutionError
@@ -18,9 +19,9 @@ from lasergrating import farfield, talbot
 from lasergrating.output import write_csv
 from lasergrating.params import GratingParameters
 from lasergrating.specfun import exp_fourier_rows
-from lasergrating.talbot import (ClosedForm, KernelSource, b_conditional, b_numeric_oracle,
-                                 b_unconditional, build_coefficient_table,
-                                 conditional_rows, fold_xi, unconditional_rows, zeta)
+from lasergrating.talbot import (ClosedForm, RankOneSource, b_conditional, b_unconditional,
+                                 build_coefficient_table, conditional_rows, fold_xi,
+                                 ladder_pairs, unconditional_rows, zeta)
 
 mpmath.mp.dps = 30
 
@@ -204,7 +205,7 @@ def test_numeric_row_matches_single_calls():
     prof = MeasurementProfile(G, 1)
     xi = np.concatenate((np.linspace(-1.0, 1.0, 41), [0.6, 0.6]))
     orders = np.arange(-5, 6)
-    tab = KernelSource(poisson_kernel(G, ell_max=3).channel(1)).rows(orders, xi)
+    tab = KernelSource(channel(poisson_kernel(G, ell_max=3), 1)).rows(orders, xi)
     assert tab.shape == (orders.size, xi.size)
     for ix, x in enumerate(xi):
         for ij, j in enumerate(orders):
@@ -283,8 +284,8 @@ def test_closed_forms_match_oracle_at_large_phi0(phi0):
     orders = np.arange(-140, 141, 10)
     cases = [(unconditional_rows(orders, xi, g, "quantum"), summed),
              (unconditional_rows(orders, xi, g, "classical"), mirror),
-             (conditional_rows(orders, xi, 0, g), channels.channel(0)),
-             (conditional_rows(orders, xi, 2, g), channels.channel(2))]
+             (conditional_rows(orders, xi, 0, g), channel(channels, 0)),
+             (conditional_rows(orders, xi, 2, g), channel(channels, 2))]
     for tab, oracle in cases:
         for ix, x in enumerate(xi):
             ref = np.array([b_numeric_oracle(j, x, oracle, 4096) for j in orders])
@@ -461,3 +462,87 @@ def test_farfield_evaluates_each_folded_q_once(monkeypatch):
         assert len(kinds) == (1 if ells == [None] else 2)
         for kind in kinds:
             assert sum(n for k, n in seen if k == kind) <= fc.q_points_per_unit + 1
+
+
+# ---------------------------------------------------------------------------
+# dynamical closed forms against the sampled oracle
+# ---------------------------------------------------------------------------
+
+def ladder_gap(g, orders, xi, n_points=4096):
+    """Largest |closed form - sampled summed-ladder kernel| over orders x xi."""
+    o, x = (v.ravel() for v in np.meshgrid(orders, xi))
+    got = ClosedForm(g, "ladder").pairs(o, x)
+    ref = KernelSource(SummedLadderKernel(g), n_points=n_points).pairs(o, x)
+    return np.max(np.abs(got - ref))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(-100.0, 100.0), st.floats(0.0, 20.0), st.floats(0.0, 2.0),
+       st.floats(0.0, 2.0), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+@example(100.0, 20.0, 2.0, 2.0, [0.0, 0.77])
+@example(100.0, 20.0, 0.0, 0.0, [1.0, 2.2])
+@example(-60.0, 5.0, 1.3, 0.5, [0.13, -1.54])
+def test_ladder_closed_form_matches_sampled_kernel(phi0, n0, eta_p, eta_a, xi):
+    """The summed-ladder coefficients, up to phi0 = 100 and n0 = 20 with
+    eta_p - 1 and eta_a - 1 of either sign, against the FFT of the summed
+    kernel line at 4096 points: 1e-13 of the unit scale, or a typed error."""
+    g = GratingParameters(phi0=phi0, n0=n0, eta_p=eta_p, eta_a=eta_a)
+    try:
+        gap = ladder_gap(g, np.arange(-8, 9), xi)
+    except (DomainError, CutoffError):
+        return
+    assert gap < 1e-13
+
+
+def test_ladder_at_eta_one_is_unconditional():
+    orders, xi = (v.ravel() for v in np.meshgrid(np.arange(-6, 7), [0.0, 0.3, 1.7, 2.2]))
+    got = ClosedForm(G, "ladder").pairs(orders, xi)
+    assert np.max(np.abs(got - ClosedForm(G).pairs(orders, xi))) < 1e-15
+    assert ClosedForm(G, "ladder").label == "ladder"
+
+
+def test_ladder_pairs_over_grating_arrays():
+    """One call over an array of gratings agrees with one source per grating
+    (the node count follows the largest reach, so only to round-off)."""
+    n0 = np.linspace(0.02, 4.0, 7)
+    orders, xi = np.repeat([0, 2, -3], n0.size), np.repeat([0.0, 2.2, -0.6], n0.size)
+    got = ladder_pairs(orders, xi, np.tile(1.25 * n0, 3), np.tile(n0, 3), 1.5, 1.2)
+    for k, (j, x, n) in enumerate(zip(orders, xi, np.tile(n0, 3))):
+        g = GratingParameters(phi0=1.25 * n, n0=n, eta_p=1.5, eta_a=1.2)
+        assert got[k] == pytest.approx(ClosedForm(g, "ladder").pairs([j], [x])[0], abs=1e-15)
+
+
+def test_ladder_caps_raise():
+    """Past the Gauss-Legendre node cap (|w| up to 500 needs 266 nodes) and
+    past the FFT size cap the ladder route raises, never returns numbers."""
+    with pytest.raises(DomainError):
+        ClosedForm(GratingParameters(phi0=1000.0, n0=1.0, eta_p=1.5), "ladder").pairs([2], [0.5])
+    with pytest.raises(CutoffError):
+        ClosedForm(GratingParameters(phi0=1e5, n0=1.0), "ladder").pairs([2], [0.5])
+    with pytest.raises(InvalidInputError):
+        ladder_pairs([0], [0.5], 1.0, -1.0)
+
+
+def test_rank_one_source_matches_sampled_kernel():
+    """A rank-one kernel with a known factor: closed form against the FFT of
+    its kernel lines, and the symmetries B_j(xi + 2) = B_j(xi) and
+    B_j(-xi) = B_{-j}(xi)."""
+    factor = lambda x: np.exp(-0.4 * np.cos(np.pi * x) ** 2 + 2.5j * np.cos(2 * np.pi * x))  # noqa: E731
+    kern = lambda x, xp: factor(x) * np.conj(factor(xp))  # noqa: E731
+    kern.pair_values = kern
+    src = RankOneSource(factor, 3.0)
+    orders, xi = (v.ravel() for v in np.meshgrid(np.arange(-12, 13), [0.0, 0.3, 1.4, -2.7]))
+    got = src.pairs(orders, xi)
+    ref = KernelSource(kern, n_points=4096).pairs(orders, xi)
+    assert np.max(np.abs(got - ref)) < 1e-13
+    assert np.max(np.abs(src.pairs(orders, xi + 2.0) - got)) < 1e-15
+    assert np.max(np.abs(src.pairs(-orders, -xi) - got)) < 1e-15
+
+
+def test_rank_one_source_checks_its_factor_tail():
+    factor = lambda x: np.exp(40j * np.cos(2 * np.pi * x))  # noqa: E731
+    with pytest.raises(CutoffError):
+        RankOneSource(factor, 1.0)   # band ~40, FFT sized for 1
+    with pytest.raises(CutoffError):
+        RankOneSource(factor, 1e5)   # FFT size above its cap
+    assert RankOneSource(factor, 40.0).pairs([0], [0.0])[0] == pytest.approx(1.0, abs=1e-14)
