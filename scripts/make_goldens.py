@@ -15,7 +15,7 @@ unless justified against a reference) is then listed with its file, row key
 (the cells left of it, by column name), old value and new value.
 
 The bytes do not depend on the BLAS thread count, but they are tied to the
-numpy/scipy/OpenBLAS build that made them; CHANGES.md records that build.
+numpy/OpenBLAS build that made them; CHANGES.md records that build.
 """
 
 import shutil

@@ -15,11 +15,11 @@ _EXPORTS = {
     "params": ("BeamSetup", "GratingParameters", "InterferometerScales", "derive_grating",
                "derive_n0", "derive_phi0", "derive_scales"),
     "grating": ("MeasurementProfile", "absorption_probability", "m_ell"),
-    "talbot": ("b_conditional", "b_unconditional"),
+    "talbot": ("conditional_rows", "unconditional_rows"),
     "nearfield": ("FringeSignal", "KdtliConfig", "kdtli_signal", "sinusoidal_visibility"),
-    "farfield": ("FarFieldConfig", "ScreenDensity", "farfield_density"),
-    "dynamics": ("LadderConfig", "TwoPointKernel", "ladder_analytic", "ladder_ode_solve"),
-    "rabi": ("RabiConfig", "RabiKernel", "rabi_solve"),
+    "farfield": ("FarFieldConfig", "ScreenDensity", "farfield_densities"),
+    "dynamics": ("ladder_analytic",),
+    "rabi": ("RabiConfig", "rabi_solve"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

@@ -362,16 +362,17 @@ def cmd_ladder(cfg, args, outdir: Path) -> list[str]:
     xi = float(_getfloat(cfg["ladder"], "kernel_xi", 0.0)) if "ladder" in cfg else 0.0
     if not math.isfinite(xi):
         raise ConfigError(f"key 'kernel_xi' must be finite, got {xi!r}")
-    kernel = dynamics.ladder_analytic(dynamics.LadderConfig(grating, envelope=envelope))
+    if envelope not in dynamics.ENVELOPES:
+        raise ConfigError(f"unknown envelope {envelope!r}")
     u = np.arange(512) / 512
-    line = kernel.channel_values(u - 0.5 * xi, u + 0.5 * xi)
+    line = dynamics.ladder_analytic(u - 0.5 * xi, u + 0.5 * xi, grating)
     names = [f"ladder_kernel.{_ext(args)}"]
     _writer(args)(outdir / names[0],
                   {"command": "ladder", "phi0": grating.phi0, "n0": grating.n0,
                    "eta_p": grating.eta_p, "eta_a": grating.eta_a,
                    "envelope": envelope, "xi": xi},
                   ["ell", "u", "re", "im"],
-                  [(ch, u, v.real, v.imag) for ch, v in zip(kernel.channels, line)])
+                  [(ch, u, v.real, v.imag) for ch, v in enumerate(line)])
     if args.sweep:
         section, key, values = parse_sweep(args.sweep)
         if key != "talbot_parameter":

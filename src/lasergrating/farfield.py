@@ -17,29 +17,26 @@ evaluated once per distinct value of q folded onto [0, 1] (exact argument
 reduction) and gathered, flipped in j where needed, at every q point.
 
 The screen sum w(x_m) = sum_k g_k e^{2 pi i x_m q_k} runs as a centred
-Bluestein chirp-z transform when the screen is uniform, so no screen x q
-matrix is built.  A non-uniform screen falls back to the
-dense sum, taken in row blocks.  The Kirchhoff oracle keeps its own dense
-route.
+Bluestein chirp-z transform, so no screen x q matrix is built; the screen
+must therefore be uniform, and FarFieldConfig rejects any other.  The
+Kirchhoff integral over the slit and the phase-space pipeline, the two
+independent routes the densities are checked against, are oracles of the
+tests (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidInputError, RegimeError, ResolutionError
-from .grating import MeasurementProfile, m_ell
+from .errors import InvalidInputError, ResolutionError
 from .params import GratingParameters
 from . import talbot
 
-FRAUNHOFER_MAX_RATIO = 1e-2
 ALIAS_MARGIN = 4.0       # screen units kept clear of the aliased density, see _q_grid
-DENSE_BLOCK = 1 << 20    # phase-matrix entries per row block of a dense sum
 Q_BLOCK = 1 << 16        # Talbot-table entries (orders x q) per block of the q sum
 
 
@@ -73,6 +70,8 @@ class FarFieldConfig:
             raise InvalidInputError("screen must be a non-empty 1-D array of positions")
         if not np.isfinite(self.screen).all():
             raise InvalidInputError("screen positions must be finite")
+        if not _is_uniform(self.screen):
+            raise InvalidInputError("screen positions must be uniformly spaced")
 
     def order_cutoff(self) -> int:
         if self.j_max is not None:
@@ -131,18 +130,6 @@ def _q_grid(config: FarFieldConfig, j_max: int, ratio: float):
     return q
 
 
-def _dense_sum(x: np.ndarray, q: np.ndarray, c: np.ndarray, sign: int) -> np.ndarray:
-    """sum_k c_k e^{sign 2 pi i x_m q_k}, built from row blocks of the dense
-    x x q phase matrix so that memory stays bounded; each row is reduced as
-    by one whole-matrix sum."""
-    out = np.empty(x.size, complex)
-    step = max(1, DENSE_BLOCK // q.size)
-    for i in range(0, x.size, step):
-        phase = np.exp(sign * 2j * np.pi * np.outer(x[i:i + step], q))
-        out[i:i + step] = (phase * c[None, :]).sum(axis=1)
-    return out
-
-
 def _is_uniform(v: np.ndarray) -> bool:
     if v.size < 3:
         return True
@@ -167,21 +154,18 @@ def _turns(coef: Fraction, n: np.ndarray) -> np.ndarray:
 
 
 def _screen_transform(x: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """w_m = sum_k c_k e^{2 pi i x_m q_k} over every screen point x_m, for a
-    uniform q grid.
+    """w_m = sum_k c_k e^{2 pi i x_m q_k} over every point x_m of a uniform
+    screen, for a uniform q grid.
 
-    On a uniform screen this is a centred Bluestein chirp-z transform: with
+    This is a centred Bluestein chirp-z transform: with
     x_m = x_c + m dx, q_k = q_c + k dq and m, k counted from the grid
     midpoints (half-integers for even sizes),
     m k = (m^2 + k^2 - (m - k)^2)/2 makes the sum over k a convolution with
     the chirp e^{-i pi dx dq n^2}, taken by FFT.  Centring keeps the largest
     chirp phase 4 times smaller than counting from the grid ends, and the
     phases are reduced exactly (integer squares, `_turns`) before rounding.
-    Any other screen falls back to the dense sum in row blocks.
     """
     n_x, n_q = x.size, q.size
-    if not _is_uniform(x):
-        return _dense_sum(x, q, c, 1)
     x0, x1, q0, q1 = (Fraction(float(v)) for v in (x[0], x[-1], q[0], q[-1]))
     dx = (x1 - x0) / max(n_x - 1, 1)
     dq = (q1 - q0) / (n_q - 1)
@@ -254,57 +238,14 @@ def _screen_coefficients(config: FarFieldConfig, ells, variant: str, fraunhofer:
 
 def farfield_densities(config: FarFieldConfig, ells, variant: str = "quantum",
                        fraunhofer: bool = False) -> list[ScreenDensity]:
-    """farfield_density for every entry of `ells`, from one pass over q."""
+    """Screen densities from the Talbot-coefficient sum, one per entry of
+    `ells`: conditional for a count, unconditional for None, from one pass
+    over q.  `fraunhofer` drops the 2 q d/Dx term (the Fraunhofer limit,
+    identical for the quantum and classical variants)."""
     q, c = _screen_coefficients(config, ells, variant, fraunhofer)
     w = [_screen_transform(config.screen, q, ck) / (math.pi * config.collimator_ratio) for ck in c]
     label = "fraunhofer-" + variant if fraunhofer else variant
     return [ScreenDensity(config.screen.copy(), wk.real, ell, label) for ell, wk in zip(ells, w)]
-
-
-def farfield_density(config: FarFieldConfig, ell=None, variant: str = "quantum",
-                     fraunhofer: bool = False) -> ScreenDensity:
-    """Screen density from the Talbot-coefficient sum (conditional for an
-    integer `ell`, unconditional for ell=None)."""
-    return farfield_densities(config, [ell], variant, fraunhofer)[0]
-
-
-def farfield_kirchhoff(config: FarFieldConfig, ell: int = 0,
-                       n_aperture: int = 8193) -> ScreenDensity:
-    """Screen density as a Kirchhoff integral over the slit aperture,
-    |integral dq e^{2 pi i (q^2 d/Dx - q x/Dx)} M_l(d q)|^2 / (D/d).
-
-    The slit transmits |x| <= D/2.  Dual route to farfield_density.
-    """
-    dd = config.collimator_ratio
-    ratio = config.period_over_sep
-    if n_aperture < 4096:
-        raise ResolutionError("aperture must be sampled on >= 4096 points")
-    q = np.linspace(-0.5 * dd, 0.5 * dd, n_aperture)
-    dq = q[1] - q[0]
-    chirp_step = 2.0 * np.pi * ratio * dd * dq  # max |d(phase)/dq| * dq at slit edge
-    osc_step = 2.0 * np.pi * float(np.max(np.abs(config.screen))) * dq
-    if max(chirp_step, osc_step) > np.pi / 4:
-        raise ResolutionError("aperture sampling too coarse: phase advances > pi/4 per sample")
-    profile = MeasurementProfile(config.grating, ell)
-    t = m_ell(q, profile) * np.exp(2j * np.pi * ratio * q * q)
-    wts = np.full(q.size, dq)
-    wts[0] = wts[-1] = 0.5 * dq
-    amp = _dense_sum(config.screen, q, t * wts, -1)
-    return ScreenDensity(config.screen.copy(), np.abs(amp) ** 2 / dd, ell, "kirchhoff")
-
-
-def fraunhofer_density(config: FarFieldConfig, ell=None,
-                       variant: str = "quantum") -> ScreenDensity:
-    """Fraunhofer limit of farfield_density (the 2 q d/Dx term dropped).
-
-    Identical for the quantum and classical variants.  Warns when d/Dx is
-    too large for the limit to be meaningful.
-    """
-    if config.period_over_sep > FRAUNHOFER_MAX_RATIO:
-        warnings.warn(
-            f"d/Dx = {config.period_over_sep:.2e} exceeds the Fraunhofer regime bound "
-            f"{FRAUNHOFER_MAX_RATIO:.0e}", RuntimeWarning, stacklevel=2)
-    return farfield_density(config, ell, variant, fraunhofer=True)
 
 
 def apply_detector_resolution(density: ScreenDensity, sigma: float | None = None) -> ScreenDensity:
@@ -329,107 +270,3 @@ def apply_detector_resolution(density: ScreenDensity, sigma: float | None = None
     smoothed = np.convolve(np.pad(density.values, half, mode="constant"), k, mode="same")
     smoothed = smoothed[half:-half]
     return ScreenDensity(x.copy(), smoothed, density.ell, density.variant, True, sigma)
-
-
-# ---------------------------------------------------------------------------
-# phase-space route (consistency oracle for the formulas above)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PhaseSpaceState:
-    """Wigner-like state on a (position, momentum) grid; position in units
-    of the grating period d, momentum in units of hbar k_L."""
-
-    y: np.ndarray
-    nu: np.ndarray
-    w: np.ndarray  # shape (y.size, nu.size)
-
-
-def collimation_transform(state: PhaseSpaceState, slit_ratio: float) -> PhaseSpaceState:
-    """Slit-aperture transform: multiply the support by the slit indicator
-    and convolve the momentum axis with the aperture diffraction kernel
-    sin[pi nu (D/d - 2|y|)]/(pi nu).
-
-    The slit transmits |y| <= D/(2d) (positions in units of d).
-    """
-    from scipy.signal import fftconvolve
-    if slit_ratio <= 0:
-        raise InvalidInputError("slit ratio D/d must be positive")
-    y, nu, w = state.y, state.nu, state.w
-    dnu = nu[1] - nu[0]
-    out = np.zeros_like(w)
-    inside = np.abs(y) <= 0.5 * slit_ratio
-    nu_k = np.arange(-(nu.size - 1), nu.size) * dnu  # kernel support, full overlap
-    for i in np.nonzero(inside)[0]:
-        a = slit_ratio - 2.0 * abs(y[i])
-        if a * dnu > 0.5:
-            raise ResolutionError(
-                "momentum grid too coarse for the aperture kernel oscillation")
-        kern = a * np.sinc(nu_k * a)
-        out[i] = fftconvolve(w[i], kern[::-1], mode="valid") * dnu
-    return PhaseSpaceState(y.copy(), nu.copy(), out)
-
-
-def momentum_kick_amplitudes(kernel, y: np.ndarray, m_max: int, n_s: int = 512) -> dict:
-    """Momentum-kick amplitudes A_m(y) of a grating kernel: Fourier series of
-    K(y - s/2, y + s/2) in the separation s (period 2, units of d), so that
-    the phase-space transform is w(y, nu) -> sum_m A_m(y) w(y, nu + m)."""
-    s = 2.0 * np.arange(n_s) / n_s
-    ymat = y[:, None]
-    smat = s[None, :]
-    if isinstance(kernel, MeasurementProfile):
-        vals = m_ell(ymat - 0.5 * smat, kernel) * np.conj(m_ell(ymat + 0.5 * smat, kernel))
-    elif hasattr(kernel, "pair_values"):
-        vals = kernel.pair_values(ymat - 0.5 * smat, ymat + 0.5 * smat)
-    else:
-        vals = kernel(ymat - 0.5 * smat, ymat + 0.5 * smat)
-    coeff = np.fft.fft(vals, axis=1) / n_s  # coeff[:, m] = A_m(y) for e^{+i pi m s}
-    return {m: coeff[:, m % n_s] for m in range(-m_max, m_max + 1)}
-
-
-def plane_wave_pipeline(kernel, slit_ratio: float, period_over_sep: float,
-                        screen: np.ndarray, n_y: int = 257, n_nu: int = 8001,
-                        nu_max: float = 40.0, m_max: int = 24) -> ScreenDensity:
-    """Full phase-space pipeline: plane wave -> slit -> grating -> free
-    flight -> screen density; consistency oracle for farfield_density in the
-    Fraunhofer regime.
-
-    A momentum kick of one hbar k_L displaces the screen position by Dx/2.
-    """
-    y = np.linspace(-0.5 * slit_ratio, 0.5 * slit_ratio, n_y)
-    nu = np.linspace(-nu_max, nu_max, n_nu)
-    dnu = nu[1] - nu[0]
-    # plane wave through the slit: w2(y, nu) = collimation kernel itself
-    a = (slit_ratio - 2.0 * np.abs(y))[:, None]
-    numat = nu[None, :]
-    w2 = a * np.sinc(numat * a)
-    # grating kicks
-    kicks = momentum_kick_amplitudes(kernel, y, m_max)
-    shift = int(round(1.0 / dnu))
-    if abs(shift * dnu - 1.0) > 1e-12:
-        raise ResolutionError("momentum grid spacing must divide hbar k_L exactly")
-    w3 = np.zeros_like(w2, complex)
-    for m, am in kicks.items():
-        rolled = np.zeros_like(w2)
-        if m == 0:
-            rolled = w2
-        elif m > 0:
-            rolled[:, : n_nu - m * shift] = w2[:, m * shift:]
-        else:
-            rolled[:, -m * shift:] = w2[:, : n_nu + m * shift]
-        w3 += am[:, None] * rolled
-    w3 = w3.real
-    # shear to the screen: chi = y * (d/Dx) + nu / 2
-    chi = y[:, None] * period_over_sep + 0.5 * numat
-    lo = screen[0]
-    dchi = screen[1] - screen[0]
-    idx = (chi - lo) / dchi
-    i0 = np.floor(idx).astype(int)
-    frac = idx - i0
-    dy = y[1] - y[0]
-    weight = w3 * dy * dnu / dchi
-    dens = np.zeros(screen.size)
-    valid = (i0 >= 0) & (i0 < screen.size - 1)
-    np.add.at(dens, i0[valid], (weight * (1 - frac))[valid])
-    np.add.at(dens, i0[valid] + 1, (weight * frac)[valid])
-    return ScreenDensity(np.asarray(screen, float).copy(), dens, None, "phase-space")

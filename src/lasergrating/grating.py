@@ -1,6 +1,7 @@
 """Generalized-measurement description of the standing-wave grating:
-position-space operators M_l(x), Poisson absorption probabilities, and
-plane-wave diffraction amplitudes.
+position-space operators M_l(x) and Poisson absorption probabilities.  The
+plane-wave diffraction amplitudes of M_l, a Bessel sum over recoil orders,
+are an oracle of the tests (tests/oracles.py).
 
 Positions are dimensionless (units of the grating period d) throughout, so
 k_L x = pi * x.
@@ -9,13 +10,12 @@ k_L x = pi * x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CutoffError, InvalidInputError
 from .params import GratingParameters
-from .specfun import bessel_i_complex
 
 POISSON_TAIL = 1e-10
 
@@ -30,21 +30,6 @@ class MeasurementProfile:
     def __post_init__(self):
         if self.ell < 0:
             raise InvalidInputError(f"absorption count must be >= 0, got {self.ell}")
-
-
-@dataclass
-class DiffractionAmplitudes:
-    """Plane-wave diffraction amplitudes keyed by momentum offset in units
-    of hbar k_L.  Offsets carry the parity of the absorption count."""
-
-    ell: int
-    amplitudes: dict = field(default_factory=dict)
-
-    def probability(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
-    def offsets(self):
-        return sorted(self.amplitudes)
 
 
 def phase_profile(x, grating: GratingParameters):
@@ -96,34 +81,3 @@ def poisson_ell_max(grating: GratingParameters, tail: float = POISSON_TAIL) -> i
         if ell > 10_000:
             raise CutoffError("Poisson tail rule did not terminate")
     return ell
-
-
-def plane_wave_diffraction(profile: MeasurementProfile, cutoff: int | None = None,
-                           tail: float = 1e-10) -> DiffractionAmplitudes:
-    """Diffraction amplitudes of M_l acting on a plane wave.
-
-    Amplitude at offset (2 nu + l - 2n) hbar k_L is
-    e^{i phi0/2 - n0/4} 2^{-l} sqrt(n0^l/l!) I_nu(i phi0/2 - n0/4) C(l, n),
-    accumulated coherently over (nu, n).  `cutoff` bounds |nu|; amplitudes
-    dropped at the boundary must have modulus below `tail`, else CutoffError.
-    """
-    g = profile.grating
-    ell = profile.ell
-    a = 0.5j * g.phi0 - 0.25 * g.n0
-    pref = math.exp(-0.25 * g.n0) * complex(math.cos(0.5 * g.phi0), math.sin(0.5 * g.phi0))
-    pref *= 2.0**-ell * math.sqrt(g.n0**ell / math.factorial(ell)) if ell else 1.0
-    if cutoff is None:
-        cutoff = max(8, int(2 * abs(a)) + 12)
-    bess = {nu: bessel_i_complex(nu, a) for nu in range(-cutoff, cutoff + 1)}
-    edge = max(abs(pref * bess[cutoff]), abs(pref * bess[-cutoff]))
-    if edge >= tail:
-        raise CutoffError(
-            f"cutoff {cutoff} too small: boundary amplitude {edge:.2e} >= {tail:.0e}")
-    amps: dict[int, complex] = {}
-    for nu in range(-cutoff, cutoff + 1):
-        base = pref * bess[nu]
-        for n in range(ell + 1):
-            q = 2 * nu + ell - 2 * n
-            amps[q] = amps.get(q, 0.0) + base * math.comb(ell, n)
-    amps = {q: a for q, a in amps.items() if abs(a) >= tail}
-    return DiffractionAmplitudes(ell=ell, amplitudes=amps)

@@ -160,32 +160,6 @@ def sinusoidal_visibility(config: KdtliConfig, talbot_parameters=None):
     return float(v[0].real) if talbot_parameters is None else v.real
 
 
-def visibility_minmax(signal: FringeSignal) -> float:
-    return signal.visibility_minmax()
-
-
-def mean_transmission(grating: GratingParameters, ell: int, open_fraction: float) -> float:
-    """Mean conditional signal S_bar_l = f^2 B_0(0; l), the transmission
-    probability of molecules with absorption count l."""
-    b0 = talbot.b_conditional(0, 0.0, ell, grating)
-    return open_fraction**2 * float(np.real(b0))
-
-
-def mean_transmission_closed(grating: GratingParameters, ell: int,
-                             open_fraction: float) -> float:
-    """Closed-form mean transmission: direct double sum over recoil
-    splittings with modified Bessel weights (independent of the Talbot
-    coefficient route)."""
-    from .specfun import bessel_i_complex
-    n0 = grating.n0
-    s = 0.0
-    for n in range(ell + 1):
-        for r in range(n + 1):
-            s += complex(bessel_i_complex(2 * r - n, -0.5 * n0)).real \
-                / (2.0**n * math.factorial(r) * math.factorial(n - r) * math.factorial(ell - n))
-    return open_fraction**2 * math.exp(-0.5 * n0) * (0.5 * n0) ** ell * s
-
-
 def velocity_average(config: KdtliConfig, dv_over_v: float,
                      n_samples: int = 21, n_sigma: float = 3.0) -> FringeSignal:
     """Fringe signal averaged over a gaussian longitudinal-velocity spread.

@@ -1,56 +1,28 @@
-"""Special-function kernels: spectral Fourier coefficients, integer-order
-Bessel J, modified Bessel I of complex argument, the confluent
+"""Special-function kernels: spectral Fourier coefficients, the confluent
 hypergeometric 1F1(l; l+1; z), and sinc.
 
 `exp_fourier_rows` is the production route of every closed-form Talbot
 coefficient: a trapezoid rule in t with real arguments, one real FFT per
 count giving every order.  `hyp1f1_ladder_quad` takes 1F1 from its
-integral form by Gauss-Legendre quadrature.  The Bessel kernels use
-power series with term-ratio stopping for small arguments and Miller-type
-backward recurrence beyond; no special-function library calls.  The series
-threshold is |x| <= 10 so that alternating-series cancellation stays below
-the 1e-10 relative-accuracy contract.  The series `exp_bessel_coeff` cancels
-catastrophically once |a| + |b| exceeds about 20 and is kept only as a test
-reference.
+integral form by Gauss-Legendre quadrature.  Both run on numpy alone, and
+no route of the package evaluates a Bessel function; the oracles of the
+tests take I_nu from a special-function library.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CutoffError, DomainError
-
-_SERIES_CUTOFF = 10.0
-_LEADING_TERM_CUTOFF = 1e-8  # below it (x/2)^2 is under double round-off
-_RESCALE = 1e250
-_MAX_ORDER = 10_000
 
 SPECTRAL_MARGIN = 32          # orders kept between the decay width and N/2
 SPECTRAL_MAX_POINTS = 1 << 14
 SPECTRAL_TAIL = 1e-13         # largest |coefficient| allowed around order N/2
 SPECTRAL_BLOCK = 1 << 16      # samples (arguments x N) held at once
 LADDER_MAX_NODES = 128        # Gauss-Legendre nodes validated for DLMF 13.4.1
-
-
-@dataclass(frozen=True)
-class SeriesTolerance:
-    """Stopping rule for power-series evaluation."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 500
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0):
-            raise DomainError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
-
-
-DEFAULT_TOL = SeriesTolerance()
 
 
 def sinc(u):
@@ -127,202 +99,6 @@ def exp_fourier_rows(orders, a, b, c=0.0, counts=0, p0=0.0, p1=0.0) -> np.ndarra
                                       f"order N/2 = {n // 2} exceeds {SPECTRAL_TAIL:.0e}")
                 out[hit, :, blk] = spec[:, cols].T
     return out[0] if single else out
-
-
-def _bessel_j_series(n: int, x: float, tol: SeriesTolerance) -> float:
-    # J_n(x) = sum_k (-1)^k (x/2)^(2k+n) / (k! (n+k)!); caller ensures n >= 0, x > 0
-    half = 0.5 * x
-    log_t0 = n * math.log(half) - math.lgamma(n + 1)
-    if log_t0 < -745.0:
-        return 0.0
-    term = math.exp(log_t0)
-    s = term
-    small = 0
-    x2 = half * half
-    for k in range(1, tol.max_terms):
-        term *= -x2 / (k * (n + k))
-        s += term
-        if abs(term) <= tol.rel_tol * max(abs(s), 1e-300):
-            small += 1
-            if small >= 2:
-                return s
-        else:
-            small = 0
-    raise DomainError(f"bessel_j series did not converge for n={n}, x={x}")
-
-
-def _bessel_j_miller(n: int, x: float, tol: SeriesTolerance) -> float:
-    # Backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}; normalized via
-    # J_0 + 2 sum_{k>=1} J_{2k} = 1.  Valid for x > 0, n >= 0.
-    start = max(n, int(x)) + 16 + int(8.0 * math.sqrt(max(n, x)))
-    jp, jc = 0.0, 1e-290
-    norm = 0.0
-    target = None
-    target_rescales = 0
-    rescales = 0
-    for k in range(start, 0, -1):
-        jm = (2.0 * k / x) * jc - jp
-        jp, jc = jc, jm
-        if k - 1 == n:
-            target = jc
-            target_rescales = rescales
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            norm += jc
-        if abs(jc) > _RESCALE:
-            jp /= _RESCALE
-            jc /= _RESCALE
-            norm /= _RESCALE
-            rescales += 1
-    norm = 2.0 * norm + jc
-    if target is None:
-        raise DomainError(f"miller recurrence failed for n={n}, x={x}")
-    # undo rescalings applied after the target order was recorded
-    log_val = math.log(abs(target) + 5e-324) - math.log(abs(norm)) \
-        - (rescales - target_rescales) * math.log(_RESCALE)
-    if log_val < -745.0:
-        return 0.0
-    sign = math.copysign(1.0, target) * math.copysign(1.0, norm)
-    return sign * math.exp(log_val)
-
-
-def bessel_j(order: int, x: float, tol: SeriesTolerance = DEFAULT_TOL) -> float:
-    """Bessel function of the first kind J_order(x), integer order.
-
-    Relative accuracy 1e-10 on |x| <= 50; J_{-n}(x) = (-1)^n J_n(x).
-    """
-    order = int(order)
-    if abs(order) > _MAX_ORDER:
-        raise DomainError(f"|order| = {abs(order)} exceeds {_MAX_ORDER}")
-    if not math.isfinite(x):
-        raise DomainError("bessel_j requires finite x")
-    sign = 1.0
-    if order < 0:
-        order = -order
-        if order % 2:
-            sign = -sign
-    if x < 0:
-        if order % 2:
-            sign = -sign
-        x = -x
-    if x == 0.0:
-        return sign if order == 0 else 0.0
-    if x < _LEADING_TERM_CUTOFF:
-        # the series is its leading term (x/2)^n / n!; taken in logs so that
-        # subnormal x/2 and the Miller ratio 2k/x never overflow or hit log(0)
-        log_t0 = order * (math.log(x) - math.log(2.0)) - math.lgamma(order + 1)
-        return sign * math.exp(log_t0) if log_t0 >= -745.0 else 0.0
-    if x <= _SERIES_CUTOFF and order <= 150:
-        return sign * _bessel_j_series(order, x, tol)
-    return sign * _bessel_j_miller(order, x, tol)
-
-
-def _bessel_i_series(n: int, z: complex, tol: SeriesTolerance) -> complex:
-    # I_n(z) = sum_k (z/2)^(2k+n) / (k! (n+k)!), n >= 0
-    half = 0.5 * z
-    term = half**n / math.factorial(n)
-    s = term
-    z2 = half * half
-    small = 0
-    for k in range(1, tol.max_terms):
-        term *= z2 / (k * (n + k))
-        s += term
-        if abs(term) <= tol.rel_tol * max(abs(s), 1e-300):
-            small += 1
-            if small >= 2:
-                return s
-        else:
-            small = 0
-    raise DomainError(f"bessel_i series did not converge for n={n}, z={z}")
-
-
-def _bessel_i_miller(n: int, z: complex, tol: SeriesTolerance) -> complex:
-    # Backward recurrence I_{k-1} = I_{k+1} + (2k/z) I_k, normalized via
-    # e^z = I_0 + 2 sum_{k>=1} I_k.  Requires Re z >= 0 for a stable norm.
-    az = abs(z)
-    start = max(n, int(az)) + 16 + int(8.0 * math.sqrt(max(n, az)))
-    ip, ic = 0.0 + 0.0j, 1e-290 + 0.0j
-    norm = 0.0 + 0.0j
-    target = None
-    target_rescales = 0
-    rescales = 0
-    for k in range(start, 0, -1):
-        im = ip + (2.0 * k / z) * ic
-        ip, ic = ic, im
-        if k - 1 == n:
-            target = ic
-            target_rescales = rescales
-        if k - 1 > 0:
-            norm += ic
-        if abs(ic) > _RESCALE:
-            ip /= _RESCALE
-            ic /= _RESCALE
-            norm /= _RESCALE
-            rescales += 1
-    norm = 2.0 * norm + ic
-    if target is None or norm == 0:
-        raise DomainError(f"miller recurrence failed for n={n}, z={z}")
-    scale = math.exp(-(rescales - target_rescales) * math.log(_RESCALE))
-    return (target / norm) * scale * np.exp(z)
-
-
-def bessel_i_complex(order: int, z: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
-    """Modified Bessel function I_order(z) for complex z, integer order.
-
-    Satisfies I_n(i x) = i^n J_n(x); relative accuracy 1e-10 on |z| <= 100.
-    """
-    order = int(order)
-    if abs(order) > _MAX_ORDER:
-        raise DomainError(f"|order| = {abs(order)} exceeds {_MAX_ORDER}")
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError("bessel_i_complex requires finite z")
-    if abs(z) > 100.0:
-        raise DomainError(f"|z| = {abs(z):.3g} outside supported domain |z| <= 100")
-    order = abs(order)  # I_{-n} = I_n for integer order
-    sign = 1.0
-    if z.real < 0:
-        # I_n(-z) = (-1)^n I_n(z); keeps the Miller normalization e^z dominant
-        z = -z
-        if order % 2:
-            sign = -1.0
-    if z == 0:
-        return complex(sign if order == 0 else 0.0)
-    if abs(z) <= _SERIES_CUTOFF:
-        return sign * _bessel_i_series(order, z, tol)
-    return sign * _bessel_i_miller(order, z, tol)
-
-
-def exp_bessel_coeff(j: int, a, b, tol: SeriesTolerance = DEFAULT_TOL):
-    """j-th Fourier coefficient of exp(a e^{it} + b e^{-it}).
-
-    Equals (a/b)^{j/2} I_j(2 sqrt(a b)) but is evaluated as an entire
-    two-index power series, so no square-root or power branch is ever taken.
-    Accepts scalar or array a, b (broadcast together).  The series cancels
-    catastrophically once |a| + |b| exceeds about 20; it is kept as a test
-    reference, and the package uses exp_fourier_rows.
-    """
-    j = int(j)
-    if j < 0:
-        return exp_bessel_coeff(-j, b, a, tol)
-    if j > 170:
-        raise DomainError("exp_bessel_coeff supports |j| <= 170")
-    a, b = np.broadcast_arrays(np.asarray(a, complex), np.asarray(b, complex))
-    term = a**j / math.factorial(j)
-    s = term.copy()
-    ab = a * b
-    small = 0
-    for n in range(1, tol.max_terms):
-        term = term * ab / (n * (n + j))
-        s += term
-        if np.all(np.abs(term) <= tol.rel_tol * np.maximum(np.abs(s), 1e-300)):
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-    else:
-        raise DomainError(f"exp_bessel_coeff series did not converge for j={j}")
-    return s if s.ndim else complex(s)
 
 
 def _legendre_p(n: int, x):

@@ -134,22 +134,6 @@ def unconditional_rows(orders, xi, grating: GratingParameters,
     return _folded(np.asarray(orders, int).reshape(-1, 1), xi, variant, grating)
 
 
-def _at(rows: np.ndarray, xi):
-    return rows[0].reshape(np.shape(xi)) if np.ndim(xi) else complex(rows[0, 0])
-
-
-def b_conditional(j: int, xi, ell: int, grating: GratingParameters):
-    """Conditional Talbot coefficient B_j(xi; l) at one order, for scalar or
-    array xi."""
-    return _at(conditional_rows([int(j)], np.ravel(xi), ell, grating), xi)
-
-
-def b_unconditional(j: int, xi, grating: GratingParameters, variant: str = "quantum"):
-    """Unconditional Talbot coefficient B_j(xi) at one order, for scalar or
-    array xi."""
-    return _at(unconditional_rows([int(j)], np.ravel(xi), grating, variant), xi)
-
-
 @dataclass(frozen=True)
 class ClosedForm:
     """Closed-form coefficient source; `kind` is "quantum", "classical",

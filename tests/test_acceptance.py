@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import b_numeric_oracle
+import oracles
 from lasergrating import dynamics, farfield, nearfield, rabi, talbot
 from lasergrating.cli import main as cli_main
 from lasergrating.grating import MeasurementProfile, m_ell
@@ -44,7 +44,7 @@ class criterion:
 def test_criterion_01_transmission_weights():
     with criterion(1, "conditional transmission weights 64/24/8/4 % at n0 = 1"):
         t0 = time.perf_counter()
-        weights = [nearfield.mean_transmission(G1, ell, 1.0) for ell in range(3)]
+        weights = talbot.conditional_rows([0], [0.0], range(3), G1)[:, 0, 0]
         assert weights[0] == pytest.approx(0.64, abs=0.01)
         assert weights[1] == pytest.approx(0.24, abs=0.01)
         assert weights[2] == pytest.approx(0.08, abs=0.01)
@@ -57,17 +57,18 @@ def test_criterion_02_conditional_visibility_window():
         t0 = time.perf_counter()
         lts = np.linspace(0.005, 2.0, 800)
         best = 0.0
-        for ell in (0, 1, 2):
-            b2 = talbot.b_conditional(2, lts, ell, G1).real
-            b0 = float(talbot.b_conditional(0, 0.0, ell, G1).real)
-            vis = np.abs(2.0 * float(np.sinc(F42)) ** 2 * b2 / b0)
+        ells = (0, 1, 2)
+        b2 = talbot.conditional_rows([2], lts, ells, G1)[:, 0]
+        b0 = talbot.conditional_rows([0], [0.0], ells, G1)[:, 0, 0]
+        for ell in ells:
+            vis = np.abs(2.0 * float(np.sinc(F42)) ** 2 * b2[ell] / b0[ell])
             best = max(best, float(np.max(vis)))
         assert 0.65 <= best <= 0.75
         assert time.perf_counter() - t0 < 30.0
 
 
 def _vis(grating, lts, variant):
-    b2 = talbot.b_unconditional(2, np.asarray(lts, float), grating, variant).real
+    b2 = talbot.unconditional_rows([2], lts, grating, variant)[0]
     return 2.0 * float(np.sinc(F42)) ** 2 * b2
 
 
@@ -100,11 +101,10 @@ def test_criterion_05_talbot_oracle_triangle():
                                   n0=rng.uniform(0.0, 3.0))
             j = int(rng.integers(-6, 7))
             xi = rng.uniform(0.0, 2.0)
-            ell_max = dynamics.poisson_kernel(g).channels[-1]
-            closed = complex(talbot.b_unconditional(j, xi, g))
-            summed = sum(complex(talbot.b_conditional(j, xi, ell, g))
-                         for ell in range(ell_max + 1))
-            oracle = b_numeric_oracle(j, xi, dynamics.poisson_kernel(g), n_points=1024)
+            ell_max = oracles.poisson_kernel(g).channels[-1]
+            closed = talbot.unconditional_rows([j], [xi], g)[0, 0]
+            summed = talbot.conditional_rows([j], [xi], range(ell_max + 1), g)[:, 0, 0].sum()
+            oracle = oracles.b_numeric_oracle(j, xi, oracles.poisson_kernel(g), n_points=1024)
             assert abs(closed - summed) < 1e-7
             assert abs(summed - oracle) < 1e-7
             assert abs(oracle - closed) < 1e-7
@@ -118,17 +118,16 @@ def test_criterion_06_farfield_dual_formula():
         config = farfield.FarFieldConfig(
             grating=fig4, collimator_ratio=10.0, period_over_sep=1e-3,
             sigma_det=0.1, screen=np.linspace(-3.0, 3.0, 1201))
-        for ell in (0, 1, 2):
-            w_sum = farfield.farfield_density(config, ell)
-            w_kir = farfield.farfield_kirchhoff(config, ell)
+        sums = farfield.farfield_densities(config, [0, 1, 2])
+        for ell, w_sum in enumerate(sums):
+            w_kir = oracles.farfield_kirchhoff(config, ell)
             rel = np.linalg.norm(w_sum.values - w_kir.values) \
                 / np.linalg.norm(w_sum.values)
             assert rel < 1e-4
-        wq = farfield.fraunhofer_density(config, None, "quantum")
-        wc = farfield.fraunhofer_density(config, None, "classical")
+        (wq,) = farfield.farfield_densities(config, [None], "quantum", fraunhofer=True)
+        (wc,) = farfield.farfield_densities(config, [None], "classical", fraunhofer=True)
         assert np.max(np.abs(wq.values - wc.values)) < 1e-10
-        w1 = farfield.apply_detector_resolution(
-            farfield.farfield_density(config, 1), 0.1)
+        w1 = farfield.apply_detector_resolution(sums[1], 0.1)
         x, v = w1.positions, w1.values
         peaks = [x[i] for i in range(1, x.size - 1)
                  if v[i] > v[i - 1] and v[i] > v[i + 1] and v[i] > 0.05 * v.max()]
@@ -150,19 +149,17 @@ def test_criterion_07_dynamics_closure():
             prof = MeasurementProfile(G1, ell)
             ref[ell] = m_ell(x, prof) * np.conj(m_ell(xp, prof))
         for envelope in ("gaussian", "constant"):
-            cfg = dynamics.LadderConfig(G1, envelope=envelope, ell_max=16,
-                                        rtol=1e-11, atol=1e-13)
-            got = dynamics.ladder_ode_solve(cfg).channel_values(x, xp)
+            kern = oracles.ladder_ode_solve(G1, envelope, ell_max=16, rtol=1e-11, atol=1e-13)
+            got = kern.channel_values(x, xp)
             assert np.max(np.abs(got - ref)) < 1e-8
         for eta_p, eta_a in ((1.5, 1.0), (1.0, 1.5)):
             g = GratingParameters(phi0=1.875, n0=1.5, eta_p=eta_p, eta_a=eta_a)
-            cfg = dynamics.LadderConfig(g, envelope="constant",
-                                        rtol=1e-11, atol=1e-13)
-            ode = dynamics.ladder_ode_solve(cfg).channel_values(x, xp)
-            ana = dynamics.ladder_analytic(cfg).channel_values(x, xp)
+            kern = oracles.ladder_ode_solve(g, "constant", rtol=1e-11, atol=1e-13)
+            ode = kern.channel_values(x, xp)
+            ana = dynamics.ladder_analytic(x, xp, g)
             assert np.max(np.abs(ode - ana)) < 1e-7
             for ell in (1, 2, 3):
-                t1 = dynamics.t1_integral_kernel(x[:8], xp[:8], ell, g)
+                t1 = oracles.t1_integral_kernel(x[:8], xp[:8], ell, g)
                 assert np.max(np.abs(t1 - ana[ell][:8])) < 1e-7
 
         def vis(eta_p, eta_a):
@@ -179,30 +176,28 @@ def test_criterion_08_rabi_reductions():
     with criterion(8, "Rabi solver: short-lifetime kernel, parameter map, "
                       "no-decay limit, population conservation"):
         xs = np.linspace(-0.5, 0.5, 11)
-        cfg = rabi.RabiConfig(pulse_area=10.0, detuning=50.0, lifetime=0.01,
-                              rtol=1e-11, atol=1e-13)
-        limit = rabi.rabi_short_lifetime_limit(cfg)
+        tight = dict(rtol=1e-11, atol=1e-13)
+        cfg = rabi.RabiConfig(pulse_area=10.0, detuning=50.0, lifetime=0.01)
+        limit = oracles.rabi_short_lifetime_limit(cfg)
         xg, xpg = np.meshgrid(xs, xs)
-        num = rabi.solve_pairs(xg.ravel(), xpg.ravel(), cfg)[:, 0, 0]
+        num = oracles.solve_pairs(xg.ravel(), xpg.ravel(), cfg, **tight)[:, 0, 0]
         ref = limit.pair_values(xg.ravel(), xpg.ravel())
         assert np.max(np.abs(num - ref)) / np.max(np.abs(ref)) < 0.02
 
-        phi0_map, n0_map = rabi.short_lifetime_parameters(cfg)
+        phi0_map, n0_map = oracles.short_lifetime_parameters(cfg)
         anti, node = np.array([0.0]), np.array([0.5])
-        n0_fit = -math.log(rabi.solve_pairs(anti, anti, cfg)[0, 0, 0].real)
-        phi0_fit = float(np.angle(rabi.solve_pairs(anti, node, cfg)[0, 0, 0]))
+        n0_fit = -math.log(oracles.solve_pairs(anti, anti, cfg, **tight)[0, 0, 0].real)
+        phi0_fit = float(np.angle(oracles.solve_pairs(anti, node, cfg, **tight)[0, 0, 0]))
         assert n0_fit == pytest.approx(n0_map, rel=0.02)
         assert phi0_fit == pytest.approx(phi0_map, rel=0.02)
 
-        nodecay = rabi.RabiConfig(pulse_area=4 * math.pi, detuning=0.0,
-                                  lifetime=1e6, rtol=1e-11, atol=1e-13)
-        p0 = rabi.solve_pairs(xs, xs, nodecay)[:, 0, 0].real
+        nodecay = rabi.RabiConfig(pulse_area=4 * math.pi, detuning=0.0, lifetime=1e6)
+        p0 = oracles.solve_pairs(xs, xs, nodecay, **tight)[:, 0, 0].real
         expected = np.cos(0.5 * 4 * math.pi * np.cos(np.pi * xs)) ** 2
         assert np.max(np.abs(p0 - expected)) < 1e-6
 
-        damped = rabi.RabiConfig(pulse_area=4 * math.pi, detuning=0.0,
-                                 lifetime=1.0, rtol=1e-11, atol=1e-13)
-        rho_t = rabi.solve_pairs(xs, xs, damped, t_eval=np.linspace(0, 1, 9))
+        damped = rabi.RabiConfig(pulse_area=4 * math.pi, detuning=0.0, lifetime=1.0)
+        rho_t = oracles.solve_pairs(xs, xs, damped, t_eval=np.linspace(0, 1, 9), **tight)
         pops = np.stack([rho_t[:, :, i, i].real for i in range(3)])
         assert np.max(np.abs(pops.sum(axis=0) - 1.0)) < 1e-9
 

@@ -1,5 +1,6 @@
 """Command-line front end: config parsing, commands, sweeps, determinism."""
 
+import ast
 import json
 import math
 import os
@@ -270,16 +271,29 @@ def test_talbot_j_max_cap_exit_code(tmp_path):
 
 
 def test_import_keeps_scipy_out():
-    """scipy serves only the ODE oracles and the phase-space route, so
-    importing the CLI loads none of it."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    """The package needs numpy alone; scipy serves only the oracles of the
+    tests.  With scipy made unimportable, every module of the package
+    imports, and no source file has a scipy import."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    modules = sorted(p.stem for p in (src / "lasergrating").glob("*.py"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, lasergrating.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    code = ("import importlib, sys\n"
+            "sys.modules['scipy'] = None\n"
+            f"for name in {modules!r}:\n"
+            "    importlib.import_module('lasergrating' if name == '__init__'"
+            " else 'lasergrating.' + name)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('lasergrating')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    loaded = {m.rpartition(".")[2] for m in ast.literal_eval(out.stdout.strip())}
+    assert loaded >= set(modules) - {"__init__"}
+    for path in (src / "lasergrating").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) \
+                else [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            assert not [n for n in names if n.split(".")[0] == "scipy"], path.name
 
 
 def test_import_keeps_process_pool_out():
@@ -298,8 +312,7 @@ def test_import_keeps_process_pool_out():
 def test_kdtli_phi0_45_matches_kernel_fft(tmp_path):
     """At phi0 = 45 the series closed form returned a min-max visibility of
     0.499 without an error; the kernel FFT gives 0.0726."""
-    from oracles import b_numeric_oracle
-    from lasergrating.dynamics import poisson_kernel
+    from oracles import b_numeric_oracle, poisson_kernel
     from lasergrating.params import GratingParameters
     cfg = tmp_path / "phi0_45.cfg"
     cfg.write_text("[grating]\nphi0 = 45.0\nn0 = 0.5\n\n"
@@ -352,12 +365,12 @@ def test_talbot_table_round_trip(grating_cfg, tmp_path):
     meta, cols, rows = read_csv(out / "talbot_coefficients.csv")
     assert cols == ["variant", "ell", "j", "xi", "re", "im"]
     from lasergrating.params import GratingParameters
-    from lasergrating.talbot import b_conditional
+    from lasergrating.talbot import conditional_rows
     g = GratingParameters(phi0=math.pi, n0=1.0)
     sample = [r for r in rows if r[0] == "conditional" and r[1] == 1.0
               and r[2] == 2.0][5]
     assert sample[4] + 1j * sample[5] == pytest.approx(
-        complex(b_conditional(2, sample[3], 1, g)), abs=1e-14)
+        conditional_rows([2], [sample[3]], 1, g)[0, 0], abs=1e-14)
 
 
 def test_kdtli_sweep_maps_velocity_to_talbot_parameter(beam_cfg, tmp_path):

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from csvio import read_csv
-from oracles import (KernelSource, SummedLadderKernel, b_numeric_oracle, channel,
-                     kernel_source)
+from oracles import (KernelSource, SummedLadderKernel, TwoPointKernel, b_numeric_oracle,
+                     channel, kernel_source, ladder_ode_solve, poisson_kernel,
+                     t1_integral_kernel)
 from lasergrating import talbot
-from lasergrating.dynamics import (LadderConfig, ladder_analytic, ladder_ode_solve,
-                                   poisson_kernel, t1_integral_kernel)
+from lasergrating.dynamics import ladder_analytic
 from lasergrating.errors import InvalidInputError
 from lasergrating.grating import MeasurementProfile, m_ell
 from lasergrating.nearfield import KdtliConfig, sinusoidal_visibility
@@ -31,8 +31,15 @@ X = RNG.uniform(-1.0, 1.0, 24)
 XP = RNG.uniform(-1.0, 1.0, 24)
 
 
-def tight(grating, envelope, **kw):
-    return LadderConfig(grating, envelope=envelope, rtol=1e-11, atol=1e-13, **kw)
+def tight(grating, envelope, ell_max=None):
+    """ODE oracle at tolerances tight enough for the closed-form checks."""
+    return ladder_ode_solve(grating, envelope, ell_max, rtol=1e-11, atol=1e-13)
+
+
+def analytic_kernel(grating, ell_max):
+    """The closed-form channels as a kernel with channels and pair_values."""
+    return TwoPointKernel("ladder-analytic", tuple(range(ell_max + 1)),
+                          lambda x, xp: ladder_analytic(x, xp, grating, ell_max))
 
 
 def expm_reference(grating, x, xp, ell_max=70):
@@ -64,7 +71,7 @@ def poisson_reference(grating, ell_max):
 
 def test_ode_pure_phase_kernel():
     g = GratingParameters(phi0=1.3, n0=0.0)
-    kern = ladder_ode_solve(tight(g, "gaussian", ell_max=3))
+    kern = tight(g, "gaussian", ell_max=3)
     vals = kern.channel_values(X, XP)
     c2 = np.cos(np.pi * X) ** 2
     cp2 = np.cos(np.pi * XP) ** 2
@@ -75,14 +82,14 @@ def test_ode_pure_phase_kernel():
 
 @pytest.mark.parametrize("envelope", ["gaussian", "constant"])
 def test_ode_eta_one_matches_measurement_operators(envelope):
-    kern = ladder_ode_solve(tight(G1, envelope, ell_max=16))
+    kern = tight(G1, envelope, ell_max=16)
     vals = kern.channel_values(X, XP)
     ref = poisson_reference(G1, 16)
     assert np.max(np.abs(vals - ref)) < 1e-8
 
 
 def test_ode_antinode_poisson_value():
-    kern = ladder_ode_solve(tight(G1, "gaussian", ell_max=8))
+    kern = tight(G1, "gaussian", ell_max=8)
     vals = kern.channel_values(np.array([0.0]), np.array([0.0]))
     assert vals[1, 0].real == pytest.approx(math.exp(-1.0), abs=1e-9)
 
@@ -91,20 +98,20 @@ def test_trace_conservation_all_eta():
     for eta_p, eta_a in ((1.0, 1.0), (1.5, 1.0), (1.0, 1.5), (1.3, 1.7)):
         g = GratingParameters(phi0=1.875, n0=1.5, eta_p=eta_p, eta_a=eta_a)
         for envelope in ("gaussian", "constant"):
-            kern = ladder_ode_solve(tight(g, envelope))
+            kern = tight(g, envelope)
             diag = kern.channel_values(X, X).sum(axis=0)
             assert np.max(np.abs(diag - 1.0)) < 1e-9
 
 
 def test_envelope_invariance_at_eta_one():
-    a = ladder_ode_solve(tight(G1, "gaussian", ell_max=14)).channel_values(X, XP)
-    b = ladder_ode_solve(tight(G1, "constant", ell_max=14)).channel_values(X, XP)
+    a = tight(G1, "gaussian", ell_max=14).channel_values(X, XP)
+    b = tight(G1, "constant", ell_max=14).channel_values(X, XP)
     assert np.max(np.abs(a - b)) < 1e-8
 
 
 def test_hermiticity_preserved():
     g = GratingParameters(phi0=1.875, n0=1.5, eta_p=1.5, eta_a=1.2)
-    kern = ladder_ode_solve(tight(g, "gaussian"))
+    kern = tight(g, "gaussian")
     a = kern.channel_values(X, XP)
     b = kern.channel_values(XP, X)
     assert np.max(np.abs(a - np.conj(b))) < 1e-9
@@ -118,21 +125,21 @@ def test_analytic_matches_gaussian_envelope_ode():
     """The right-hand side is envelope(t) A y with A fixed and a unit-area
     envelope, so the closed form also serves the Gaussian pulse at eta != 1."""
     g = GratingParameters(phi0=1.875, n0=1.5, eta_p=1.3, eta_a=1.7)
-    num = ladder_ode_solve(tight(g, "gaussian")).channel_values(X, XP)
-    ana = ladder_analytic(tight(g, "gaussian")).channel_values(X, XP)
+    num = tight(g, "gaussian").channel_values(X, XP)
+    ana = ladder_analytic(X, XP, g)
     assert np.max(np.abs(num - ana)) < 1e-10
 
 
 def test_analytic_eta_one_reduces_to_poisson():
-    kern = ladder_analytic(tight(G1, "constant", ell_max=12))
-    assert np.max(np.abs(kern.channel_values(X, XP) - poisson_reference(G1, 12))) < 1e-12
+    got = ladder_analytic(X, XP, G1, ell_max=12)
+    assert np.max(np.abs(got - poisson_reference(G1, 12))) < 1e-12
 
 
 @pytest.mark.parametrize("eta_p,eta_a", [(1.5, 1.0), (1.0, 1.5)])
 def test_ode_matches_hypergeometric_form(eta_p, eta_a):
     g = GratingParameters(phi0=1.875, n0=1.5, eta_p=eta_p, eta_a=eta_a)
-    num = ladder_ode_solve(tight(g, "constant")).channel_values(X, XP)
-    ana = ladder_analytic(tight(g, "constant")).channel_values(X, XP)
+    num = tight(g, "constant").channel_values(X, XP)
+    ana = ladder_analytic(X, XP, g)
     assert np.max(np.abs(num - ana)) < 1e-7
 
 
@@ -144,10 +151,9 @@ def test_summed_kernel_matches_expm(phi0, eta_p, eta_a):
     at the Poisson tail) against the same reference; eta_a = 0.7 makes
     Re z > 0."""
     g = GratingParameters(phi0=phi0, n0=1.5, eta_p=eta_p, eta_a=eta_a)
-    kern = ladder_analytic(LadderConfig(g, envelope="constant"))
     ref = expm_reference(g, X, XP)
     assert np.max(np.abs(SummedLadderKernel(g).pair_values(X, XP) - ref.sum(axis=0))) < 1e-13
-    chans = kern.channel_values(X, XP)
+    chans = ladder_analytic(X, XP, g)
     assert np.max(np.abs(chans - ref[:chans.shape[0]])) < 1e-13
 
 
@@ -193,10 +199,9 @@ def test_analytic_channels_vs_mpmath(phi0, n0, eta_p, eta_a, x, xp):
     """Channels from the Gauss-Legendre rule up to phi0 = 100 and n0 = 20,
     both signs of Re z = -(eta_a - 1) nbar."""
     g = GratingParameters(phi0=phi0, n0=n0, eta_p=eta_p, eta_a=eta_a)
-    kern = ladder_analytic(LadderConfig(g, envelope="constant"))
-    got = kern.channel_values(np.array([x]), np.array([xp]))[:, 0]
+    got = ladder_analytic(np.array([x]), np.array([xp]), g)[:, 0]
     with mpmath.workdps(30):
-        ref = mp_channels(g, mpmath.mpf(x), mpmath.mpf(xp), len(kern.channels) - 1)
+        ref = mp_channels(g, mpmath.mpf(x), mpmath.mpf(xp), got.size - 1)
     assert np.max(np.abs(got - ref)) < 1e-12
 
 
@@ -204,8 +209,7 @@ def test_analytic_channels_vs_mpmath(phi0, n0, eta_p, eta_a, x, xp):
 def test_t1_integral_matches_hypergeometric(ell):
     g = GratingParameters(phi0=1.875, n0=1.5, eta_p=1.5, eta_a=1.3)
     quadr = t1_integral_kernel(X[:6], XP[:6], ell, g)
-    ana = ladder_analytic(tight(g, "constant", ell_max=ell)).channel_values(
-        X[:6], XP[:6])[ell]
+    ana = ladder_analytic(X[:6], XP[:6], g, ell_max=ell)[ell]
     assert np.max(np.abs(quadr - ana)) < 1e-7
 
 
@@ -223,11 +227,11 @@ def test_poisson_kernel_coefficients_match_closed_form():
     for ell in (0, 1, 2):
         for (j, xi) in ((0, 0.0), (2, 0.5), (-3, 1.3)):
             num = b_numeric_oracle(j, xi, channel(kern, ell))
-            ref = complex(talbot.b_conditional(j, xi, ell, G1))
+            ref = talbot.conditional_rows([j], [xi], ell, G1)[0, 0]
             assert num == pytest.approx(ref, abs=1e-8)
     # channel-summed kernel reproduces the unconditional coefficients
     num = b_numeric_oracle(2, 0.7, kern)
-    assert num == pytest.approx(complex(talbot.b_unconditional(2, 0.7, G1)), abs=1e-8)
+    assert num == pytest.approx(talbot.unconditional_rows([2], [0.7], G1)[0, 0], abs=1e-8)
 
 
 def test_identity_kernel_gives_delta():
@@ -241,17 +245,17 @@ def test_kernel_to_talbot_table():
     """The summed-ladder closed form at eta = 1 against the unconditional
     closed form and the sampled summed kernel; one sampled channel against
     the conditional closed form."""
-    kern = ladder_analytic(tight(G1, "constant", ell_max=10))
+    kern = analytic_kernel(G1, ell_max=10)
     orders, xi = (v.ravel() for v in np.meshgrid(np.arange(-4, 5), [0.0, 0.5, 1.3]))
     total = talbot.ClosedForm(G1, "ladder").pairs(orders, xi)
     sampled = KernelSource(SummedLadderKernel(G1)).pairs(orders, xi)
     one = kernel_source(kern, 1).pairs(orders, xi)
-    for k, (j, x) in enumerate(zip(orders.tolist(), xi.tolist())):
-        ref = complex(talbot.b_unconditional(j, x, G1))
-        assert total[k] == pytest.approx(ref, abs=1e-8)
+    ref = talbot.ClosedForm(G1).pairs(orders, xi)
+    ref1 = talbot.ClosedForm(G1, 1).pairs(orders, xi)
+    for k in range(orders.size):
+        assert total[k] == pytest.approx(ref[k], abs=1e-8)
         assert total[k] == pytest.approx(sampled[k], abs=1e-13)
-        ref0 = complex(talbot.b_conditional(j, x, 1, G1))
-        assert one[k] == pytest.approx(ref0, abs=1e-8)
+        assert one[k] == pytest.approx(ref1[k], abs=1e-8)
 
 
 def test_kernel_source_one_line_per_unique_xi():
@@ -271,11 +275,11 @@ def test_kernel_source_one_line_per_unique_xi():
     tab = src.rows([2, 0], [0.5, 0.0, 0.5])
     assert pairs == [2 * 512]          # two unique lines, one kernel call
     assert tab[0, 0] == tab[0, 2]
-    assert tab[0, 0] == pytest.approx(complex(talbot.b_unconditional(2, 0.5, G1)), abs=1e-8)
-    child = kernel_source(ladder_analytic(tight(G1, "constant", ell_max=10)), 0)
+    assert tab[0, 0] == pytest.approx(talbot.unconditional_rows([2], [0.5], G1)[0, 0], abs=1e-8)
+    child = kernel_source(analytic_kernel(G1, ell_max=10), 0)
     assert child.label.endswith("ell=0")
     assert child.rows([0], [0.0])[0, 0] == pytest.approx(
-        complex(talbot.b_conditional(0, 0.0, 0, G1)), abs=1e-10)
+        talbot.conditional_rows([0], [0.0], 0, G1)[0, 0], abs=1e-10)
 
 
 def test_kernel_line_csv(tmp_path):

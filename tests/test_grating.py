@@ -1,4 +1,5 @@
-"""Measurement operators, Poisson probabilities, and plane-wave diffraction."""
+"""Measurement operators, Poisson probabilities, and the plane-wave diffraction
+oracle."""
 
 import math
 
@@ -7,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import DiffractionAmplitudes, plane_wave_diffraction
 from lasergrating.errors import CutoffError, InvalidInputError
-from lasergrating.grating import (DiffractionAmplitudes, MeasurementProfile,
-                                  absorption_probability, m_ell, mean_absorption,
-                                  phase_profile, plane_wave_diffraction,
-                                  poisson_ell_max)
+from lasergrating.grating import (MeasurementProfile, absorption_probability, m_ell,
+                                  mean_absorption, phase_profile, poisson_ell_max)
 from lasergrating.params import GratingParameters
 
 G_DEFAULT = GratingParameters(phi0=math.pi, n0=1.0)

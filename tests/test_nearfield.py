@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import mean_transmission_closed
 from lasergrating.errors import CutoffError, InvalidInputError
 from lasergrating.nearfield import (FringeSignal, KdtliConfig, kdtli_signal,
-                                    mean_transmission, mean_transmission_closed,
-                                    sinusoidal_visibility, velocity_average,
-                                    visibility_minmax)
+                                    sinusoidal_visibility, velocity_average)
 from lasergrating.params import GratingParameters
+from lasergrating.talbot import conditional_rows
 
 G = GratingParameters(phi0=math.pi, n0=1.0)
 F = 0.42
@@ -43,8 +43,13 @@ def test_conditional_signals_sum_to_unconditional():
     assert np.max(np.abs(total - uncond)) < 1e-8
 
 
+def mean_transmission(grating, ells, open_fraction):
+    """Mean conditional signals f^2 B_0(0; l), one per count in `ells`."""
+    return open_fraction**2 * conditional_rows([0], [0.0], ells, grating)[:, 0, 0]
+
+
 def test_transmission_weights_64_24_8():
-    w = [mean_transmission(G, ell, 1.0) for ell in range(3)]
+    w = mean_transmission(G, range(3), 1.0)
     assert w[0] == pytest.approx(0.64, abs=0.01)
     assert w[1] == pytest.approx(0.24, abs=0.01)
     assert w[2] == pytest.approx(0.08, abs=0.01)
@@ -52,16 +57,17 @@ def test_transmission_weights_64_24_8():
 
 
 def test_mean_transmissions_sum_to_f_squared():
-    total = sum(mean_transmission(G, ell, F) for ell in range(25))
+    total = mean_transmission(G, range(25), F).sum()
     assert total == pytest.approx(F * F, abs=1e-10)
 
 
 def test_mean_transmission_closed_form_matches_signal_average():
+    means = mean_transmission(G, range(5), F)
     for ell in range(5):
         closed = mean_transmission_closed(G, ell, F)
         sig = kdtli_signal(cfg(source=ell))
         assert closed == pytest.approx(float(np.mean(sig.values)), abs=1e-8)
-        assert closed == pytest.approx(mean_transmission(G, ell, F), abs=1e-10)
+        assert closed == pytest.approx(means[ell], abs=1e-10)
 
 
 def test_visibility_zero_without_grating():
@@ -117,17 +123,17 @@ def test_phase_flip_between_odd_and_even_integer():
 def test_visibility_minmax_trivials():
     shifts = np.arange(512) / 512
     flat = FringeSignal(shifts, np.full(512, 0.3), {0: 0.3}, 0.3, 1.0)
-    assert visibility_minmax(flat) == pytest.approx(0.0, abs=1e-14)
+    assert flat.visibility_minmax() == pytest.approx(0.0, abs=1e-14)
     vals = 0.5 + 0.2 * np.cos(2 * np.pi * shifts)
     pure = FringeSignal(shifts, vals, {0: 0.5, 1: 0.1}, 0.5, 1.0)
-    assert visibility_minmax(pure) == pytest.approx(0.4, rel=1e-10)
+    assert pure.visibility_minmax() == pytest.approx(0.4, rel=1e-10)
 
 
 def test_visibility_minmax_close_to_sine_visibility():
     config = cfg(lt=4.25)
     sig = kdtli_signal(config)
     vsin = sinusoidal_visibility(config)
-    vmm = visibility_minmax(sig)
+    vmm = sig.visibility_minmax()
     # difference bounded by relative higher-harmonic content
     comps = sig.components
     higher = sum(2 * abs(comps[j]) for j in comps if j >= 2) / comps[0].real

@@ -8,29 +8,35 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import KernelSource
+from oracles import (KernelSource, TwoPointKernel, rabi_short_lifetime_limit,
+                     short_lifetime_parameters, solve_pairs)
 from lasergrating.errors import CutoffError, DomainError, InvalidInputError, RegimeError
-from lasergrating.rabi import (RabiConfig, amplitudes, ground_amplitude, rabi_kdtli,
-                               rabi_short_lifetime_limit, rabi_solve, rabi_source,
-                               short_lifetime_parameters, solve_pairs)
+from lasergrating.rabi import RabiConfig, amplitudes, rabi_kdtli, rabi_solve, rabi_source
 
 XS = np.linspace(-0.5, 0.5, 13)
+TIGHT = dict(rtol=1e-11, atol=1e-13)   # ODE tolerances of the oracle comparisons
+
+
+def k00(config, x, xp):
+    """Closed-form ground-state kernel K_00(x, x') = c0(x) conj c0(x')."""
+    c0, c0p = (amplitudes(config.pulse_area * np.cos(np.pi * np.asarray(v)), config.detuning,
+                          config.lifetime)[0] for v in (x, xp))
+    return c0 * np.conj(c0p)
 
 
 def test_no_drive_is_identity():
     config = RabiConfig(pulse_area=0.0, lifetime=1.0, n_points=32)
-    kern = rabi_solve(config)
-    assert np.max(np.abs(kern.pair_values(XS, XS[::-1]) - 1.0)) < 1e-12
-    assert np.max(np.abs(kern.populations[0] - 1.0)) < 1e-12
-    assert np.max(np.abs(kern.populations[1:])) < 1e-12
+    prof = rabi_solve(config)
+    assert np.max(np.abs(k00(config, XS, XS[::-1]) - 1.0)) < 1e-12
+    assert np.max(np.abs(prof.populations[0] - 1.0)) < 1e-12
+    assert np.max(np.abs(prof.populations[1:])) < 1e-12
 
 
 def test_no_decay_rabi_oscillation():
     """tau -> infinity, Delta = 0: ground population follows
     cos^2(Omega(x) t/2)."""
-    config = RabiConfig(pulse_area=4 * math.pi, detuning=0.0, lifetime=1e6,
-                        n_points=32, rtol=1e-11, atol=1e-13)
-    rho = solve_pairs(XS, XS, config)
+    config = RabiConfig(pulse_area=4 * math.pi, detuning=0.0, lifetime=1e6, n_points=32)
+    rho = solve_pairs(XS, XS, config, **TIGHT)
     p0 = rho[:, 0, 0].real
     expected = np.cos(0.5 * 4 * math.pi * np.cos(np.pi * XS)) ** 2
     assert np.max(np.abs(p0 - expected)) < 1e-6
@@ -46,20 +52,18 @@ def test_detuned_rabi_frequency():
     """No decay, finite detuning: population oscillates at
     Omega_R = sqrt(Delta^2 + Omega^2)."""
     area, det = 3.0, 2.0
-    config = RabiConfig(pulse_area=area, detuning=det, lifetime=1e7,
-                        rtol=1e-11, atol=1e-13)
+    config = RabiConfig(pulse_area=area, detuning=det, lifetime=1e7)
     x = np.array([0.0])
-    rho = solve_pairs(x, x, config)
+    rho = solve_pairs(x, x, config, **TIGHT)
     omega_r = math.hypot(area, det)
     expected = 1.0 - (area / omega_r) ** 2 * math.sin(0.5 * omega_r) ** 2
     assert rho[0, 0, 0].real == pytest.approx(expected, abs=1e-8)
 
 
 def test_populations_conserve_and_dark_state_grows():
-    config = RabiConfig(pulse_area=4 * math.pi, detuning=0.0, lifetime=1.0,
-                        rtol=1e-11, atol=1e-13)
+    config = RabiConfig(pulse_area=4 * math.pi, detuning=0.0, lifetime=1.0)
     times = np.linspace(0.0, 1.0, 21)
-    rho_t = solve_pairs(XS, XS, config, t_eval=times)
+    rho_t = solve_pairs(XS, XS, config, t_eval=times, **TIGHT)
     pops = np.stack([rho_t[:, :, i, i].real for i in range(3)])  # (3, nt, nx)
     total = pops.sum(axis=0)
     assert np.max(np.abs(total - 1.0)) < 1e-9
@@ -69,9 +73,8 @@ def test_populations_conserve_and_dark_state_grows():
 
 
 def test_expm_oracle_matches_ode():
-    config = RabiConfig(pulse_area=4 * math.pi, detuning=1.7, lifetime=0.8,
-                        rtol=1e-11, atol=1e-13)
-    a = solve_pairs(XS, XS + 0.3, config)
+    config = RabiConfig(pulse_area=4 * math.pi, detuning=1.7, lifetime=0.8)
+    a = solve_pairs(XS, XS + 0.3, config, **TIGHT)
     b = solve_pairs(XS, XS + 0.3, config, method="expm")
     assert np.max(np.abs(a - b)) < 1e-9
 
@@ -79,15 +82,10 @@ def test_expm_oracle_matches_ode():
 def test_amplitude_closed_form_matches_solver():
     """The driven sector never gets refilled, so K_00(x, x') equals the
     product of damped two-level amplitudes; independent analytic route."""
-    config = RabiConfig(pulse_area=4 * math.pi, detuning=0.9, lifetime=1.3,
-                        rtol=1e-11, atol=1e-13)
+    config = RabiConfig(pulse_area=4 * math.pi, detuning=0.9, lifetime=1.3)
     x, xp = XS, XS + 0.21
-    rho = solve_pairs(x, xp, config)
-    c_left = ground_amplitude(config.pulse_area * np.cos(np.pi * x),
-                              config.detuning, config.lifetime)
-    c_right = ground_amplitude(config.pulse_area * np.cos(np.pi * xp),
-                               config.detuning, config.lifetime)
-    assert np.max(np.abs(rho[:, 0, 0] - c_left * np.conj(c_right))) < 1e-9
+    rho = solve_pairs(x, xp, config, **TIGHT)
+    assert np.max(np.abs(rho[:, 0, 0] - k00(config, x, xp))) < 1e-9
 
 
 # Omega t_L = 1/(2 tau/t_L) at Delta = 0: H_eff is a Jordan block (s = 0)
@@ -101,7 +99,7 @@ def test_ground_amplitude_at_exceptional_point():
     ref = expm(-1j * h_eff)[:, 0]
     c0, c1 = amplitudes(w, det, tau)
     assert abs(c0 - ref[0]) < 1e-14 and abs(c1 - ref[1]) < 1e-14
-    assert ground_amplitude(w, det, tau) == pytest.approx(0.96024551299247, abs=1e-13)
+    assert complex(c0) == pytest.approx(0.96024551299247, abs=1e-13)
     # antinode of a pulse of area w: K_00(0, 0) of the nine-element oracle
     rho = solve_pairs(np.array([0.0]), np.array([0.0]), RabiConfig(**EXCEPTIONAL),
                       method="expm")
@@ -118,13 +116,13 @@ def test_rabi_solve_matches_expm_oracle(params):
     """Closed-form populations and K_00 against the matrix exponential of
     the full two-point master equation."""
     config = RabiConfig(n_points=64, **params)
-    kern = rabi_solve(config)
-    rho = solve_pairs(kern.positions, kern.positions, config, method="expm")
+    prof = rabi_solve(config)
+    rho = solve_pairs(prof.positions, prof.positions, config, method="expm")
     pops = np.stack([rho[:, i, i].real for i in range(3)])
-    assert np.max(np.abs(kern.populations - pops)) < 1e-10
+    assert np.max(np.abs(prof.populations - pops)) < 1e-10
     x, xp = XS, XS + 0.21
     ref = solve_pairs(x, xp, config, method="expm")[:, 0, 0]
-    assert np.max(np.abs(kern.pair_values(x, xp) - ref)) < 1e-10
+    assert np.max(np.abs(k00(config, x, xp) - ref)) < 1e-10
 
 
 def test_closed_form_range_of_lifetimes():
@@ -133,16 +131,15 @@ def test_closed_form_range_of_lifetimes():
     with pytest.raises(RegimeError):
         rabi_solve(RabiConfig(pulse_area=1.0, lifetime=1e-4))
     config = RabiConfig(pulse_area=3.0, detuning=200.0, lifetime=1.0 / 2700)
-    vals = rabi_solve(config).pair_values(XS, XS[::-1])
+    vals = k00(config, XS, XS[::-1])
     ref = solve_pairs(XS, XS[::-1], config, method="expm")[:, 0, 0]
     assert np.max(np.abs(vals - ref)) < 1e-10
 
 
 def test_hermiticity_of_ground_kernel():
     config = RabiConfig(pulse_area=3 * math.pi, detuning=0.4, lifetime=0.7)
-    kern = rabi_solve(config).kernel
-    a = kern.pair_values(XS, XS + 0.17)
-    b = kern.pair_values(XS + 0.17, XS)
+    a = k00(config, XS, XS + 0.17)
+    b = k00(config, XS + 0.17, XS)
     assert np.max(np.abs(a - np.conj(b))) < 1e-9
 
 
@@ -171,11 +168,10 @@ def test_short_lifetime_parameter_maps():
 
 def test_full_solve_matches_short_lifetime_kernel():
     """tau = t_L/100: the solved kernel matches the closed form within 2%."""
-    cfg = RabiConfig(pulse_area=10.0, detuning=50.0, lifetime=0.01,
-                     rtol=1e-11, atol=1e-13)
+    cfg = RabiConfig(pulse_area=10.0, detuning=50.0, lifetime=0.01)
     limit = rabi_short_lifetime_limit(cfg)
     x, xp = np.meshgrid(np.linspace(-0.5, 0.5, 11), np.linspace(-0.5, 0.5, 11))
-    num = solve_pairs(x.ravel(), xp.ravel(), cfg)[:, 0, 0]
+    num = solve_pairs(x.ravel(), xp.ravel(), cfg, **TIGHT)[:, 0, 0]
     ref = limit.pair_values(x.ravel(), xp.ravel())
     assert np.max(np.abs(num - ref)) / np.max(np.abs(ref)) < 0.02
 
@@ -183,13 +179,12 @@ def test_full_solve_matches_short_lifetime_kernel():
 def test_mapped_parameters_recovered_by_fitting():
     """Extract (phi0, n0) from the solved kernel and compare with the
     analytic map within 2%."""
-    cfg = RabiConfig(pulse_area=10.0, detuning=50.0, lifetime=0.01,
-                     rtol=1e-11, atol=1e-13)
+    cfg = RabiConfig(pulse_area=10.0, detuning=50.0, lifetime=0.01)
     phi0_map, n0_map = short_lifetime_parameters(cfg)
     anti = np.array([0.0])
     node = np.array([0.5])
-    n0_fit = -math.log(solve_pairs(anti, anti, cfg)[0, 0, 0].real)
-    phi0_fit = float(np.angle(solve_pairs(anti, node, cfg)[0, 0, 0]))
+    n0_fit = -math.log(solve_pairs(anti, anti, cfg, **TIGHT)[0, 0, 0].real)
+    phi0_fit = float(np.angle(solve_pairs(anti, node, cfg, **TIGHT)[0, 0, 0]))
     assert n0_fit == pytest.approx(n0_map, rel=0.02)
     assert phi0_fit == pytest.approx(phi0_map, rel=0.02)
 
@@ -290,7 +285,8 @@ def test_rabi_source_matches_sampled_kernel(area_pi, detuning, log_tau, xi):
         got = rabi_source(config).pairs(orders, x)
     except (DomainError, CutoffError):
         return
-    ref = KernelSource(rabi_solve(config).kernel, n_points=4096).pairs(orders, x)
+    kernel = TwoPointKernel("rabi", ("00",), lambda x, xp: k00(config, x, xp)[None])
+    ref = KernelSource(kernel, n_points=4096).pairs(orders, x)
     assert np.max(np.abs(got - ref)) < 1e-13
 
 

@@ -10,18 +10,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csvio import read_csv
-from oracles import KernelSource, SummedLadderKernel, b_numeric_oracle, channel
+from oracles import KernelSource, SummedLadderKernel, b_numeric_oracle, channel, poisson_kernel
 from lasergrating.cli import _talbot_blocks
-from lasergrating.dynamics import poisson_kernel
 from lasergrating.errors import CutoffError, DomainError, InvalidInputError, ResolutionError
 from lasergrating.grating import MeasurementProfile, poisson_ell_max
 from lasergrating import farfield, talbot
 from lasergrating.output import write_csv
 from lasergrating.params import GratingParameters
 from lasergrating.specfun import exp_fourier_rows
-from lasergrating.talbot import (ClosedForm, RankOneSource, b_conditional, b_unconditional,
-                                 build_coefficient_table, conditional_rows, fold_xi,
-                                 ladder_pairs, unconditional_rows, zeta)
+from lasergrating.talbot import (ClosedForm, RankOneSource, build_coefficient_table,
+                                 conditional_rows, fold_xi, ladder_pairs, unconditional_rows,
+                                 zeta)
 
 mpmath.mp.dps = 30
 
@@ -53,33 +52,35 @@ def test_zeta_golden():
 
 def test_conditional_no_grating_is_delta():
     g0 = GratingParameters(phi0=0.0, n0=0.0)
-    for j in range(-4, 5):
-        val = complex(b_conditional(j, 0.63, 0, g0))
-        assert val == pytest.approx(1.0 if j == 0 else 0.0, abs=1e-15)
+    orders = np.arange(-4, 5)
+    vals = conditional_rows(orders, [0.63], 0, g0)[:, 0]
+    assert vals == pytest.approx((orders == 0).astype(float), abs=1e-15)
 
 
 def test_conditional_b00_value():
     # B_0(0; 0) = e^{-n0/2} I_0(n0/2); cross-checked by the mean of e^{-n(x)}
     ref = float(mpmath.exp(-0.5) * mpmath.besseli(0, 0.5))
-    assert complex(b_conditional(0, 0.0, 0, G)).real == pytest.approx(ref, rel=1e-12)
+    b00 = conditional_rows([0], [0.0], 0, G)[0, 0]
+    assert b00 == pytest.approx(ref, rel=1e-12)
     x = np.arange(4096) / 4096
     avg = np.mean(np.exp(-np.cos(np.pi * x) ** 2))
-    assert complex(b_conditional(0, 0.0, 0, G)).real == pytest.approx(avg, rel=1e-10)
+    assert b00 == pytest.approx(avg, rel=1e-10)
 
 
 def test_conditional_matches_numeric_oracle_matrix():
-    for j in range(-6, 7):
-        for xi in (0.0, 0.25, 0.5, 1.3):
-            for ell in (0, 1, 2):
-                closed = complex(b_conditional(j, xi, ell, G))
+    orders, xis, ells = range(-6, 7), (0.0, 0.25, 0.5, 1.3), (0, 1, 2)
+    table = conditional_rows(orders, xis, ells, G)
+    for ij, j in enumerate(orders):
+        for ix, xi in enumerate(xis):
+            for ell in ells:
                 oracle = b_numeric_oracle(j, xi, MeasurementProfile(G, ell),
                                           n_points=1024)
-                assert closed == pytest.approx(oracle, abs=1e-8)
+                assert table[ell, ij, ix] == pytest.approx(oracle, abs=1e-8)
 
 
 def test_conditional_example_b2():
     oracle = b_numeric_oracle(2, 0.5, MeasurementProfile(G, 1), n_points=2048)
-    assert complex(b_conditional(2, 0.5, 1, G)) == pytest.approx(oracle, abs=1e-10)
+    assert conditional_rows([2], [0.5], 1, G)[0, 0] == pytest.approx(oracle, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -87,22 +88,21 @@ def test_conditional_example_b2():
 # ---------------------------------------------------------------------------
 
 def test_unconditional_delta_at_zero_argument():
-    for j in range(-3, 4):
-        val = complex(b_unconditional(j, 0.0, G))
-        assert val == pytest.approx(1.0 if j == 0 else 0.0, abs=1e-15)
+    orders = np.arange(-3, 4)
+    vals = unconditional_rows(orders, [0.0], G)[:, 0]
+    assert vals == pytest.approx((orders == 0).astype(float), abs=1e-15)
 
 
 def test_classical_is_quantum_mirrored():
-    for j in (-3, -1, 0, 2, 5):
-        for xi in (0.13, 0.77, 1.45):
-            cls = complex(b_unconditional(j, xi, G, "classical"))
-            qnt = complex(b_unconditional(-j, xi, G, "quantum"))
-            assert cls == pytest.approx(qnt, abs=1e-14)
+    orders, xi = np.array([-3, -1, 0, 2, 5]), [0.13, 0.77, 1.45]
+    cls = unconditional_rows(orders, xi, G, "classical")
+    qnt = unconditional_rows(-orders, xi, G, "quantum")
+    assert cls == pytest.approx(qnt, abs=1e-14)
 
 
 def test_conditional_sum_rule_single_point():
-    total = sum(complex(b_conditional(2, 0.7, ell, G)) for ell in range(26))
-    assert total == pytest.approx(complex(b_unconditional(2, 0.7, G)), abs=1e-8)
+    total = conditional_rows([2], [0.7], range(26), G)[:, 0, 0].sum()
+    assert total == pytest.approx(unconditional_rows([2], [0.7], G)[0, 0], abs=1e-8)
 
 
 def test_conditional_sum_rule_random_sample():
@@ -113,40 +113,34 @@ def test_conditional_sum_rule_random_sample():
         g = GratingParameters(phi0=phi0, n0=n0)
         j = int(rng.integers(-4, 5))
         xi = rng.uniform(0.0, 2.0)
-        total = sum(complex(b_conditional(j, xi, ell, g)) for ell in range(40))
-        assert total == pytest.approx(complex(b_unconditional(j, xi, g)), abs=1e-7)
+        total = conditional_rows([j], [xi], range(40), g)[:, 0, 0].sum()
+        assert total == pytest.approx(unconditional_rows([j], [xi], g)[0, 0], abs=1e-7)
 
 
 def test_periodicity():
+    xi = np.array([0.21, 0.9, 1.55])
     for variant in ("quantum", "classical"):
-        for j in (0, 1, 3):
-            for xi in (0.21, 0.9, 1.55):
-                a = complex(b_unconditional(j, xi, G, variant))
-                b = complex(b_unconditional(j, xi + 2.0, G, variant))
-                assert a == pytest.approx(b, abs=1e-10)
+        a = unconditional_rows([0, 1, 3], xi, G, variant)
+        b = unconditional_rows([0, 1, 3], xi + 2.0, G, variant)
+        assert a == pytest.approx(b, abs=1e-10)
 
 
 def test_periodicity_pure_phase():
     """For n0 = 0 the shift xi -> xi + 1 maps B_j to (-1)^j B_j, so even
     orders (the only ones entering the fringe signal) are 1-periodic."""
     g0 = GratingParameters(phi0=math.pi, n0=0.0)
-    for j in (-4, -2, 0, 2, 6):
-        a = complex(b_unconditional(j, 0.33, g0))
-        b = complex(b_unconditional(j, 1.33, g0))
-        assert a == pytest.approx(b, abs=1e-10)
-    for j in (-3, 1, 5):
-        a = complex(b_unconditional(j, 0.33, g0))
-        b = complex(b_unconditional(j, 1.33, g0))
-        assert b == pytest.approx(-a, abs=1e-10)
+    a, b = unconditional_rows([-4, -2, 0, 2, 6], [0.33, 1.33], g0).T
+    assert a == pytest.approx(b, abs=1e-10)
+    a, b = unconditional_rows([-3, 1, 5], [0.33, 1.33], g0).T
+    assert b == pytest.approx(-a, abs=1e-10)
 
 
 def test_reflection_identity():
-    for j in (-3, -1, 0, 2, 4):
-        for xi in (0.18, 0.6, 1.7):
-            assert complex(b_unconditional(j, -xi, G)) == pytest.approx(
-                complex(b_unconditional(-j, xi, G)), abs=1e-13)
-            assert complex(b_conditional(j, -xi, 1, G)) == pytest.approx(
-                complex(b_conditional(-j, xi, 1, G)), abs=1e-13)
+    orders, xi = np.array([-3, -1, 0, 2, 4]), np.array([0.18, 0.6, 1.7])
+    assert unconditional_rows(orders, -xi, G) == pytest.approx(
+        unconditional_rows(-orders, xi, G), abs=1e-13)
+    assert conditional_rows(orders, -xi, 1, G) == pytest.approx(
+        conditional_rows(-orders, xi, 1, G), abs=1e-13)
 
 
 @given(st.floats(min_value=0.0, max_value=2.0),
@@ -157,12 +151,12 @@ def test_variants_degenerate_without_phase_or_absorption(xi, j):
     the mirror map sends B_j to (-1)^j B_j, so the variants coincide on the
     even orders - which are the only ones entering observable signals."""
     ga = GratingParameters(phi0=0.0, n0=1.3)
-    q = complex(b_unconditional(j, xi, ga, "quantum"))
-    c = complex(b_unconditional(j, xi, ga, "classical"))
+    q = unconditional_rows([j], [xi], ga, "quantum")[0, 0]
+    c = unconditional_rows([j], [xi], ga, "classical")[0, 0]
     assert q == pytest.approx(c, abs=1e-12)
     gp = GratingParameters(phi0=2.1, n0=0.0)
-    q = complex(b_unconditional(2 * j, xi, gp, "quantum"))
-    c = complex(b_unconditional(2 * j, xi, gp, "classical"))
+    q = unconditional_rows([2 * j], [xi], gp, "quantum")[0, 0]
+    c = unconditional_rows([2 * j], [xi], gp, "classical")[0, 0]
     assert q == pytest.approx(c, abs=1e-12)
 
 
@@ -240,7 +234,7 @@ def test_table_csv_round_trip(tmp_path):
     assert columns == ["variant", "ell", "j", "xi", "re", "im"]
     # one row per (variant/ell, j, xi)
     assert len(rows) == (2 + 2) * 5 * 8
-    want = complex(b_conditional(1, float(xi[3]), 1, G))
+    want = conditional_rows([1], [xi[3]], 1, G)[0, 0]
     got = [r for r in rows if r[0] == "conditional" and r[1] == 1 and r[2] == 1
            and abs(r[3] - xi[3]) < 1e-12]
     assert len(got) == 1
@@ -254,10 +248,10 @@ def test_sources():
     o, x = o.ravel(), x.ravel()
     src = ClosedForm(G, "classical")
     for j, xi, b in zip(o, x, src.pairs(o, x)):
-        assert b == pytest.approx(complex(b_unconditional(j, xi, G, "classical")))
+        assert b == pytest.approx(unconditional_rows([j], [xi], G, "classical")[0, 0])
     csrc = ClosedForm(G, 1)
     for j, xi, b in zip(o, x, csrc.pairs(o, x)):
-        assert b == pytest.approx(complex(b_conditional(j, xi, 1, G)))
+        assert b == pytest.approx(conditional_rows([j], [xi], 1, G)[0, 0])
     assert csrc.label == "ell=1"
     assert src.label == "classical"
     for bad in ("bogus", -1, None):
