@@ -251,31 +251,32 @@ def cmd_derive_params(cfg, args, outdir: Path) -> list[str]:
 
 
 def cmd_talbot(cfg, args, outdir: Path) -> list[str]:
-    from . import talbot
+    """A (variant, ell, j, xi, re, im) block per table and order j: re gathered from the
+    folded table (classical: the quantum one, j reversed), im 0 as the forms are real."""
+    from . import specfun, talbot
     grating = grating_from_config(cfg)
     sec = cfg["talbot"] if "talbot" in cfg else {}
     j_max = _getint(sec, "j_max", 8, 0)
     xi = np.linspace(0.0, 2.0, _getint(sec, "xi_points", 256, 1), endpoint=False)
-    variants = (args.variant,) if args.variant else talbot.VARIANTS
-    table = talbot.build_coefficient_table(
-        grating, xi_grid=xi, j_max=j_max,
-        ells=_ell_list(args, grating) or (), variants=variants)
+    ells = _ell_list(args, grating)
+    specfun.spectral_points(0.0, j_max + max(ells, default=0))  # the cap, before any array
+    distinct, index, flip = talbot.fold_xi(xi)
+    quantum = talbot.symmetric_rows(j_max, distinct, "quantum", grating).ravel()
+    tables = [(v, "", quantum, v == "classical")
+              for v in ((args.variant,) if args.variant else talbot.VARIANTS)]
+    if ells:  # a copy per count, so that each is freed once written
+        tables += [("conditional", ell, rows.ravel().copy(), False) for ell, rows in
+                   zip(ells, talbot.symmetric_rows(j_max, distinct, ells, grating))]
+
+    def blocks():  # B_j(xi_k) is in row (flip_k xor mirror ? -j : j) + j_max, column index_k
+        while tables:
+            label, ell, values, mirror = tables.pop(0)
+            yield from ((label, ell, j, xi, output.Gathered(values, index + distinct.size * (
+                j_max + np.where(flip != mirror, -j, j))), 0.0) for j in range(-j_max, j_max + 1))
     name = f"talbot_coefficients.{_ext(args)}"
-    _writer(args)(outdir / name,
-                  {"command": "talbot", "phi0": grating.phi0, "n0": grating.n0,
-                   "j_max": j_max},
-                  ["variant", "ell", "j", "xi", "re", "im"], _talbot_blocks(table))
+    meta = {"command": "talbot", "phi0": grating.phi0, "n0": grating.n0, "j_max": j_max}
+    _writer(args)(outdir / name, meta, ["variant", "ell", "j", "xi", "re", "im"], blocks())
     return [name]
-
-
-def _talbot_blocks(table):
-    """One (variant, ell, j, xi, re, im) block per table and order j, so j
-    is a scalar and every block repeats the same xi array, which the writers
-    format once per write.  The closed forms are real, so im is 0."""
-    for key, tab in table.tables.items():
-        label, ell = (key, "") if isinstance(key, str) else ("conditional", key)
-        for j, row in zip(table.orders.tolist(), tab):
-            yield label, ell, j, table.xi, row, 0.0
 
 
 def _kdtli_point(task):
@@ -613,11 +614,16 @@ COMMANDS = {
     "rabi": cmd_rabi,
 }
 
+FLAG_READERS = {"sweep": ("kdtli", "ladder"), "variant": ("talbot", "kdtli", "farfield"),
+                "ell": ("talbot", "kdtli", "farfield")}
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lasergrating",
-        description="Matter-wave diffraction at absorptive standing-wave laser gratings")
+        description="Matter-wave diffraction at absorptive standing-wave laser gratings",
+        epilog="; ".join(f"--{flag} is read by {', '.join(cmds)}" for flag, cmds in
+                         FLAG_READERS.items()) + "; given to another command, exit 2")
     p.add_argument("command", choices=list(COMMANDS) + ["figure"])
     p.add_argument("figure", nargs="?", default=None,
                    help="figure id (1|2|4|5|6) for the figure command")
@@ -636,6 +642,9 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        for flag, readers in FLAG_READERS.items():
+            if getattr(args, flag) is not None and args.command not in readers:
+                raise ConfigError(f"the {args.command} command does not read --{flag}")
         outdir = Path(args.out or os.environ.get(OUT_ENV, "."))
         outdir.mkdir(parents=True, exist_ok=True)
         if args.command == "figure":

@@ -10,14 +10,16 @@ it has none).  Each chunk of CHUNK_ROWS rows is formatted from one `%`
 template and written at once, so no writer holds the rows or the document.
 A number array that one write meets again (the same abscissa in every
 curve) has its cell texts formatted once and baked into the template of
-each later block, so `%` fills only the columns that change; the bytes are
-the same either way.  The byte contract is in docs/formats.md.
+each later block, so `%` fills only the columns that change; a `Gathered`
+column reuses the texts of its values while the blocks bring the same ones.
+The bytes are the same either way; the contract is in docs/formats.md.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -31,11 +33,37 @@ _JSON_FRAME = ("    [\n      ", ",\n      ", "\n    ]", ",\n")
 _JSON_EMPTY_FRAME = ("    [", "", "]", ",\n")
 
 
+@dataclass(frozen=True)
+class Gathered:
+    """A column whose cell k is values[index[k]] (1-D number values, 1-D int index)."""
+    values: np.ndarray
+    index: np.ndarray
+
+
 def _cell(value) -> str:
     """17 significant digits for floats (round-trips doubles), else str."""
     if isinstance(value, float):
         return format(float(value), ".17g")
     return str(value)
+
+
+def _number_text(arr: np.ndarray, quote) -> str:
+    """The quoted '%d' or '%.17g' text of each element of `arr`, each ending in a newline."""
+    return (quote(_NUMBER_FORMATS[arr.dtype.kind]) + "\n") * arr.size % tuple(arr.tolist())
+
+
+def _gathered_cells(latest: list, column: Gathered, quote):
+    """The quoted texts of the column's cells.  `latest` holds (content, texts) of the last
+    values, reused only for the same dtype and bytes (not for -0.0 and 0.0), else renewed."""
+    data = np.ascontiguousarray(column.values)
+    if data.ndim != 1 or data.dtype.kind not in _NUMBER_FORMATS:
+        raise ValueError(f"gathered values must be 1-D numbers, got {data.dtype} {data.shape}")
+    content = data.dtype.str, data.tobytes()
+    if latest[:1] != [content]:
+        latest[:] = content, np.empty(data.size, object)  # the old texts go first
+        for i in range(0, data.size, 256):  # in small pieces: less transient memory
+            latest[1][i:i + 256] = _number_text(data[i:i + 256], quote).split("\n")[:-1]
+    return latest[1][column.index]
 
 
 def _repeated_texts(memo: dict, arr: np.ndarray, quote):
@@ -54,8 +82,7 @@ def _repeated_texts(memo: dict, arr: np.ndarray, quote):
         memo[key] = None
         return None
     if entry is None:
-        text = (quote(_NUMBER_FORMATS[arr.dtype.kind]) + "\n") * arr.size % tuple(arr.tolist())
-        texts = text.replace("%", "%%").split("\n")[:-1]
+        texts = _number_text(arr, quote).replace("%", "%%").split("\n")[:-1]
         memo[key] = data.tobytes(), texts
         return texts
     return entry[1] if entry[0] == data.tobytes() else None
@@ -68,24 +95,25 @@ def _chunks(columns, blocks, quote, frame):
     between (`frame`).  Scalars are baked into the row template by `_cell`,
     '%' escaped, and so is the first number array per block that this write
     has met before (`_repeated_texts`); other number arrays fill '%d' or
-    '%.17g', other arrays '%s' with their `_cell` texts.  `quote` is
-    json.dumps for JSON cells, str for CSV.
+    '%.17g', other arrays and gathered columns '%s' with their `_cell` texts
+    (`_gathered_cells`).  `quote` is json.dumps for JSON cells, str for CSV.
     """
     open_, sep, close, between = frame
-    memo = {}
+    memo, latest = {}, []
     for block in blocks:
         if len(block) != len(columns):
             raise ValueError(f"block has {len(block)} values for {len(columns)} columns")
         cells, arrays, baked, sizes = [], [], None, set()
         for value in block:
-            if np.ndim(value) == 0:
+            gathered = isinstance(value, Gathered)
+            if not gathered and np.ndim(value) == 0:
                 cells.append(quote(_cell(value)).replace("%", "%%"))
                 continue
-            arr = np.asarray(value)
+            arr = _gathered_cells(latest, value, quote) if gathered else np.asarray(value)
             if arr.ndim != 1:
                 raise ValueError(f"column arrays must be 1-D, got shape {arr.shape}")
             sizes.add(arr.size)
-            if arr.dtype.kind in _NUMBER_FORMATS:
+            if not gathered and arr.dtype.kind in _NUMBER_FORMATS:
                 if baked is None and (texts := _repeated_texts(memo, arr, quote)) is not None:
                     baked = len(cells), texts
                     cells.append("")
@@ -93,7 +121,7 @@ def _chunks(columns, blocks, quote, frame):
                 cells.append(quote(_NUMBER_FORMATS[arr.dtype.kind]))
             else:
                 cells.append("%s")
-                arr = np.array([quote(_cell(v)) for v in arr.tolist()], object)
+                arr = arr if gathered else np.array([quote(_cell(v)) for v in arr.tolist()], object)
             arrays.append(arr)
         if len(sizes) > 1:
             raise ValueError(f"column arrays of one block differ in length: {sorted(sizes)}")

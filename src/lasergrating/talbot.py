@@ -27,8 +27,9 @@ B_j(xi + 2) = B_j(xi) and B_j(-xi) = B_{-j}(xi).  `fold_xi` maps every xi
 onto [0, 1] with exact arithmetic (fmod by 2, then 2 - r by Sterbenz) and
 records where j flips sign; the kernel runs once per distinct folded value,
 on the symmetric orders -m..m (`symmetric_rows`, which the far field calls
-on its own folded q), and each requested (j, xi) is gathered from that
-table.  No digits of sin(pi xi) are lost at large xi.
+on its own folded q, and the talbot command on its xi grid), and each
+requested (j, xi) is gathered from that table.  No digits of sin(pi xi) are
+lost at large xi.
 
 No route samples a kernel line: the numeric Fourier reduction of a sampled
 two-point kernel is the oracle of the tests, in tests/oracles.py.
@@ -36,12 +37,11 @@ two-point kernel is the oracle of the tests, in tests/oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CutoffError, DomainError, InvalidInputError
-from .grating import poisson_ell_max
 from .params import GratingParameters
 from .specfun import SPECTRAL_TAIL, exp_fourier_rows, legendre_unit_nodes, spectral_points
 
@@ -232,40 +232,3 @@ class RankOneSource:
         shifted = np.where((k >= 0) & (k < a.size), a[np.clip(k, 0, a.size - 1)], 0.0)
         phase = np.exp(1j * np.pi * ((j - 2 * m) * distinct[index][:, None]))
         return (a * np.conj(shifted) * phase).sum(axis=1).real
-
-
-@dataclass
-class TalbotCoefficientSet:
-    """Dense coefficient table over (variant/l, j, xi grid)."""
-
-    grating: GratingParameters
-    xi: np.ndarray
-    orders: np.ndarray
-    tables: dict = field(default_factory=dict)  # key: "quantum"|"classical"|ell -> (n_j, n_xi)
-
-
-def build_coefficient_table(grating: GratingParameters,
-                            xi_grid=None,
-                            j_max: int = 64,
-                            ells=(),
-                            variants=VARIANTS) -> TalbotCoefficientSet:
-    """Tabulate closed-form coefficients on a xi grid.
-
-    Defaults: 512 xi points on [0, 2), |j| <= 64.  Conditional tables are
-    added for each absorption count in `ells`; pass ells="auto" to include
-    every count up to the Poisson tail rule.
-    """
-    if xi_grid is None:
-        xi_grid = np.linspace(0.0, 2.0, 512, endpoint=False)
-    xi_grid = np.asarray(xi_grid, float)
-    if ells == "auto":
-        ells = range(poisson_ell_max(grating) + 1)
-    ells = [int(ell) for ell in ells]
-    spectral_points(0.0, j_max + max(ells, default=0))  # the cap, before any array
-    orders = np.arange(-j_max, j_max + 1)
-    out = TalbotCoefficientSet(grating=grating, xi=xi_grid, orders=orders)
-    for variant in variants:
-        out.tables[variant] = unconditional_rows(orders, xi_grid, grating, variant)
-    if ells:
-        out.tables.update(zip(ells, conditional_rows(orders, xi_grid, ells, grating)))
-    return out

@@ -229,6 +229,29 @@ def test_jobs_below_one_is_config_error(jobs, grating_cfg, tmp_path):
     assert not list(out.glob("*.csv"))
 
 
+FLAG_VALUES = {"--sweep": "phi0=1:3:5", "--variant": "quantum", "--ell": "all"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for flag in FLAG_VALUES
+    for command in ("derive-params", "talbot", "kdtli", "farfield", "ladder", "rabi", "figure")
+    if command not in cli.FLAG_READERS[flag[2:]]])
+def test_flag_a_command_ignores_is_config_error(command, flag, beam_cfg, grating_cfg, tmp_path,
+                                                capsys):
+    """A flag the command would not read (talbot --sweep phi0=1:3:5 would write
+    one table at the config's phi0 yet record the sweep in manifest.json) is
+    exit 2, naming the flag and the command, with no data file."""
+    (tmp_path / "rabi.cfg").write_text(RABI_CFG)
+    head = {"derive-params": ["derive-params", "--config", beam_cfg],
+            "rabi": ["rabi", "--config", tmp_path / "rabi.cfg"],
+            "figure": ["figure", "1"]}.get(command, [command, "--config", grating_cfg])
+    out = tmp_path / "run"
+    assert run(head + [flag, FLAG_VALUES[flag], "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and command in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_commands_import_only_their_layers(grating_cfg, tmp_path):
     code = ("import sys, lasergrating.cli as cli\n"
             "idle = {'farfield', 'dynamics', 'rabi'}\n"

@@ -11,16 +11,15 @@ from hypothesis import strategies as st
 
 from csvio import read_csv
 from oracles import KernelSource, SummedLadderKernel, b_numeric_oracle, channel, poisson_kernel
-from lasergrating.cli import _talbot_blocks
+from lasergrating.cli import main
 from lasergrating.errors import CutoffError, DomainError, InvalidInputError, ResolutionError
 from lasergrating.grating import MeasurementProfile, poisson_ell_max
 from lasergrating import farfield, talbot
 from lasergrating.output import write_csv
 from lasergrating.params import GratingParameters
 from lasergrating.specfun import exp_fourier_rows
-from lasergrating.talbot import (ClosedForm, RankOneSource, build_coefficient_table,
-                                 conditional_rows, fold_xi, ladder_pairs, unconditional_rows,
-                                 zeta)
+from lasergrating.talbot import (ClosedForm, RankOneSource, conditional_rows, fold_xi,
+                                 ladder_pairs, unconditional_rows, zeta)
 
 mpmath.mp.dps = 30
 
@@ -214,10 +213,9 @@ def test_table_hermiticity_and_reality():
     """Closed-form kernels are hermitian and even, so the unconditional
     table is real and satisfies B_{-j}(2 - xi) = conj(B_j(xi))."""
     xi = np.linspace(0.0, 2.0, 64, endpoint=False)
-    table = build_coefficient_table(G, xi_grid=xi, j_max=6)
-    quantum = table.tables["quantum"]
+    orders = list(range(-6, 7))
+    quantum = unconditional_rows(orders, xi, G)
     assert np.max(np.abs(quantum.imag)) < 1e-12
-    orders = list(table.orders)
     for ij, j in enumerate(orders):
         im = orders.index(-j)
         # -xi maps to (2 - xi) mod 2 on the grid: index flip
@@ -227,9 +225,14 @@ def test_table_hermiticity_and_reality():
 
 def test_table_csv_round_trip(tmp_path):
     xi = np.linspace(0.0, 2.0, 8, endpoint=False)
-    table = build_coefficient_table(G, xi_grid=xi, j_max=2, ells=(0, 1))
+    orders = np.arange(-2, 3)
+    tables = [(v, "", unconditional_rows(orders, xi, G, v)) for v in talbot.VARIANTS]
+    tables += [("conditional", ell, tab)
+               for ell, tab in zip((0, 1), conditional_rows(orders, xi, (0, 1), G))]
     path = tmp_path / "coeffs.csv"
-    write_csv(path, {}, ["variant", "ell", "j", "xi", "re", "im"], _talbot_blocks(table))
+    write_csv(path, {}, ["variant", "ell", "j", "xi", "re", "im"],
+              [(label, ell, j, xi, row, 0.0) for label, ell, tab in tables
+               for j, row in zip(orders.tolist(), tab)])
     _, columns, rows = read_csv(path)
     assert columns == ["variant", "ell", "j", "xi", "re", "im"]
     # one row per (variant/ell, j, xi)
@@ -365,13 +368,14 @@ def test_closed_form_rows_are_real(kind):
     assert np.all(np.imag(ClosedForm(g, kind).pairs(orders.ravel(), xi.ravel())) == 0)
 
 
-def test_table_j_max_checked_before_allocation():
-    """No FFT size serves |j| = 1e9, and the check runs before the order
-    array of 2e9 + 1 entries (16 GB) is built."""
+def test_table_j_max_checked_before_allocation(tmp_path):
+    """No FFT size serves |j| = 1e9, and the talbot command checks that
+    before it builds an array of 2e9 + 1 orders (16 GB): exit 3."""
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(f"[grating]\nphi0 = {G.phi0!r}\nn0 = {G.n0!r}\n\n[talbot]\nj_max = 1000000000\n")
     tracemalloc.start()
     try:
-        with pytest.raises(CutoffError):
-            build_coefficient_table(G, j_max=10**9, ells="auto")
+        assert main(["talbot", "--config", str(cfg), "--ell", "all", "--out", str(tmp_path)]) == 3
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
