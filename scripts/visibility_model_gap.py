@@ -8,8 +8,7 @@ point (n0 = 1, phi0 = pi, f = 0.42).
 
 import numpy as np
 
-from lasergrating import GratingParameters, KdtliConfig
-from lasergrating.nearfield import velocity_average
+from lasergrating import GratingParameters, KdtliConfig, kdtli_signal
 
 G = GratingParameters(phi0=np.pi, n0=1.0)
 F = 0.42
@@ -21,7 +20,7 @@ if __name__ == "__main__":
         vis = {}
         for variant in ("quantum", "classical"):
             cfg = KdtliConfig(G, F, LT, source=variant)
-            sig = velocity_average(cfg, spread)
+            sig = kdtli_signal(cfg, spread)
             vis[variant] = 2.0 * sig.components[1].real / sig.components[0].real
         gap = vis["quantum"] - vis["classical"]
         print(f"{spread:5.2f}  {vis['quantum']:+.4f}     {vis['classical']:+.4f}      {gap:+.4f}")

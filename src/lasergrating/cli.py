@@ -63,8 +63,6 @@ def load_config(path) -> configparser.ConfigParser:
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except OSError:
-        raise
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return parser
@@ -289,7 +287,7 @@ def _kdtli_point(task):
     curves = []
     for variant in variants:
         kc = nearfield.KdtliConfig(grating, f, lt, source=variant)
-        sig = nearfield.velocity_average(kc, spread)
+        sig = nearfield.kdtli_signal(kc, spread)
         curves.append((label, value, variant, lt, nearfield.sinusoidal_visibility(kc), sig))
     return curves
 
@@ -300,7 +298,7 @@ def cmd_kdtli(cfg, args, outdir: Path) -> list[str]:
     from . import nearfield, talbot  # before the pool, so forked workers inherit them
     variants = (args.variant,) if args.variant else talbot.VARIANTS
     tasks = [task + (variants,) for task in sweep_values_or_single(cfg, args)]
-    curves = [c for point in run_pool(_kdtli_point, tasks, args.jobs) for c in point]
+    curves = [c for point in run_pool(_kdtli_point, tasks, args.jobs or 1) for c in point]
     grating = grating_from_config(cfg)
     f = open_fraction_from_config(cfg)
     for ell in _ell_list(args, grating):
@@ -477,7 +475,7 @@ def figure4(args, outdir: Path) -> list[str]:
         fc = farfield.FarFieldConfig(grating=GratingParameters(phi0=2.5, n0=n0),
                                      collimator_ratio=10.0, period_over_sep=1e-3,
                                      sigma_det=0.1, screen=screen)
-        return [farfield.apply_detector_resolution(d, 0.1)
+        return [farfield.apply_detector_resolution(d, fc.sigma_det)
                 for d in farfield.farfield_densities(fc, ells)]
 
     (phase_only,), (absorbing_10,) = dens(0.0, [None]), dens(10.0, [None])
@@ -615,14 +613,19 @@ COMMANDS = {
 }
 
 FLAG_READERS = {"sweep": ("kdtli", "ladder"), "variant": ("talbot", "kdtli", "farfield"),
-                "ell": ("talbot", "kdtli", "farfield")}
+                "ell": ("talbot", "kdtli", "farfield"), "jobs": ("kdtli",),
+                "config": tuple(COMMANDS), "figure": ("figure",)}
+
+
+def _arg_name(flag: str) -> str:
+    return "the figure id" if flag == "figure" else f"--{flag}"
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lasergrating",
         description="Matter-wave diffraction at absorptive standing-wave laser gratings",
-        epilog="; ".join(f"--{flag} is read by {', '.join(cmds)}" for flag, cmds in
+        epilog="; ".join(f"{_arg_name(flag)} is read by {', '.join(cmds)}" for flag, cmds in
                          FLAG_READERS.items()) + "; given to another command, exit 2")
     p.add_argument("command", choices=list(COMMANDS) + ["figure"])
     p.add_argument("figure", nargs="?", default=None,
@@ -631,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--sweep", default=None, metavar="key=start:stop:count")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--variant", choices=("quantum", "classical"), default=None)
     p.add_argument("--ell", default=None, help="absorption count: N | all | sum")
     return p
@@ -640,11 +643,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.jobs < 1:
+        if args.jobs is not None and args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         for flag, readers in FLAG_READERS.items():
             if getattr(args, flag) is not None and args.command not in readers:
-                raise ConfigError(f"the {args.command} command does not read --{flag}")
+                raise ConfigError(f"the {args.command} command does not read {_arg_name(flag)}")
         outdir = Path(args.out or os.environ.get(OUT_ENV, "."))
         outdir.mkdir(parents=True, exist_ok=True)
         if args.command == "figure":

@@ -87,14 +87,6 @@ class ScreenDensity:
     positions: np.ndarray
     values: np.ndarray
     ell: object = None           # int, None for unconditional
-    variant: str = "quantum"
-    smoothed: bool = False
-    sigma_det: float = 0.0
-
-    def normalized_to_peak(self) -> "ScreenDensity":
-        peak = float(np.max(self.values))
-        return ScreenDensity(self.positions, self.values / peak, self.ell,
-                             self.variant, self.smoothed, self.sigma_det)
 
 
 def _sine_factor(orders: np.ndarray, q: np.ndarray, dd: float, ratio: float) -> np.ndarray:
@@ -198,7 +190,7 @@ def _talbot_block(grating, j_max: int, distinct, ells, variant: str) -> np.ndarr
                      if ell is None else next(cond) for ell in ells])
 
 
-def _screen_coefficients(config: FarFieldConfig, ells, variant: str, fraunhofer: bool):
+def _screen_coefficients(config: FarFieldConfig, ells, variant: str):
     """q grid and the weighted Talbot sums c_k = g(q_k) w_k of the screen
     transform (trapezoid weights w_k), one row per entry of `ells`: a count,
     or None for the unconditional sum.
@@ -208,7 +200,7 @@ def _screen_coefficients(config: FarFieldConfig, ells, variant: str, fraunhofer:
     their rows, flipped in j where the fold says so, in blocks of their
     own.  Every array holds at most Q_BLOCK table entries, however often a
     folded value repeats."""
-    ratio = 0.0 if fraunhofer else config.period_over_sep
+    ratio = config.period_over_sep
     j_max = config.order_cutoff()
     q = _q_grid(config, j_max, ratio)
     orders = np.arange(-j_max, j_max + 1)
@@ -236,31 +228,27 @@ def _screen_coefficients(config: FarFieldConfig, ells, variant: str, fraunhofer:
     return q, g * wts
 
 
-def farfield_densities(config: FarFieldConfig, ells, variant: str = "quantum",
-                       fraunhofer: bool = False) -> list[ScreenDensity]:
+def farfield_densities(config: FarFieldConfig, ells,
+                       variant: str = "quantum") -> list[ScreenDensity]:
     """Screen densities from the Talbot-coefficient sum, one per entry of
     `ells`: conditional for a count, unconditional for None, from one pass
-    over q.  `fraunhofer` drops the 2 q d/Dx term (the Fraunhofer limit,
-    identical for the quantum and classical variants)."""
-    q, c = _screen_coefficients(config, ells, variant, fraunhofer)
+    over q.  The Fraunhofer limit is d/Dx -> 0: at period_over_sep = 1e-20
+    the 2 q d/Dx term lies below half an ulp of every nonzero order."""
+    q, c = _screen_coefficients(config, ells, variant)
     w = [_screen_transform(config.screen, q, ck) / (math.pi * config.collimator_ratio) for ck in c]
-    label = "fraunhofer-" + variant if fraunhofer else variant
-    return [ScreenDensity(config.screen.copy(), wk.real, ell, label) for ell, wk in zip(ells, w)]
+    return [ScreenDensity(config.screen.copy(), wk.real, ell) for ell, wk in zip(ells, w)]
 
 
-def apply_detector_resolution(density: ScreenDensity, sigma: float | None = None) -> ScreenDensity:
+def apply_detector_resolution(density: ScreenDensity, sigma: float) -> ScreenDensity:
     """Convolve with a normalized gaussian of std sigma (units of Dx).
 
     Preserves the screen integral; the grid spacing must resolve the kernel
     (spacing < sigma/4).
     """
-    if sigma is None:
-        sigma = density.sigma_det if density.sigma_det > 0 else 0.1
     x = density.positions
     dx = x[1] - x[0]
     if sigma == 0.0:
-        return ScreenDensity(x.copy(), density.values.copy(), density.ell,
-                             density.variant, True, 0.0)
+        return ScreenDensity(x.copy(), density.values.copy(), density.ell)
     if dx >= sigma / 4.0:
         raise ResolutionError(
             f"grid spacing {dx:.3g} too coarse for sigma_det = {sigma:.3g}")
@@ -269,4 +257,4 @@ def apply_detector_resolution(density: ScreenDensity, sigma: float | None = None
     k /= k.sum()
     smoothed = np.convolve(np.pad(density.values, half, mode="constant"), k, mode="same")
     smoothed = smoothed[half:-half]
-    return ScreenDensity(x.copy(), smoothed, density.ell, density.variant, True, sigma)
+    return ScreenDensity(x.copy(), smoothed, density.ell)

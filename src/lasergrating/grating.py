@@ -32,11 +32,6 @@ class MeasurementProfile:
             raise InvalidInputError(f"absorption count must be >= 0, got {self.ell}")
 
 
-def phase_profile(x, grating: GratingParameters):
-    """Eikonal phase phi(x) = phi0 cos^2(pi x)."""
-    return grating.phi0 * np.cos(np.pi * np.asarray(x, float)) ** 2
-
-
 def mean_absorption(x, grating: GratingParameters):
     """Mean absorption number n(x) = n0 cos^2(pi x)."""
     return grating.n0 * np.cos(np.pi * np.asarray(x, float)) ** 2

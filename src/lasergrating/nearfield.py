@@ -6,9 +6,11 @@ synthesized from any Talbot-coefficient source with pairs(orders, xi)
 (talbot.ClosedForm: the unconditional closed form, its classical
 random-walk variant, a conditional absorption count or the summed ladder
 kernel; talbot.RankOneSource: the ground-state kernel of the Rabi model),
-all closed forms.  A signal, a whole velocity average and a
-whole visibility curve each take one pairs call, and the synthesis is one
-complex inverse FFT per signal, whose imaginary residue is checked.
+all closed forms.  `kdtli_signal(config, velocity_spread)` is the one
+signal route: the plain signal is its average at zero spread.  A signal,
+velocity-averaged or not, and a whole visibility curve each take one pairs
+call, and the synthesis is one complex inverse FFT per velocity sample,
+whose imaginary residue is checked.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from . import talbot
 from .specfun import sinc
 
 REALITY_TOL = 1e-10
+VELOCITY_SAMPLES = 21    # gaussian velocity samples of a nonzero spread
+VELOCITY_SIGMAS = 3.0    # half-width of the sampled range, in standard deviations
 
 
 @dataclass
@@ -62,22 +66,6 @@ class FringeSignal:
     shifts: np.ndarray            # x_s grid, units of d
     values: np.ndarray            # real signal
     components: dict              # j -> S_j (real for the closed forms)
-    mean: float
-    talbot_parameter: float
-    label: str = "quantum"
-
-    def visibility_minmax(self) -> float:
-        """(S_max - S_min)/(S_max + S_min) from the sampled signal."""
-        smax, smin = float(np.max(self.values)), float(np.min(self.values))
-        return (smax - smin) / (smax + smin)
-
-    def harmonic_amplitudes(self):
-        """One-sided amplitude spectrum: a_0 = S_0, a_j = 2 |S_j| (j >= 1)."""
-        out = {0: abs(self.components[0])}
-        for j, c in self.components.items():
-            if j >= 1:
-                out[j] = 2.0 * abs(c)
-        return out
 
 
 def resolve_source(config: KdtliConfig):
@@ -120,20 +108,6 @@ def _synthesize(orders, comps, n_shift: int) -> np.ndarray:
     return vals.real
 
 
-def kdtli_signal(config: KdtliConfig) -> FringeSignal:
-    """Fringe signal over one period of the third-grating shift."""
-    source = resolve_source(config)
-    orders, comps = _components(config, source, [config.talbot_parameter])
-    return FringeSignal(
-        shifts=np.arange(config.n_shift) / config.n_shift,
-        values=_synthesize(orders, comps, config.n_shift)[0],
-        components=dict(zip(orders.tolist(), comps[0])),
-        mean=float(comps[0, config.j_max].real),
-        talbot_parameter=config.talbot_parameter,
-        label=getattr(source, "label", str(config.source)),
-    )
-
-
 def sinusoidal_visibility(config: KdtliConfig, talbot_parameters=None):
     """Signed sine visibility 2 sinc^2(pi f) B_2(L/L_T) / B_0(0).
 
@@ -160,33 +134,32 @@ def sinusoidal_visibility(config: KdtliConfig, talbot_parameters=None):
     return float(v[0].real) if talbot_parameters is None else v.real
 
 
-def velocity_average(config: KdtliConfig, dv_over_v: float,
-                     n_samples: int = 21, n_sigma: float = 3.0) -> FringeSignal:
-    """Fringe signal averaged over a gaussian longitudinal-velocity spread.
+def kdtli_signal(config: KdtliConfig, velocity_spread: float = 0.0) -> FringeSignal:
+    """Fringe signal over one period of the third-grating shift, averaged
+    over a gaussian longitudinal-velocity spread dv/v (one sample of weight
+    1 at zero spread).
 
     Only the Talbot parameter is rescaled (L/L_T scales as 1/v); the grating
     parameters are held at their mean-velocity values.  All samples share
     one (samples x orders) coefficient table; each sample passes the j_max
     tail check and the imaginary-residue check on its own.
     """
-    if not 0 <= dv_over_v < math.inf:
-        raise InvalidInputError(f"velocity spread must be finite and >= 0, got {dv_over_v!r}")
-    if dv_over_v == 0 or n_samples == 1:
-        return kdtli_signal(config)
-    rel = 1.0 + dv_over_v * np.linspace(-n_sigma, n_sigma, n_samples)
-    rel = rel[rel > 0.05]
-    weights = np.exp(-0.5 * ((rel - 1.0) / dv_over_v) ** 2)
-    weights /= weights.sum()
-    source = resolve_source(config)
-    orders, comps = _components(config, source, config.talbot_parameter / rel)
+    if not 0 <= velocity_spread < math.inf:
+        raise InvalidInputError(
+            f"velocity spread must be finite and >= 0, got {velocity_spread!r}")
+    if velocity_spread == 0:
+        rel = weights = np.ones(1)
+    else:
+        rel = 1.0 + velocity_spread * np.linspace(-VELOCITY_SIGMAS, VELOCITY_SIGMAS,
+                                                  VELOCITY_SAMPLES)
+        rel = rel[rel > 0.05]
+        weights = np.exp(-0.5 * ((rel - 1.0) / velocity_spread) ** 2)
+        weights /= weights.sum()
+    orders, comps = _components(config, resolve_source(config), config.talbot_parameter / rel)
     values = _synthesize(orders, comps, config.n_shift)
     # sums over axis 0 add the samples in order, so no BLAS reduction is involved
-    mean_comps = (weights[:, None] * comps).sum(axis=0)
     return FringeSignal(
         shifts=np.arange(config.n_shift) / config.n_shift,
         values=(weights[:, None] * values).sum(axis=0),
-        components=dict(zip(orders.tolist(), mean_comps)),
-        mean=float(mean_comps[config.j_max].real),
-        talbot_parameter=config.talbot_parameter,
-        label=getattr(source, "label", str(config.source)) + f",dv/v={dv_over_v:g}",
+        components=dict(zip(orders.tolist(), (weights[:, None] * comps).sum(axis=0))),
     )

@@ -51,16 +51,6 @@ class RabiConfig:
         if self.pulse_area < 0:
             raise InvalidInputError("pulse area must be >= 0")
 
-    @classmethod
-    def from_physical(cls, rabi_frequency: float, detuning: float, lifetime: float,
-                      interaction_time: float, **kw) -> "RabiConfig":
-        """Build from dimensional inputs (rad/s, rad/s, s, s)."""
-        if interaction_time <= 0:
-            raise InvalidInputError("interaction time must be positive")
-        return cls(pulse_area=rabi_frequency * interaction_time,
-                   detuning=detuning * interaction_time,
-                   lifetime=lifetime / interaction_time, **kw)
-
 
 def amplitudes(omega_tl, det_tl: float, tau_over_tl: float, t: float = 1.0):
     """(c0, c1) = exp(-i H_eff t) |0> after a constant pulse of duration t
@@ -111,11 +101,11 @@ def rabi_source(config: RabiConfig) -> talbot.RankOneSource:
     return talbot.RankOneSource(
         lambda x: amplitudes(config.pulse_area * np.cos(np.pi * x), config.detuning,
                              config.lifetime)[0],
-        0.25 * config.pulse_area, f"rabi,area={config.pulse_area / math.pi:g}pi")
+        0.25 * config.pulse_area)
 
 
 def rabi_kdtli(config: RabiConfig, open_fraction: float, talbot_parameter: float,
-               j_max: int = 24, n_shift: int = 512) -> nearfield.FringeSignal:
+               j_max: int = 24) -> nearfield.FringeSignal:
     """KDTLI fringe signal for ground-state-only detection: the coefficients
     of `rabi_source` into the fringe synthesis."""
     cfg = nearfield.KdtliConfig(
@@ -123,7 +113,6 @@ def rabi_kdtli(config: RabiConfig, open_fraction: float, talbot_parameter: float
         open_fraction=open_fraction,
         talbot_parameter=talbot_parameter,
         source=rabi_source(config),
-        n_shift=n_shift,
         j_max=j_max,
     )
     return nearfield.kdtli_signal(cfg)

@@ -147,10 +147,6 @@ class ClosedForm:
                 or (isinstance(self.kind, (int, np.integer)) and self.kind >= 0)):
             raise InvalidInputError(f"cannot resolve coefficient source {self.kind!r}")
 
-    @property
-    def label(self) -> str:
-        return self.kind if isinstance(self.kind, str) else f"ell={self.kind}"
-
     def pairs(self, orders, xi) -> np.ndarray:
         """B_{orders[k]}(xi[k]) for paired 1-D arrays."""
         return _folded(np.asarray(orders, int).ravel(), xi, self.kind, self.grating)
@@ -210,7 +206,6 @@ class RankOneSource:
 
     factor: object
     reach: float
-    label: str = "rank-one"
 
     def __post_init__(self):
         n = spectral_points(self.reach, 0)

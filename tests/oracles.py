@@ -512,7 +512,7 @@ def farfield_kirchhoff(config: FarFieldConfig, ell: int = 0,
     wts = np.full(q.size, dq)
     wts[0] = wts[-1] = 0.5 * dq
     amp = _dense_sum(config.screen, q, t * wts)
-    return ScreenDensity(config.screen.copy(), np.abs(amp) ** 2 / dd, ell, "kirchhoff")
+    return ScreenDensity(config.screen.copy(), np.abs(amp) ** 2 / dd, ell)
 
 
 @dataclass
@@ -611,7 +611,7 @@ def plane_wave_pipeline(kernel, slit_ratio: float, period_over_sep: float,
     valid = (i0 >= 0) & (i0 < screen.size - 1)
     np.add.at(dens, i0[valid], (weight * (1 - frac))[valid])
     np.add.at(dens, i0[valid] + 1, (weight * frac)[valid])
-    return ScreenDensity(np.asarray(screen, float).copy(), dens, None, "phase-space")
+    return ScreenDensity(np.asarray(screen, float).copy(), dens)
 
 
 # ---------------------------------------------------------------------------

@@ -124,8 +124,12 @@ def test_criterion_06_farfield_dual_formula():
             rel = np.linalg.norm(w_sum.values - w_kir.values) \
                 / np.linalg.norm(w_sum.values)
             assert rel < 1e-4
-        (wq,) = farfield.farfield_densities(config, [None], "quantum", fraunhofer=True)
-        (wc,) = farfield.farfield_densities(config, [None], "classical", fraunhofer=True)
+        # the Fraunhofer limit d/Dx -> 0, reached in every bit at d/Dx = 1e-20
+        frau = farfield.FarFieldConfig(
+            grating=fig4, collimator_ratio=10.0, period_over_sep=1e-20,
+            sigma_det=0.1, screen=config.screen)
+        (wq,) = farfield.farfield_densities(frau, [None], "quantum")
+        (wc,) = farfield.farfield_densities(frau, [None], "classical")
         assert np.max(np.abs(wq.values - wc.values)) < 1e-10
         w1 = farfield.apply_detector_resolution(sums[1], 0.1)
         x, v = w1.positions, w1.values
@@ -212,9 +216,9 @@ def test_criterion_09_rabi_harmonic_staircase():
                                   lifetime=1.0)
             sig = rabi.rabi_kdtli(cfg, open_fraction=0.1, talbot_parameter=2.0,
                                   j_max=24)
-            amps = sig.harmonic_amplitudes()
-            counts.append(sum(1 for j, a in amps.items()
-                              if j >= 1 and a / amps[0] > 1e-2))
+            s0 = abs(sig.components[0])  # harmonic amplitudes 2|S_j| against S_0
+            counts.append(sum(1 for j, s in sig.components.items()
+                              if j >= 1 and 2 * abs(s) / s0 > 1e-2))
         assert all(b > a for a, b in zip(counts, counts[1:])), counts
         assert time.perf_counter() - t0 < 300.0
 

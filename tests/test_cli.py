@@ -229,27 +229,34 @@ def test_jobs_below_one_is_config_error(jobs, grating_cfg, tmp_path):
     assert not list(out.glob("*.csv"))
 
 
-FLAG_VALUES = {"--sweep": "phi0=1:3:5", "--variant": "quantum", "--ell": "all"}
+# the argument as the error names it -> its command-line words
+FLAG_VALUES = {"--sweep": ["--sweep", "phi0=1:3:5"], "--variant": ["--variant", "quantum"],
+               "--ell": ["--ell", "all"], "--jobs": ["--jobs", "4"],
+               "--config": ["--config", "/nonexistent.cfg"], "the figure id": ["5"]}
 
 
 @pytest.mark.parametrize("command, flag", [
     (command, flag) for flag in FLAG_VALUES
     for command in ("derive-params", "talbot", "kdtli", "farfield", "ladder", "rabi", "figure")
-    if command not in cli.FLAG_READERS[flag[2:]]])
+    if command not in cli.FLAG_READERS[flag[2:] if flag[:2] == "--" else "figure"]])
 def test_flag_a_command_ignores_is_config_error(command, flag, beam_cfg, grating_cfg, tmp_path,
                                                 capsys):
-    """A flag the command would not read (talbot --sweep phi0=1:3:5 would write
-    one table at the config's phi0 yet record the sweep in manifest.json) is
-    exit 2, naming the flag and the command, with no data file."""
+    """An argument the command would not read (talbot --sweep phi0=1:3:5
+    would write one table at the config's phi0 yet record the sweep in
+    manifest.json; figure 2 --config never opens the file) is exit 2, naming
+    the argument and the command, before the output directory is made."""
     (tmp_path / "rabi.cfg").write_text(RABI_CFG)
     head = {"derive-params": ["derive-params", "--config", beam_cfg],
             "rabi": ["rabi", "--config", tmp_path / "rabi.cfg"],
             "figure": ["figure", "1"]}.get(command, [command, "--config", grating_cfg])
     out = tmp_path / "run"
-    assert run(head + [flag, FLAG_VALUES[flag], "--out", out]) == 2
+    # the figure id follows the command, before any option
+    argv = head[:1] + FLAG_VALUES[flag] + head[1:] if flag == "the figure id" \
+        else head + FLAG_VALUES[flag]
+    assert run(argv + ["--out", out]) == 2
     err = capsys.readouterr().err
     assert flag in err and command in err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_commands_import_only_their_layers(grating_cfg, tmp_path):
@@ -317,6 +324,43 @@ def test_import_keeps_scipy_out():
             names = [a.name for a in node.names] if isinstance(node, ast.Import) \
                 else [node.module or ""] if isinstance(node, ast.ImportFrom) else []
             assert not [n for n in names if n.split(".")[0] == "scipy"], path.name
+
+
+def test_every_public_name_has_a_caller():
+    """Every public top-level function and class of the package, and every
+    public method, is read somewhere in src/ or scripts/ outside its own
+    definition (by name, attribute, import or getattr string), or is exported
+    by lasergrating._EXPORTS: code that only the tests reach does not stay."""
+    import lasergrating
+    root = Path(__file__).resolve().parent.parent
+    trees = {path: ast.parse(path.read_text()) for path in
+             [*(root / "src" / "lasergrating").glob("*.py"), *(root / "scripts").glob("*.py")]}
+    reads = {}  # name -> [(path, line)]
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            names = [node.id] if isinstance(node, ast.Name) \
+                else [node.attr] if isinstance(node, ast.Attribute) \
+                else [a.name for a in node.names] if isinstance(node, ast.ImportFrom) \
+                else [node.value] if isinstance(node, ast.Constant) \
+                and isinstance(node.value, str) and node.value.isidentifier() else []
+            for name in names:
+                reads.setdefault(name, []).append((path, node.lineno))
+    exported = {name for names in lasergrating._EXPORTS.values() for name in names}
+    defs = (ast.FunctionDef, ast.ClassDef)
+    unread = []
+    for path, tree in trees.items():
+        if path.parent.name != "lasergrating":
+            continue
+        nodes = [n for n in tree.body if isinstance(n, defs)]
+        nodes += [m for n in nodes if isinstance(n, ast.ClassDef)
+                  for m in n.body if isinstance(m, ast.FunctionDef)]
+        for node in nodes:
+            if node.name.startswith("_") or node.name in exported:
+                continue
+            if not any(p != path or not node.lineno <= line <= node.end_lineno
+                       for p, line in reads.get(node.name, ())):
+                unread.append(f"{path.stem}.{node.name}")
+    assert not unread
 
 
 def test_import_keeps_process_pool_out():

@@ -19,6 +19,7 @@ from lasergrating.params import GratingParameters
 from lasergrating.talbot import conditional_rows, fold_xi, unconditional_rows
 
 FIG4 = GratingParameters(phi0=2.5, n0=2.0)
+FRAUNHOFER = 1e-20  # d/Dx at which 2 q d/Dx is below half an ulp of every nonzero order
 
 
 def fig4_config(**kw):
@@ -83,9 +84,9 @@ def test_density_integral_is_transmission():
 # ---------------------------------------------------------------------------
 
 def test_fraunhofer_variant_independent():
-    config = fig4_config()
-    wq = farfield_densities(config, [None], fraunhofer=True)[0]
-    wc = farfield_densities(config, [None], "classical", fraunhofer=True)[0]
+    config = fig4_config(period_over_sep=FRAUNHOFER)
+    wq = farfield_densities(config, [None])[0]
+    wc = farfield_densities(config, [None], "classical")[0]
     assert np.max(np.abs(wq.values - wc.values)) < 1e-10
 
 
@@ -94,7 +95,8 @@ def test_fraunhofer_matches_exact_at_small_ratio():
     # tolerance at the pinned d/Dx = 1e-3
     config = fig4_config(collimator_ratio=2.0)
     exact = farfield_densities(config, [None])[0]
-    frau = farfield_densities(config, [None], fraunhofer=True)[0]
+    frau = farfield_densities(fig4_config(collimator_ratio=2.0, period_over_sep=FRAUNHOFER),
+                              [None])[0]
     assert rel_l2(frau.values, exact.values) < 1e-3
 
 
@@ -103,13 +105,12 @@ def test_fraunhofer_regime_warning():
     0.05 (D/d = 10) it misses the exact density by 90 % in the l2 norm."""
     config = fig4_config(period_over_sep=0.05)
     exact = farfield_densities(config, [0])[0]
-    frau = farfield_densities(config, [0], fraunhofer=True)[0]
+    frau = farfield_densities(fig4_config(period_over_sep=FRAUNHOFER), [0])[0]
     assert rel_l2(frau.values, exact.values) > 0.5
 
 
 def test_fraunhofer_ell0_peaks_at_integers():
-    config = fig4_config()
-    (w,) = farfield_densities(config, [0], fraunhofer=True)
+    (w,) = farfield_densities(fig4_config(period_over_sep=FRAUNHOFER), [0])
     w = apply_detector_resolution(w, 0.1)
     x, v = w.positions, w.values
     peaks = [x[i] for i in range(1, x.size - 1)
@@ -157,7 +158,6 @@ def test_resolution_identity_at_zero_sigma():
     w = farfield_densities(config, [0])[0]
     same = apply_detector_resolution(w, 0.0)
     assert np.allclose(same.values, w.values)
-    assert same.smoothed
 
 
 def test_resolution_preserves_integral():
@@ -181,12 +181,6 @@ def test_resolution_grid_guard():
     coarse = ScreenDensity(np.linspace(-3, 3, 61), np.ones(61))
     with pytest.raises(ResolutionError):
         apply_detector_resolution(coarse, 0.1)
-
-
-def test_normalized_to_peak():
-    config = fig4_config()
-    w = farfield_densities(config, [0])[0].normalized_to_peak()
-    assert np.max(w.values) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +263,7 @@ def test_screen_transform_vs_extended_precision(ell):
     """Full figure-4 size (2401 x 5121), reference on every 8th screen row;
     no less accurate than the dense double sum it replaced."""
     config = fig4_config(screen=np.linspace(-3.0, 3.0, 2401))
-    q, (c,) = _screen_coefficients(config, [ell], "quantum", False)
+    q, (c,) = _screen_coefficients(config, [ell], "quantum")
     w = _screen_transform(config.screen, q, c)
     rows = config.screen[::8]
     ref = extended_sum(rows, q, c)
@@ -280,18 +274,18 @@ def test_screen_transform_vs_extended_precision(ell):
 
 
 @pytest.mark.skipif(not EXTENDED, reason="np.longdouble is not extended precision here")
-@pytest.mark.parametrize("screen, fraunhofer", [
-    (np.linspace(-3.0, 3.0, 601), False),
-    (np.linspace(-3.0, 3.0, 600), False),
-    (np.linspace(-1.3, 4.1, 517), False),
-    (np.array([0.7]), False),
-    (np.array([-0.25, 1.5]), False),
-    (np.linspace(2.5, -1.5, 400), False),
-    (np.linspace(-3.0, 3.0, 601), True),
+@pytest.mark.parametrize("screen, ratio", [
+    (np.linspace(-3.0, 3.0, 601), 1e-3),
+    (np.linspace(-3.0, 3.0, 600), 1e-3),
+    (np.linspace(-1.3, 4.1, 517), 1e-3),
+    (np.array([0.7]), 1e-3),
+    (np.array([-0.25, 1.5]), 1e-3),
+    (np.linspace(2.5, -1.5, 400), 1e-3),
+    (np.linspace(-3.0, 3.0, 601), FRAUNHOFER),
 ], ids=["odd", "even", "asymmetric", "M=1", "M=2", "descending", "fraunhofer"])
-def test_screen_transform_grid_shapes(screen, fraunhofer):
-    config = fig4_config(screen=screen, q_points_per_unit=64)
-    q, (c,) = _screen_coefficients(config, [None], "quantum", fraunhofer)
+def test_screen_transform_grid_shapes(screen, ratio):
+    config = fig4_config(screen=screen, q_points_per_unit=64, period_over_sep=ratio)
+    q, (c,) = _screen_coefficients(config, [None], "quantum")
     ref = extended_sum(screen, q, c)
     w = _screen_transform(screen, q, c)
     assert w.shape == screen.shape
@@ -339,7 +333,7 @@ def test_screen_coefficients_memory(ratio):
                             sigma_det=0.1, screen=np.linspace(-3.0, 3.0, 801))
     tracemalloc.start()
     try:
-        _screen_coefficients(config, ells, "quantum", False)
+        _screen_coefficients(config, ells, "quantum")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -351,7 +345,7 @@ def test_non_dyadic_collimator_matches_per_q_rows():
     gather equals the rows taken at every q point and summed directly."""
     config = fig4_config(collimator_ratio=10.3)
     ells = [None, 0, 2]
-    q, c = _screen_coefficients(config, ells, "quantum", False)
+    q, c = _screen_coefficients(config, ells, "quantum")
     assert fold_xi(q)[0].size >= q.size // 2
     orders = np.arange(-config.order_cutoff(), config.order_cutoff() + 1)
     sine = _sine_factor(orders, q, config.collimator_ratio, config.period_over_sep)

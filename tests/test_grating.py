@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import DiffractionAmplitudes, plane_wave_diffraction
 from lasergrating.errors import CutoffError, InvalidInputError
 from lasergrating.grating import (MeasurementProfile, absorption_probability, m_ell,
-                                  mean_absorption, phase_profile, poisson_ell_max)
+                                  mean_absorption, poisson_ell_max)
 from lasergrating.params import GratingParameters
 
 G_DEFAULT = GratingParameters(phi0=math.pi, n0=1.0)
@@ -69,7 +69,6 @@ def test_absorption_probability_node_and_antinode():
 
 def test_profiles():
     g = GratingParameters(phi0=1.5, n0=0.8)
-    assert phase_profile(0.0, g) == pytest.approx(1.5)
     assert mean_absorption(0.25, g) == pytest.approx(0.4, rel=1e-14)
 
 

@@ -7,8 +7,7 @@ import pytest
 
 from oracles import mean_transmission_closed
 from lasergrating.errors import CutoffError, InvalidInputError
-from lasergrating.nearfield import (FringeSignal, KdtliConfig, kdtli_signal,
-                                    sinusoidal_visibility, velocity_average)
+from lasergrating.nearfield import KdtliConfig, kdtli_signal, sinusoidal_visibility
 from lasergrating.params import GratingParameters
 from lasergrating.talbot import conditional_rows
 
@@ -31,7 +30,7 @@ def test_signal_real_and_periodic():
     sig = kdtli_signal(cfg())
     assert sig.values.dtype == float
     assert np.min(sig.values) >= 0.0
-    assert sig.mean == pytest.approx(F * F, rel=1e-12)  # B_0(0) = 1
+    assert sig.components[0].real == pytest.approx(F * F, rel=1e-12)  # B_0(0) = 1
 
 
 def test_conditional_signals_sum_to_unconditional():
@@ -120,31 +119,28 @@ def test_phase_flip_between_odd_and_even_integer():
     assert s0 * s1 > 0
 
 
+def visibility_minmax(values) -> float:
+    """(S_max - S_min)/(S_max + S_min) of a sampled signal."""
+    smax, smin = float(np.max(values)), float(np.min(values))
+    return (smax - smin) / (smax + smin)
+
+
 def test_visibility_minmax_trivials():
-    shifts = np.arange(512) / 512
-    flat = FringeSignal(shifts, np.full(512, 0.3), {0: 0.3}, 0.3, 1.0)
-    assert flat.visibility_minmax() == pytest.approx(0.0, abs=1e-14)
-    vals = 0.5 + 0.2 * np.cos(2 * np.pi * shifts)
-    pure = FringeSignal(shifts, vals, {0: 0.5, 1: 0.1}, 0.5, 1.0)
-    assert pure.visibility_minmax() == pytest.approx(0.4, rel=1e-10)
+    flat = kdtli_signal(cfg(grating=GratingParameters(phi0=0.0, n0=0.0), lt=1.7))
+    assert visibility_minmax(flat.values) == pytest.approx(0.0, abs=1e-14)
+    vals = 0.5 + 0.2 * np.cos(2 * np.pi * np.arange(512) / 512)
+    assert visibility_minmax(vals) == pytest.approx(0.4, rel=1e-10)
 
 
 def test_visibility_minmax_close_to_sine_visibility():
     config = cfg(lt=4.25)
     sig = kdtli_signal(config)
     vsin = sinusoidal_visibility(config)
-    vmm = sig.visibility_minmax()
+    vmm = visibility_minmax(sig.values)
     # difference bounded by relative higher-harmonic content
     comps = sig.components
     higher = sum(2 * abs(comps[j]) for j in comps if j >= 2) / comps[0].real
     assert abs(vmm - abs(vsin)) <= higher + 1e-12
-
-
-def test_harmonic_amplitudes():
-    sig = kdtli_signal(cfg(lt=4.25))
-    amps = sig.harmonic_amplitudes()
-    assert amps[0] == pytest.approx(sig.mean)
-    assert amps[1] == pytest.approx(2 * abs(sig.components[1]))
 
 
 def test_velocity_average_washes_out_the_model_difference():
@@ -153,7 +149,7 @@ def test_velocity_average_washes_out_the_model_difference():
     def gap(spread):
         vis = {}
         for variant in ("quantum", "classical"):
-            sig = velocity_average(cfg(source=variant, lt=3.25), spread)
+            sig = kdtli_signal(cfg(source=variant, lt=3.25), spread)
             vis[variant] = 2 * sig.components[1].real / sig.components[0].real
         return abs(vis["quantum"] - vis["classical"])
 
@@ -162,13 +158,16 @@ def test_velocity_average_washes_out_the_model_difference():
 
 
 def test_velocity_average_zero_spread_is_identity():
+    """The plain signal (zero spread, one sample) is the limit of the
+    21-sample average as the spread goes to zero."""
     config = cfg(lt=3.25)
     sharp = kdtli_signal(config)
-    same = velocity_average(config, 0.0)
-    assert np.allclose(same.values, sharp.values)
-    avg = velocity_average(config, 0.1)
+    narrow = kdtli_signal(config, 1e-9)
+    assert np.allclose(narrow.values, sharp.values, rtol=0, atol=1e-10)
+    assert narrow.components[1] == pytest.approx(sharp.components[1], abs=1e-10)
+    avg = kdtli_signal(config, 0.1)
     assert avg.values.shape == sharp.values.shape
-    assert avg.label.endswith("dv/v=0.1")
+    assert np.max(np.abs(avg.values - sharp.values)) > 1e-3
 
 
 def test_config_validation():

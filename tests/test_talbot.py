@@ -255,8 +255,6 @@ def test_sources():
     csrc = ClosedForm(G, 1)
     for j, xi, b in zip(o, x, csrc.pairs(o, x)):
         assert b == pytest.approx(conditional_rows([j], [xi], 1, G)[0, 0])
-    assert csrc.label == "ell=1"
-    assert src.label == "classical"
     for bad in ("bogus", -1, None):
         with pytest.raises(InvalidInputError):
             ClosedForm(G, bad)
@@ -496,7 +494,6 @@ def test_ladder_at_eta_one_is_unconditional():
     orders, xi = (v.ravel() for v in np.meshgrid(np.arange(-6, 7), [0.0, 0.3, 1.7, 2.2]))
     got = ClosedForm(G, "ladder").pairs(orders, xi)
     assert np.max(np.abs(got - ClosedForm(G).pairs(orders, xi))) < 1e-15
-    assert ClosedForm(G, "ladder").label == "ladder"
 
 
 def test_ladder_pairs_over_grating_arrays():
