@@ -32,106 +32,129 @@ EXIT_IO = 4
 
 OUT_ENV = "LASERGRATING_OUT"
 
-FIGURES = ("1", "2", "4", "5", "6")
-
-
 # ---------------------------------------------------------------------------
 # configuration parsing
 # ---------------------------------------------------------------------------
 
-def _getfloat(section, key, default=None):
-    if key not in section:
+# Every config key: section -> key -> default.  The default sets the kind:
+# None is a float the reading command needs, a float an optional float, an
+# int an integer (at least 0 for j_max, else at least 1), a str a word.
+KEYS = {
+    "beam": {"power_watt": None, "waist_y_um": None, "waist_z_um": None,
+             "wavelength_nm": None, "polarizability_A3": None, "polarizability_si": None,
+             "cross_section_A2": None, "cross_section_m2": 0.0, "velocity_mps": None,
+             "mass_amu": None},
+    "grating": {"phi0": None, "n0": None, "eta_p": 1.0, "eta_a": 1.0},
+    "interferometer": {"talbot_parameter": None, "separation_mm": None,
+                       "open_fraction": None, "velocity_spread": 0.0},
+    "talbot": {"j_max": 8, "xi_points": 256},
+    "farfield": {"collimator_ratio": 10.0, "period_over_sep": 1e-3, "sigma_det": 0.1,
+                 "screen_max": 3.0, "screen_points": 2401},
+    "ladder": {"envelope": "constant", "kernel_xi": 0.0},
+    "rabi": {"pulse_area_pi": None, "detuning_tl": 0.0, "lifetime_tl": 1.0},
+}
+# pairs of keys that give one value; a file gives at most one of each
+EXCLUSIVE = (("polarizability_A3", "polarizability_si"), ("cross_section_A2", "cross_section_m2"),
+             ("talbot_parameter", "separation_mm"))
+# the keys a --sweep may move, per command: those the command reads
+SWEEPS = {"kdtli": (*KEYS["beam"], "phi0", "n0", *KEYS["interferometer"]),
+          "ladder": ("talbot_parameter",)}
+
+_form = configparser.ConfigParser().optionxform  # a key as configparser stores it (lowercased)
+_KEY = {_form(key): (section, key) for section, keys in KEYS.items() for key in keys}
+
+
+def _given(cfg: configparser.ConfigParser, key: str) -> bool:
+    return cfg.has_option(_KEY[_form(key)][0], key)
+
+
+def get(cfg: configparser.ConfigParser, key: str):
+    """The value of `key`, of the kind its KEYS default sets; the default if
+    the file leaves the key out, and a ConfigError if it has none."""
+    section, key = _KEY[_form(key)]
+    default = KEYS[section][key]
+    raw = cfg.get(section, key, fallback=None)
+    if raw is None:
         if default is None:
-            raise ConfigError(f"missing key {key!r} in section [{section.name}]")
+            pair = next((" or ".join(map(repr, p)) for p in EXCLUSIVE if key in p), repr(key))
+            raise ConfigError(f"missing key {pair} in section [{section}]")
         return default
+    if isinstance(default, str):
+        return raw
     try:
-        return float(section[key])
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: {exc}") from exc
+    if isinstance(default, int):
+        minimum = 0 if key == "j_max" else 1
+        if not (math.isfinite(value) and value == int(value) and value >= minimum):
+            raise ConfigError(f"key {key!r} must be an integer >= {minimum}, got {raw!r}")
+        return int(value)
+    return value
 
 
-def _getint(section, key, default: int, minimum: int) -> int:
-    """An integral value (8 or 8.0) no smaller than `minimum`."""
-    value = _getfloat(section, key, default)
-    if not (math.isfinite(value) and value == int(value) and value >= minimum):
-        raise ConfigError(f"key {key!r} must be an integer >= {minimum}, got {section[key]!r}")
-    return int(value)
-
-
-def load_config(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+def load_config(path, command: str, sweep: str | None = None) -> configparser.ConfigParser:
+    """Parse `path` and check it against KEYS: an unknown section or key, both
+    keys of an EXCLUSIVE pair (a swept key counts as given) or a sweep key
+    that `command` does not read is a ConfigError."""
+    cfg = configparser.ConfigParser()
     try:
         with open(path) as fh:
-            parser.read_file(fh)
+            cfg.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return parser
+    for section in cfg.sections() or [cfg.default_section]:  # [DEFAULT] keys are in each
+        unknown = [k for k in cfg[section] if _KEY.get(k, (None,))[0] != section]
+        if section not in KEYS and section != cfg.default_section:
+            raise ConfigError(f"the {command} command knows no section [{section}] "
+                              f"(keys: {', '.join(unknown) or 'none'})")
+        if unknown:
+            raise ConfigError(f"the {command} command knows no key {unknown[0]!r} "
+                              f"in section [{section}]")
+    swept = _form(parse_sweep(sweep)[1]) if sweep else ""
+    for a, b in EXCLUSIVE:
+        if all(_given(cfg, key) or _form(key) == swept for key in (a, b)):
+            raise ConfigError(f"the {command} command takes one of [{_KEY[_form(a)][0]}] "
+                              f"{a} and {b}, not both")
+    if swept and swept not in map(_form, SWEEPS.get(command, ())):
+        section, key = _KEY[swept]
+        raise ConfigError(f"the {command} command does not read [{section}] {key}, "
+                          f"so --sweep cannot move it")
+    return cfg
 
 
 def beam_from_config(cfg: configparser.ConfigParser) -> BeamSetup:
-    if "beam" not in cfg:
-        raise ConfigError("config has no [beam] section")
-    b = cfg["beam"]
-    if "polarizability_A3" in b:
-        alpha = polarizability_si_from_angstrom3(_getfloat(b, "polarizability_A3"))
-    else:
-        alpha = _getfloat(b, "polarizability_si")
-    if "cross_section_A2" in b:
-        sigma = _getfloat(b, "cross_section_A2") * 1e-20
-    else:
-        sigma = _getfloat(b, "cross_section_m2", 0.0)
-    try:
-        return BeamSetup(
-            power=_getfloat(b, "power_watt"),
-            waist_y=_getfloat(b, "waist_y_um") * 1e-6,
-            waist_z=_getfloat(b, "waist_z_um") * 1e-6,
-            wavelength=_getfloat(b, "wavelength_nm") * 1e-9,
-            polarizability=alpha,
-            cross_section=sigma,
-            velocity=_getfloat(b, "velocity_mps"),
-            mass=_getfloat(b, "mass_amu") * constants.ATOMIC_MASS,
-        )
-    except InvalidInputError as exc:
-        raise ConfigError(str(exc)) from exc
+    alpha = polarizability_si_from_angstrom3(get(cfg, "polarizability_A3")) \
+        if _given(cfg, "polarizability_A3") else get(cfg, "polarizability_si")
+    sigma = get(cfg, "cross_section_A2") * 1e-20 if _given(cfg, "cross_section_A2") \
+        else get(cfg, "cross_section_m2")
+    return BeamSetup(
+        power=get(cfg, "power_watt"),
+        waist_y=get(cfg, "waist_y_um") * 1e-6,
+        waist_z=get(cfg, "waist_z_um") * 1e-6,
+        wavelength=get(cfg, "wavelength_nm") * 1e-9,
+        polarizability=alpha,
+        cross_section=sigma,
+        velocity=get(cfg, "velocity_mps"),
+        mass=get(cfg, "mass_amu") * constants.ATOMIC_MASS,
+    )
 
 
 def grating_from_config(cfg: configparser.ConfigParser) -> GratingParameters:
-    """[grating] pins dimensionless parameters directly; otherwise they are
-    derived from [beam]."""
-    eta_p = eta_a = 1.0
-    if "grating" in cfg:
-        g = cfg["grating"]
-        eta_p = _getfloat(g, "eta_p", 1.0)
-        eta_a = _getfloat(g, "eta_a", 1.0)
-        if "phi0" in g or "n0" in g:
-            try:
-                return GratingParameters(
-                    phi0=_getfloat(g, "phi0"),
-                    n0=_getfloat(g, "n0"),
-                    eta_p=eta_p,
-                    eta_a=eta_a,
-                    period=_getfloat(g, "period_nm", 266.0) * 1e-9,
-                )
-            except InvalidInputError as exc:
-                raise ConfigError(str(exc)) from exc
+    """[grating] phi0 and n0 pin the dimensionless parameters and win over
+    [beam]; without them the parameters are derived from [beam]."""
+    eta_p, eta_a = get(cfg, "eta_p"), get(cfg, "eta_a")
+    if _given(cfg, "phi0") or _given(cfg, "n0"):
+        return GratingParameters(phi0=get(cfg, "phi0"), n0=get(cfg, "n0"),
+                                 eta_p=eta_p, eta_a=eta_a)
     return derive_grating(beam_from_config(cfg), eta_p=eta_p, eta_a=eta_a)
 
 
 def talbot_parameter_from_config(cfg: configparser.ConfigParser) -> float:
-    sec = cfg["interferometer"] if "interferometer" in cfg else {}
-    if "talbot_parameter" in sec:
-        return _getfloat(cfg["interferometer"], "talbot_parameter")
-    if "separation_mm" in sec:
-        setup = beam_from_config(cfg)
-        scales = derive_scales(setup, _getfloat(cfg["interferometer"], "separation_mm") * 1e-3)
-        return scales.talbot_parameter
-    raise ConfigError("need interferometer.talbot_parameter or separation_mm")
-
-
-def open_fraction_from_config(cfg) -> float:
-    if "interferometer" not in cfg:
-        raise ConfigError("config has no [interferometer] section")
-    return _getfloat(cfg["interferometer"], "open_fraction")
+    if _given(cfg, "separation_mm"):
+        return derive_scales(beam_from_config(cfg),
+                             get(cfg, "separation_mm") * 1e-3).talbot_parameter
+    return get(cfg, "talbot_parameter")
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +162,14 @@ def open_fraction_from_config(cfg) -> float:
 # ---------------------------------------------------------------------------
 
 def parse_sweep(expr: str):
-    """'section.key=start:stop:count' -> (section, key, values)."""
+    """'section.key=start:stop:count' -> (section, key, values); the section
+    may be left out, as KEYS names it."""
     try:
         target, _, rng = expr.partition("=")
-        section, _, key = target.partition(".")
-        if not key:
-            section, key = _default_sweep_section(target), target
+        section, _, key = target.rpartition(".")
+        if _form(key) not in _KEY or section not in ("", _KEY[_form(key)][0]):
+            raise ConfigError(f"unknown sweep key {target!r}")
+        section = _KEY[_form(key)][0]
         start, stop, count = rng.split(":")
         start, stop = float(start), float(stop)
         if not (math.isfinite(start) and math.isfinite(stop)):
@@ -157,27 +182,10 @@ def parse_sweep(expr: str):
     return section, key, values
 
 
-def _default_sweep_section(key: str) -> str:
-    if key in ("phi0", "n0", "eta_p", "eta_a"):
-        return "grating"
-    if key in ("talbot_parameter", "open_fraction", "separation_mm"):
-        return "interferometer"
-    if key in ("power_watt", "velocity_mps", "waist_y_um", "waist_z_um",
-               "wavelength_nm", "mass_amu"):
-        return "beam"
-    if key in ("pulse_area_pi", "detuning_tl", "lifetime_tl"):
-        return "rabi"
-    if key in ("collimator_ratio", "period_over_sep", "sigma_det"):
-        return "farfield"
-    raise ConfigError(f"cannot infer config section for sweep key {key!r}")
-
-
 def apply_override(cfg: configparser.ConfigParser, section: str, key: str, value: float):
     clone = configparser.ConfigParser()
     clone.read_dict({s: dict(cfg[s]) for s in cfg.sections()})
-    if section not in clone:
-        clone.add_section(section)
-    clone[section][key] = repr(float(value))
+    clone.read_dict({section: {key: repr(float(value))}})
     return clone
 
 
@@ -236,9 +244,8 @@ def cmd_derive_params(cfg, args, outdir: Path) -> list[str]:
         "period_m": grating.period,
         "de_broglie_m": constants.PLANCK / (setup.mass * setup.velocity),
     }
-    sec = cfg["interferometer"] if "interferometer" in cfg else {}
-    if "separation_mm" in sec:
-        scales = derive_scales(setup, _getfloat(cfg["interferometer"], "separation_mm") * 1e-3)
+    if _given(cfg, "separation_mm"):
+        scales = derive_scales(setup, get(cfg, "separation_mm") * 1e-3)
         values.update(talbot_length_m=scales.talbot_length,
                       talbot_parameter=scales.talbot_parameter,
                       interaction_time_s=scales.interaction_time)
@@ -253,9 +260,8 @@ def cmd_talbot(cfg, args, outdir: Path) -> list[str]:
     folded table (classical: the quantum one, j reversed), im 0 as the forms are real."""
     from . import specfun, talbot
     grating = grating_from_config(cfg)
-    sec = cfg["talbot"] if "talbot" in cfg else {}
-    j_max = _getint(sec, "j_max", 8, 0)
-    xi = np.linspace(0.0, 2.0, _getint(sec, "xi_points", 256, 1), endpoint=False)
+    j_max = get(cfg, "j_max")
+    xi = np.linspace(0.0, 2.0, get(cfg, "xi_points"), endpoint=False)
     ells = _ell_list(args, grating)
     specfun.spectral_points(0.0, j_max + max(ells, default=0))  # the cap, before any array
     distinct, index, flip = talbot.fold_xi(xi)
@@ -282,8 +288,8 @@ def _kdtli_point(task):
     label, value, cfg, variants = task
     grating = grating_from_config(cfg)
     lt = talbot_parameter_from_config(cfg)
-    f = open_fraction_from_config(cfg)
-    spread = _getfloat(cfg["interferometer"], "velocity_spread", 0.0)
+    f = get(cfg, "open_fraction")
+    spread = get(cfg, "velocity_spread")
     curves = []
     for variant in variants:
         kc = nearfield.KdtliConfig(grating, f, lt, source=variant)
@@ -300,7 +306,7 @@ def cmd_kdtli(cfg, args, outdir: Path) -> list[str]:
     tasks = [task + (variants,) for task in sweep_values_or_single(cfg, args)]
     curves = [c for point in run_pool(_kdtli_point, tasks, args.jobs or 1) for c in point]
     grating = grating_from_config(cfg)
-    f = open_fraction_from_config(cfg)
+    f = get(cfg, "open_fraction")
     for ell in _ell_list(args, grating):
         lt = talbot_parameter_from_config(cfg)
         kc = nearfield.KdtliConfig(grating, f, lt, source=ell)
@@ -318,23 +324,17 @@ def cmd_kdtli(cfg, args, outdir: Path) -> list[str]:
     return names
 
 
-def _farfield_cfg(cfg, grating):
-    from . import farfield
-    sec = cfg["farfield"] if "farfield" in cfg else {}
-    xmax = _getfloat(sec, "screen_max", 3.0)
-    if not 0 < xmax < math.inf:
-        raise ConfigError(f"key 'screen_max' must be finite and positive, got {xmax!r}")
-    return farfield.FarFieldConfig(
-        grating=grating, collimator_ratio=_getfloat(sec, "collimator_ratio", 10.0),
-        period_over_sep=_getfloat(sec, "period_over_sep", 1e-3),
-        sigma_det=_getfloat(sec, "sigma_det", 0.1),
-        screen=np.linspace(-xmax, xmax, _getint(sec, "screen_points", 2401, 1)))
-
-
 def cmd_farfield(cfg, args, outdir: Path) -> list[str]:
     from . import farfield
     grating = grating_from_config(cfg)
-    fc = _farfield_cfg(cfg, grating)
+    xmax = get(cfg, "screen_max")
+    if not 0 < xmax < math.inf:
+        raise ConfigError(f"key 'screen_max' must be finite and positive, got {xmax!r}")
+    fc = farfield.FarFieldConfig(
+        grating=grating, collimator_ratio=get(cfg, "collimator_ratio"),
+        period_over_sep=get(cfg, "period_over_sep"),
+        sigma_det=get(cfg, "sigma_det"),
+        screen=np.linspace(-xmax, xmax, get(cfg, "screen_points")))
     variants = (args.variant,) if args.variant else ("quantum",)
     blocks = []
     for variant in variants:
@@ -356,9 +356,7 @@ def cmd_ladder(cfg, args, outdir: Path) -> list[str]:
     is validated and written to the metadata but does not change the kernel."""
     from . import dynamics
     grating = grating_from_config(cfg)
-    envelope = cfg["ladder"]["envelope"] if "ladder" in cfg and "envelope" in cfg["ladder"] \
-        else "constant"
-    xi = float(_getfloat(cfg["ladder"], "kernel_xi", 0.0)) if "ladder" in cfg else 0.0
+    envelope, xi = get(cfg, "envelope"), get(cfg, "kernel_xi")
     if not math.isfinite(xi):
         raise ConfigError(f"key 'kernel_xi' must be finite, got {xi!r}")
     if envelope not in dynamics.ENVELOPES:
@@ -373,10 +371,8 @@ def cmd_ladder(cfg, args, outdir: Path) -> list[str]:
                   ["ell", "u", "re", "im"],
                   [(ch, u, v.real, v.imag) for ch, v in enumerate(line)])
     if args.sweep:
-        section, key, values = parse_sweep(args.sweep)
-        if key != "talbot_parameter":
-            raise ConfigError("ladder sweeps support talbot_parameter only")
-        f = open_fraction_from_config(cfg)
+        values = parse_sweep(args.sweep)[2]
+        f = get(cfg, "open_fraction")
         vis = _vis_curve(grating, f, values, "ladder")
         names.append(f"ladder_visibility.{_ext(args)}")
         _writer(args)(outdir / names[1],
@@ -387,21 +383,13 @@ def cmd_ladder(cfg, args, outdir: Path) -> list[str]:
     return names
 
 
-def _rabi_cfg(cfg):
-    from . import rabi
-    if "rabi" not in cfg:
-        raise ConfigError("config has no [rabi] section")
-    r = cfg["rabi"]
-    return rabi.RabiConfig(
-        pulse_area=_getfloat(r, "pulse_area_pi") * math.pi,
-        detuning=_getfloat(r, "detuning_tl", 0.0),
-        lifetime=_getfloat(r, "lifetime_tl", 1.0),
-    )
-
-
 def cmd_rabi(cfg, args, outdir: Path) -> list[str]:
     from . import rabi
-    rc = _rabi_cfg(cfg)
+    rc = rabi.RabiConfig(
+        pulse_area=get(cfg, "pulse_area_pi") * math.pi,
+        detuning=get(cfg, "detuning_tl"),
+        lifetime=get(cfg, "lifetime_tl"),
+    )
     kern = rabi.rabi_solve(rc)
     names = [f"rabi_profile.{_ext(args)}"]
     meta = {"command": "rabi", "pulse_area": rc.pulse_area, "detuning": rc.detuning,
@@ -410,7 +398,7 @@ def cmd_rabi(cfg, args, outdir: Path) -> list[str]:
                   ["x", "p_ground", "p_excited", "p_dark"],
                   [(kern.positions, *kern.populations)])
     if "interferometer" in cfg:
-        f = open_fraction_from_config(cfg)
+        f = get(cfg, "open_fraction")
         lt = talbot_parameter_from_config(cfg)
         sig = rabi.rabi_kdtli(rc, f, lt)
         names.append(f"rabi_kdtli.{_ext(args)}")
@@ -592,11 +580,7 @@ def _plot_script(outdir: Path, fig: int, data_name: str) -> str:
     return name
 
 
-def cmd_figure(cfg, args, outdir: Path) -> list[str]:
-    if args.figure not in FIGURES:
-        raise ConfigError(f"unknown figure {args.figure!r}; choose from {FIGURES}")
-    return {"1": figure1, "2": figure2, "4": figure4,
-            "5": figure5, "6": figure6}[args.figure](args, outdir)
+FIGURES = {"1": figure1, "2": figure2, "4": figure4, "5": figure5, "6": figure6}
 
 
 # ---------------------------------------------------------------------------
@@ -626,10 +610,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lasergrating",
         description="Matter-wave diffraction at absorptive standing-wave laser gratings",
         epilog="; ".join(f"{_arg_name(flag)} is read by {', '.join(cmds)}" for flag, cmds in
-                         FLAG_READERS.items()) + "; given to another command, exit 2")
+                         FLAG_READERS.items()) + "; given to another command, exit 2. "
+        "A config section or key not in docs/formats.md, both keys of an exclusive pair "
+        "or a --sweep key the command does not read also exit 2, before any output")
     p.add_argument("command", choices=list(COMMANDS) + ["figure"])
     p.add_argument("figure", nargs="?", default=None,
-                   help="figure id (1|2|4|5|6) for the figure command")
+                   help=f"figure id ({'|'.join(FIGURES)}), before or after the options")
     p.add_argument("--config", default=None, help="configuration file path")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--sweep", default=None, metavar="key=start:stop:count")
@@ -641,26 +627,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_intermixed_args(argv)
     try:
         if args.jobs is not None and args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         for flag, readers in FLAG_READERS.items():
             if getattr(args, flag) is not None and args.command not in readers:
                 raise ConfigError(f"the {args.command} command does not read {_arg_name(flag)}")
-        outdir = Path(args.out or os.environ.get(OUT_ENV, "."))
-        outdir.mkdir(parents=True, exist_ok=True)
         if args.command == "figure":
-            files = cmd_figure(None, args, outdir)
+            if args.figure not in FIGURES:
+                raise ConfigError(f"the figure command needs an id from ({', '.join(FIGURES)})"
+                                  + (f", not {args.figure!r}" if args.figure else ""))
             params = {"figure": args.figure, "format": args.format}
         else:
             if not args.config:
                 raise ConfigError(f"command {args.command!r} needs --config")
-            cfg = load_config(args.config)
-            files = COMMANDS[args.command](cfg, args, outdir)
+            cfg = load_config(args.config, args.command, args.sweep)
             params = {"config": str(args.config), "format": args.format,
                       "sweep": args.sweep or "", "variant": args.variant or "",
                       "ell": args.ell or ""}
+        outdir = Path(args.out or os.environ.get(OUT_ENV, "."))
+        outdir.mkdir(parents=True, exist_ok=True)
+        files = FIGURES[args.figure](args, outdir) if args.command == "figure" \
+            else COMMANDS[args.command](cfg, args, outdir)
         output.write_manifest(outdir / "manifest.json", args.command, params, files)
     except (ConfigError, InvalidInputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -95,6 +95,14 @@ def test_missing_config_is_config_error(tmp_path):
     assert run(["derive-params", "--config", bad, "--out", tmp_path]) == 2
 
 
+def test_missing_key_of_a_pair_names_both(tmp_path, capsys):
+    bad = tmp_path / "beam.cfg"
+    bad.write_text(BEAM_CFG.replace("polarizability_A3 = 100\n", ""))
+    assert run(["derive-params", "--config", bad, "--out", tmp_path]) == 2
+    assert "missing key 'polarizability_A3' or 'polarizability_si' in section [beam]" \
+        in capsys.readouterr().err
+
+
 def test_numerical_regime_exit_code(tmp_path):
     # orders up to 10000 need a spectral FFT size above its cap
     cfg = tmp_path / "hot.cfg"
@@ -605,8 +613,139 @@ def test_commands_and_figures_import_no_scipy(beam_cfg, grating_cfg, tmp_path):
     assert done.stdout.strip() == "[]"
 
 
-def test_figure_command_requires_valid_id(tmp_path):
-    assert run(["figure", "7", "--out", tmp_path]) == 2
+def test_figure_command_requires_valid_id(tmp_path, capsys):
+    """An unknown or missing figure id is exit 2 before the output directory
+    is made, and the message lists the ids."""
+    out = tmp_path / "run"
+    for argv, shown in ((["figure", "7"], ", not '7'"), (["figure"], "")):
+        assert run(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.strip().endswith(f"the figure command needs an id from (1, 2, 4, 5, 6){shown}")
+        assert not out.exists()
+
+
+def test_figure_id_may_follow_the_options(tmp_path):
+    assert run(["figure", "--format", "json", "2", "--out", tmp_path / "after"]) == 0
+    assert run(["figure", "2", "--format", "json", "--out", tmp_path / "before"]) == 0
+    names = sorted(p.name for p in (tmp_path / "before").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "after").iterdir())
+    for name in names:
+        assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "before" / name).read_bytes()
+
+
+BEAM_KDTLI_CFG = BEAM_CFG.replace("separation_mm = 100", "talbot_parameter = 2.0")
+
+
+@pytest.mark.parametrize("command, text, sweep, named", [
+    # a misspelt key or section was dropped without a word
+    ("kdtli", GRATING_CFG.replace("n0 = 1.0", "n0 = 1.0\nphi_0 = 7"), None,
+     ["[grating]", "phi_0"]),
+    ("kdtli", GRATING_CFG + "velocity_sprad = 0.07\n", None,
+     ["[interferometer]", "velocity_sprad"]),
+    ("kdtli", GRATING_CFG + "\n[farfeld]\ncollimator_ratio = 4\n", None,
+     ["[farfeld]", "collimator_ratio"]),
+    ("kdtli", "[DEFAULT]\nscreen_max = 2\n\n" + GRATING_CFG, None, ["[grating]", "screen_max"]),
+    # the removed key of the unused grating period
+    ("kdtli", GRATING_CFG.replace("n0 = 1.0", "n0 = 1.0\nperiod_nm = 266"), None,
+     ["[grating]", "period_nm"]),
+    # sweeps of keys the command never reads wrote identical curves
+    ("kdtli", GRATING_CFG, "rabi.pulse_area_pi=1:3:3", ["[rabi]", "pulse_area_pi"]),
+    ("kdtli", GRATING_CFG, "eta_p=1:2:3", ["[grating]", "eta_p"]),
+    ("ladder", GRATING_CFG, "phi0=1:2:3", ["[grating]", "phi0"]),
+    # the first key of a clashing pair won without a word
+    ("kdtli", BEAM_CFG.replace("polarizability_A3 = 100", "polarizability_A3 = 100\n"
+                               "polarizability_si = 1e-38"), None,
+     ["[beam]", "polarizability_A3", "polarizability_si"]),
+    ("kdtli", BEAM_CFG.replace("cross_section_A2 = 10", "cross_section_A2 = 10\n"
+                               "CROSS_SECTION_M2 = 1e-19"), None,
+     ["[beam]", "cross_section_A2", "cross_section_m2"]),
+    ("kdtli", GRATING_CFG + "separation_mm = 100\n", None,
+     ["[interferometer]", "talbot_parameter", "separation_mm"]),
+    ("kdtli", BEAM_KDTLI_CFG, "separation_mm=50:100:3",
+     ["[interferometer]", "talbot_parameter", "separation_mm"]),
+], ids=["key", "interferometer-key", "section", "default-key", "period_nm", "sweep-rabi",
+        "sweep-eta_p", "ladder-sweep-phi0", "polarizability", "cross-section",
+        "talbot-separation", "sweep-separation"])
+def test_config_the_command_would_not_read_is_config_error(command, text, sweep, named,
+                                                           tmp_path, capsys):
+    """A key or section outside the key table, both keys of an exclusive pair
+    (a swept key counts as given) and a sweep of a key the command does not
+    read are exit 2 before the output directory is made, naming the section,
+    the key and the command."""
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    assert run([command, "--config", cfg, "--out", out]
+               + (["--sweep", sweep] if sweep else [])) == 2
+    err = capsys.readouterr().err
+    assert all(word in err for word in named + [f"the {command} command"]), err
+    assert not out.exists()
+
+
+def test_known_keys_a_command_does_not_read_are_accepted(tmp_path):
+    """One config serves every command, and [grating] phi0/n0 win over
+    [beam] without an error."""
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(BEAM_KDTLI_CFG + GRATING_CFG.split("\n\n")[0] + "\n\n" + RABI_CFG.split(
+        "\n\n")[0] + "\n\n[farfield]\nscreen_max = 1.5\nscreen_points = 401\n\n[talbot]\nj_max = 2\n"
+        "xi_points = 4\n\n[ladder]\nkernel_xi = 0.3\n")
+    for command in ("derive-params", "talbot", "kdtli", "farfield", "ladder", "rabi"):
+        assert run([command, "--config", cfg, "--out", tmp_path / command]) == 0, command
+    meta, _, _ = read_csv(tmp_path / "kdtli" / "kdtli_signal.csv")
+    assert float(meta["phi0"]) == math.pi
+
+
+def _doc_block(path: Path, after: str) -> str:
+    """The first ```ini block of `path` after the line `after`."""
+    text = path.read_text().split(after, 1)[1]
+    return text.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_formats_doc_lists_the_key_table():
+    """The ini block of docs/formats.md, `; key = ...` alternatives included,
+    names exactly the sections and keys of cli.KEYS."""
+    import re
+    listed, section = {}, None
+    for line in _doc_block(ROOT / "docs" / "formats.md", "## Configuration file").splitlines():
+        if m := re.match(r"\[(\w+)\]", line):
+            section = listed.setdefault(m.group(1), [])
+        elif m := re.match(r";?\s*(\w+)\s*=", line):
+            section.append(m.group(1))
+    assert listed == {s: list(keys) for s, keys in cli.KEYS.items()}
+
+
+def test_readme_config_passes_the_key_checks(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_doc_block(ROOT / "README.md", "## CLI"))
+    assert cli.get(cli.load_config(cfg, "kdtli"), "talbot_parameter") == 3.25
+
+
+def test_benchmark_configs_pass_the_key_checks(tmp_path, monkeypatch):
+    """Every op of the benchmark workloads that takes --config passes
+    load_config with its command and sweep.  perfbench/workloads.py is run
+    from its text, with its output checks stubbed, so nothing is written
+    under perfbench/ and its modules stay out of sys.modules."""
+    import types
+    path = ROOT / "perfbench" / "workloads.py"
+    checks = types.ModuleType("checks")
+    checks.__getattr__ = lambda name: None
+    monkeypatch.setitem(sys.modules, "checks", checks)
+    workloads = types.ModuleType("bench_workloads")
+    monkeypatch.setitem(sys.modules, workloads.__name__, workloads)
+    exec(compile(path.read_text(), str(path), "exec"), workloads.__dict__)
+    checked = []
+    for name, build in workloads.WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        for op in build(4243, tmp_path / name):
+            argv = [str(a) for a in op.argv]
+            if "--config" in argv:
+                sweep = argv[argv.index("--sweep") + 1] if "--sweep" in argv else None
+                cli.load_config(argv[argv.index("--config") + 1], argv[0], sweep)
+                checked.append(argv[0])
+    assert sorted(set(checked)) == ["farfield", "kdtli", "ladder", "rabi", "talbot"]
 
 
 def test_figure2_emits_stacked_conditionals(tmp_path):
