@@ -3,9 +3,9 @@
 Commands: derive-params, talbot, kdtli, farfield, ladder, rabi, figure.
 Configuration is a sectioned key/value file with units spelled out in the
 key names (see docs/formats.md).  Outputs are deterministic: fixed float
-formatting, sorted manifests, no timestamps; sweep points are computed by a
-work pool but written in input order.  The physics layers are imported by
-the commands that run them, so a run compiles and loads only what it needs.
+formatting, sorted manifests, no timestamps; sweep points are computed and
+written in input order.  The physics layers are imported by the commands
+that run them, so a run compiles and loads only what it needs.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ EXCLUSIVE = (("polarizability_A3", "polarizability_si"), ("cross_section_A2", "c
 # the keys a --sweep may move, per command: those the command reads
 SWEEPS = {"kdtli": (*KEYS["beam"], "phi0", "n0", *KEYS["interferometer"]),
           "ladder": ("talbot_parameter",)}
+# the [beam] keys of L/L_T (derive_scales): all that a pinned grating reads
+SCALE_KEYS = ("wavelength_nm", "velocity_mps", "mass_amu")
 
 _form = configparser.ConfigParser().optionxform  # a key as configparser stores it (lowercased)
 _KEY = {_form(key): (section, key) for section, keys in KEYS.items() for key in keys}
@@ -96,7 +98,9 @@ def get(cfg: configparser.ConfigParser, key: str):
 def load_config(path, command: str, sweep: str | None = None) -> configparser.ConfigParser:
     """Parse `path` and check it against KEYS: an unknown section or key, both
     keys of an EXCLUSIVE pair (a swept key counts as given) or a sweep key
-    that `command` does not read is a ConfigError."""
+    that `command` does not read is a ConfigError.  Where [grating] pins
+    phi0/n0, the [beam] keys read are SCALE_KEYS if separation_mm is given,
+    else none."""
     cfg = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -116,7 +120,11 @@ def load_config(path, command: str, sweep: str | None = None) -> configparser.Co
         if all(_given(cfg, key) or _form(key) == swept for key in (a, b)):
             raise ConfigError(f"the {command} command takes one of [{_KEY[_form(a)][0]}] "
                               f"{a} and {b}, not both")
-    if swept and swept not in map(_form, SWEEPS.get(command, ())):
+    read = SWEEPS.get(command, ())
+    if _given(cfg, "phi0") or _given(cfg, "n0"):
+        beam = SCALE_KEYS if _given(cfg, "separation_mm") else ()
+        read = [key for key in read if key not in KEYS["beam"] or key in beam]
+    if swept and swept not in map(_form, read):
         section, key = _KEY[swept]
         raise ConfigError(f"the {command} command does not read [{section}] {key}, "
                           f"so --sweep cannot move it")
@@ -197,19 +205,6 @@ def sweep_values_or_single(cfg, args):
     return [("", math.nan, cfg)]
 
 
-def run_pool(worker, tasks, jobs: int):
-    """Map `worker` over `tasks`, preserving input order, on at most `jobs`
-    processes, one per task and per usable CPU; serial for one."""
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") \
-        else range(os.cpu_count() or 1)
-    workers = min(jobs, len(tasks), len(cpus))
-    if workers <= 1:
-        return [worker(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -283,9 +278,8 @@ def cmd_talbot(cfg, args, outdir: Path) -> list[str]:
     return [name]
 
 
-def _kdtli_point(task):
+def _kdtli_point(label, value, cfg, variants):
     from . import nearfield
-    label, value, cfg, variants = task
     grating = grating_from_config(cfg)
     lt = talbot_parameter_from_config(cfg)
     f = get(cfg, "open_fraction")
@@ -301,10 +295,10 @@ def _kdtli_point(task):
 def cmd_kdtli(cfg, args, outdir: Path) -> list[str]:
     """One (sweep_key, sweep_value, variant, talbot_parameter, visibility,
     signal) curve per sweep point and variant, then one per --ell count."""
-    from . import nearfield, talbot  # before the pool, so forked workers inherit them
+    from . import nearfield, talbot
     variants = (args.variant,) if args.variant else talbot.VARIANTS
-    tasks = [task + (variants,) for task in sweep_values_or_single(cfg, args)]
-    curves = [c for point in run_pool(_kdtli_point, tasks, args.jobs or 1) for c in point]
+    curves = [c for point in sweep_values_or_single(cfg, args)
+              for c in _kdtli_point(*point, variants)]
     grating = grating_from_config(cfg)
     f = get(cfg, "open_fraction")
     for ell in _ell_list(args, grating):
@@ -620,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--sweep", default=None, metavar="key=start:stop:count")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None, help="accepted, no effect; to be removed")
     p.add_argument("--variant", choices=("quantum", "classical"), default=None)
     p.add_argument("--ell", default=None, help="absorption count: N | all | sum")
     return p
@@ -628,6 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_intermixed_args(argv)
+    made = None  # the output directory, where this run makes it
     try:
         if args.jobs is not None and args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
@@ -647,20 +642,22 @@ def main(argv=None) -> int:
                       "sweep": args.sweep or "", "variant": args.variant or "",
                       "ell": args.ell or ""}
         outdir = Path(args.out or os.environ.get(OUT_ENV, "."))
+        made = None if outdir.exists() else outdir
         outdir.mkdir(parents=True, exist_ok=True)
         files = FIGURES[args.figure](args, outdir) if args.command == "figure" \
             else COMMANDS[args.command](cfg, args, outdir)
         output.write_manifest(outdir / "manifest.json", args.command, params, files)
+        return 0
     except (ConfigError, InvalidInputError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        message, code = f"config error: {exc}", EXIT_CONFIG
     except (RegimeError, ResolutionError, CutoffError, DomainError, SimulationError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICS
+        message, code = f"numerical error: {exc}", EXIT_NUMERICS
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return 0
+        message, code = f"i/o error: {exc}", EXIT_IO
+    print(message, file=sys.stderr)
+    if made is not None and made.is_dir() and not any(made.iterdir()):
+        made.rmdir()  # only while empty: files a failed run wrote stay
+    return code
 
 
 if __name__ == "__main__":

@@ -21,7 +21,9 @@ from .errors import CutoffError, DomainError
 SPECTRAL_MARGIN = 32          # orders kept between the decay width and N/2
 SPECTRAL_MAX_POINTS = 1 << 14
 SPECTRAL_TAIL = 1e-13         # largest |coefficient| allowed around order N/2
-SPECTRAL_BLOCK = 1 << 16      # samples (arguments x N) held at once
+# samples (arguments x N) held at once: 128 KiB per complex array, so a block's
+# five arrays fit a 2 MiB L2 cache and bound a call's peak; no number depends on it
+SPECTRAL_BLOCK = 1 << 13
 LADDER_MAX_NODES = 128        # Gauss-Legendre nodes validated for DLMF 13.4.1
 
 

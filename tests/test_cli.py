@@ -43,6 +43,11 @@ talbot_parameter = 3.25
 open_fraction = 0.42
 """
 
+BEAM_SECTION = BEAM_CFG.split("\n\n")[0] + "\n"
+# [grating] pins phi0/n0, so [beam] reaches the output only through L/L_T
+PINNED_SEPARATION_CFG = (GRATING_CFG.replace("talbot_parameter = 3.25", "separation_mm = 100")
+                         + "\n" + BEAM_SECTION)
+
 RABI_CFG = """\
 [rabi]
 pulse_area_pi = 2.0
@@ -198,38 +203,6 @@ def test_non_finite_talbot_argument_is_config_error(command, text, tmp_path):
     assert not list(out.glob("*.csv"))
 
 
-class StubExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
-
-    created = []
-
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-
-@pytest.mark.parametrize("jobs, tasks, cpus, workers", [
-    (8, 2, 4, 2), (8, 10, 4, 4), (3, 10, 4, 3), (4, 1, 4, None), (1, 10, 4, None),
-    (6, 10, 1, None),
-])
-def test_run_pool_bounds_its_workers(jobs, tasks, cpus, workers, monkeypatch):
-    """At most one process per task and per usable CPU; one means serial."""
-    import concurrent.futures
-    StubExecutor.created = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubExecutor)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    assert cli.run_pool(abs, list(range(-tasks, 0)), jobs) == list(range(tasks, 0, -1))
-    assert StubExecutor.created == ([] if workers is None else [workers])
-
-
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_jobs_below_one_is_config_error(jobs, grating_cfg, tmp_path):
     out = tmp_path / "run"
@@ -371,17 +344,21 @@ def test_every_public_name_has_a_caller():
     assert not unread
 
 
-def test_import_keeps_process_pool_out():
-    """Only a run with jobs > 1 needs a process pool, so importing the CLI
-    loads neither concurrent.futures nor multiprocessing."""
+def test_import_keeps_process_pool_out(grating_cfg, tmp_path):
+    """Sweep points run in the calling process, so a whole kdtli sweep, with
+    --jobs 2, loads neither concurrent.futures nor multiprocessing."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, lasergrating.cli; print(sorted(m for m in sys.modules "
+    code = ("import sys; from lasergrating.cli import main; status = main(sys.argv[1:]); "
+            "print(status, sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    argv = ["kdtli", "--config", str(grating_cfg), "--sweep", "talbot_parameter=0.5:2.0:4",
+            "--jobs", "2", "--out", str(tmp_path / "run")]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "0 []"
+    assert (tmp_path / "run" / "kdtli_signal.csv").exists()
 
 
 def test_kdtli_phi0_45_matches_kernel_fft(tmp_path):
@@ -449,16 +426,21 @@ def test_talbot_table_round_trip(grating_cfg, tmp_path):
 
 
 def test_kdtli_sweep_maps_velocity_to_talbot_parameter(beam_cfg, tmp_path):
-    out = tmp_path / "run"
-    assert run(["kdtli", "--config", beam_cfg, "--out", out,
-                "--sweep", "velocity_mps=80:120:3", "--variant", "quantum"]) == 0
-    meta, cols, rows = read_csv(out / "kdtli_visibility.csv")
-    by_v = {r[1]: r[3] for r in rows}
-    assert len(by_v) == 3
-    # L/L_T scales inversely with velocity: LT(v) = LT(100) * 100/v
-    lt100 = by_v[100.0]
-    assert by_v[80.0] == pytest.approx(lt100 * 100.0 / 80.0, rel=1e-9)
-    assert by_v[120.0] == pytest.approx(lt100 * 100.0 / 120.0, rel=1e-9)
+    """With the grating derived from [beam], and with [grating] pinning
+    phi0/n0 where separation_mm still reads the beam."""
+    pinned = tmp_path / "pinned.cfg"
+    pinned.write_text(PINNED_SEPARATION_CFG)
+    for cfg in (beam_cfg, pinned):
+        out = tmp_path / cfg.stem
+        assert run(["kdtli", "--config", cfg, "--out", out,
+                    "--sweep", "velocity_mps=80:120:3", "--variant", "quantum"]) == 0
+        meta, cols, rows = read_csv(out / "kdtli_visibility.csv")
+        by_v = {r[1]: r[3] for r in rows}
+        assert len(by_v) == 3
+        # L/L_T scales inversely with velocity: LT(v) = LT(100) * 100/v
+        lt100 = by_v[100.0]
+        assert by_v[80.0] == pytest.approx(lt100 * 100.0 / 80.0, rel=1e-9)
+        assert by_v[120.0] == pytest.approx(lt100 * 100.0 / 120.0, rel=1e-9)
 
 
 def test_kdtli_determinism_across_jobs(grating_cfg, tmp_path):
@@ -663,9 +645,15 @@ BEAM_KDTLI_CFG = BEAM_CFG.replace("separation_mm = 100", "talbot_parameter = 2.0
      ["[interferometer]", "talbot_parameter", "separation_mm"]),
     ("kdtli", BEAM_KDTLI_CFG, "separation_mm=50:100:3",
      ["[interferometer]", "talbot_parameter", "separation_mm"]),
+    # a pinned grating reads [beam] only for L/L_T from separation_mm: these
+    # sweeps wrote identical curves
+    ("kdtli", GRATING_CFG + "\n" + BEAM_SECTION, "velocity_mps=80:120:3",
+     ["[beam]", "velocity_mps"]),
+    ("kdtli", PINNED_SEPARATION_CFG, "power_watt=0.5:1.5:3", ["[beam]", "power_watt"]),
 ], ids=["key", "interferometer-key", "section", "default-key", "period_nm", "sweep-rabi",
         "sweep-eta_p", "ladder-sweep-phi0", "polarizability", "cross-section",
-        "talbot-separation", "sweep-separation"])
+        "talbot-separation", "sweep-separation", "pinned-sweep-velocity",
+        "pinned-separation-sweep-power"])
 def test_config_the_command_would_not_read_is_config_error(command, text, sweep, named,
                                                            tmp_path, capsys):
     """A key or section outside the key table, both keys of an exclusive pair
@@ -680,6 +668,19 @@ def test_config_the_command_would_not_read_is_config_error(command, text, sweep,
     err = capsys.readouterr().err
     assert all(word in err for word in named + [f"the {command} command"]), err
     assert not out.exists()
+
+
+def test_failed_run_leaves_no_empty_output_directory(tmp_path):
+    """A run that made the output directory and then fails removes it while
+    it is empty; a directory that was there before stays."""
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(BEAM_CFG.replace("polarizability_A3 = 100\n", ""))
+    out = tmp_path / "run"
+    assert run_quietly(["kdtli", "--config", cfg, "--out", out]) == (2, [])
+    assert not out.exists()
+    out.mkdir()
+    assert run_quietly(["kdtli", "--config", cfg, "--out", out]) == (2, [])
+    assert out.is_dir()
 
 
 def test_known_keys_a_command_does_not_read_are_accepted(tmp_path):

@@ -225,6 +225,49 @@ def test_exp_fourier_rows_alias_guard():
                                    rel=1e-12)
 
 
+def _ladder_like_arguments(size: int):
+    """(a, b, c, p0, p1) of the count-1 summed-ladder rows (talbot._ladder_rows)
+    of figure 5 (phi0 = 1.875, n0 = 1.5, eta = 1, node s = 0.7) at `size`
+    values of pi xi, |f| <= 1: N = 128 for orders up to 2."""
+    phi0, n0, s = 1.875, 1.5, 0.7
+    cos, sin = np.cos(np.linspace(0.0, np.pi, size)), np.sin(np.linspace(0.0, np.pi, size))
+    apb, amb = 0.5 * (s * n0 - n0 * cos), phi0 * sin
+    return (0.5 * (apb + amb), 0.5 * (apb - amb), 0.5 * (s * n0 * cos - n0),
+            0.5 * n0 * cos, np.full(size, 0.5 * n0))
+
+
+@pytest.mark.parametrize("block", [1 << 16, 1 << 13, 1 << 10])
+def test_exp_fourier_rows_is_block_invariant(block, monkeypatch):
+    """Every row is transformed on its own, so the block size changes no
+    bit: count 0, a sequence of counts, and two FFT sizes."""
+    import lasergrating.specfun as specfun
+    a, b, c, p0, p1 = _ladder_like_arguments(3000)
+    cases = [(range(-2, 3), (a, b, c)), (range(-2, 3), (a, b, c, [0, 1, 3], p0, p1)),
+             (range(-40, 41), (4.0 * a, 4.0 * b, 4.0 * c))]
+    reach = float(np.max(np.abs(a) + np.abs(b)))
+    assert (spectral_points(reach, 5), spectral_points(4.0 * reach, 40)) == (128, 256)
+    want = [exp_fourier_rows(orders, *args) for orders, args in cases]
+    monkeypatch.setattr(specfun, "SPECTRAL_BLOCK", block)
+    for (orders, args), ref in zip(cases, want):
+        assert exp_fourier_rows(orders, *args).tobytes() == ref.tobytes()
+
+
+def test_exp_fourier_rows_working_set_is_bounded():
+    """One count-1 call on 8,400 elements at N = 128, figure 5's largest,
+    peaks below 1 MiB of traced memory, the 0.32 MiB result included: the
+    block arrays stay cache-sized instead of 1 MiB each."""
+    import tracemalloc
+    args = _ladder_like_arguments(8400)
+    exp_fourier_rows(range(-2, 3), *args[:3], 1, *args[3:])  # numpy's FFT caches, once
+    tracemalloc.start()
+    try:
+        exp_fourier_rows(range(-2, 3), *args[:3], 1, *args[3:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak / 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # hyp1f1_ladder_quad
 # ---------------------------------------------------------------------------
