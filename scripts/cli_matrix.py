@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Run a fixed matrix of CLI calls and record what each one did.
+
+    PYTHONPATH=src python scripts/cli_matrix.py OUT
+
+OUT must not exist yet.  The script writes the configs of the matrix into
+OUT, then runs each call in its own subprocess (`python -m lasergrating.cli`,
+with the caller's environment, PYTHONPATH included) with OUT as its working
+directory.  Every --config and --out path is relative, so no manifest or
+message names OUT.  Call NAME writes its files to OUT/NAME/ and its record
+(argv, exit code, stdout, stderr) to OUT/NAME.json.
+
+The matrix covers every command and figure in CSV and JSON, sweeps,
+`--ell all`, `--variant`, `--jobs`, runs that exit 2 and runs that exit 3
+after some of their numbers are ready.  To compare two trees, run it once
+with each tree's src/ on PYTHONPATH and apply `diff -r` to the two OUT
+folders.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+GRATING = "[grating]\nphi0 = 3.141592653589793\nn0 = 1.0\n"
+KDTLI = "[interferometer]\ntalbot_parameter = 3.25\nopen_fraction = 0.42\n"
+BEAM = ("[beam]\npower_watt = 1.0\nwaist_y_um = 500\nwaist_z_um = 500\nwavelength_nm = 532\n"
+        "polarizability_A3 = 100\ncross_section_A2 = 10\nvelocity_mps = 100\nmass_amu = 840\n")
+RABI = "[rabi]\npulse_area_pi = 2.0\ndetuning_tl = 0.0\nlifetime_tl = 1.0\n"
+
+CONFIGS = {
+    "beam.cfg": BEAM + "\n[interferometer]\nseparation_mm = 100\nopen_fraction = 0.42\n",
+    "beam_kdtli.cfg": BEAM + "\n" + KDTLI.replace("3.25", "2.0"),
+    "grating.cfg": GRATING + "\n" + KDTLI,
+    "spread.cfg": GRATING + "\n" + KDTLI + "velocity_spread = 0.07\n",
+    "talbot.cfg": "[grating]\nphi0 = 3.0\nn0 = 0.95\n\n[talbot]\nj_max = 4\nxi_points = 16\n",
+    "farfield.cfg": "[grating]\nphi0 = 2.5\nn0 = 2.0\n\n[farfield]\nscreen_max = 2.0\n"
+                    "screen_points = 401\n",
+    "ladder.cfg": GRATING + "\n" + KDTLI + "\n[ladder]\nenvelope = gaussian\nkernel_xi = 0.3\n",
+    "rabi.cfg": RABI + "\n[interferometer]\ntalbot_parameter = 2.0\nopen_fraction = 0.1\n",
+    "rabi_profile.cfg": RABI,
+    "bad_key.cfg": GRATING + "phi_0 = 7\n\n" + KDTLI,
+    # exit 3 once the first table is ready: the Rabi factor FFT and the
+    # ladder visibility need more than 16384 points
+    "rabi_cap.cfg": RABI.replace("2.0", "20000") + "\n[interferometer]\n"
+                    "talbot_parameter = 2.0\nopen_fraction = 0.1\n",
+    "ladder_cap.cfg": GRATING.replace("3.141592653589793", "1e5") + "\n" + KDTLI,
+}
+
+SWEEP = ["--sweep", "talbot_parameter=0.5:3:4"]
+CALLS = {
+    "derive-params": ["derive-params", "--config", "beam.cfg"],
+    "derive-params-json": ["derive-params", "--config", "beam.cfg", "--format", "json"],
+    "talbot": ["talbot", "--config", "talbot.cfg"],
+    "talbot-ell-all": ["talbot", "--config", "talbot.cfg", "--ell", "all"],
+    "talbot-ell-all-json": ["talbot", "--config", "talbot.cfg", "--ell", "all",
+                            "--format", "json"],
+    "talbot-classical": ["talbot", "--config", "talbot.cfg", "--variant", "classical"],
+    "kdtli": ["kdtli", "--config", "grating.cfg"],
+    "kdtli-json": ["kdtli", "--config", "grating.cfg", "--format", "json"],
+    "kdtli-spread": ["kdtli", "--config", "spread.cfg"],
+    "kdtli-sweep-ell-all": ["kdtli", "--config", "grating.cfg", "--ell", "all", *SWEEP],
+    "kdtli-sweep-ell-all-json": ["kdtli", "--config", "grating.cfg", "--ell", "all", *SWEEP,
+                                 "--format", "json"],
+    "kdtli-sweep-jobs-2": ["kdtli", "--config", "grating.cfg", "--ell", "all", *SWEEP,
+                           "--jobs", "2"],
+    "kdtli-spread-sweep-jobs-2": ["kdtli", "--config", "spread.cfg", *SWEEP, "--jobs", "2"],
+    "kdtli-classical-ell-1": ["kdtli", "--config", "grating.cfg", "--variant", "classical",
+                              "--ell", "1"],
+    "kdtli-beam-sweep": ["kdtli", "--config", "beam_kdtli.cfg", "--sweep",
+                         "beam.velocity_mps=80:120:3"],
+    "farfield": ["farfield", "--config", "farfield.cfg"],
+    "farfield-json": ["farfield", "--config", "farfield.cfg", "--format", "json"],
+    "farfield-ell-all": ["farfield", "--config", "farfield.cfg", "--ell", "all"],
+    "farfield-ell-1-json": ["farfield", "--config", "farfield.cfg", "--ell", "1",
+                            "--format", "json"],
+    "farfield-classical-sum": ["farfield", "--config", "farfield.cfg", "--variant",
+                               "classical", "--ell", "sum"],
+    "ladder": ["ladder", "--config", "ladder.cfg"],
+    "ladder-sweep": ["ladder", "--config", "ladder.cfg", *SWEEP],
+    "ladder-sweep-json": ["ladder", "--config", "ladder.cfg", *SWEEP, "--format", "json"],
+    "rabi": ["rabi", "--config", "rabi.cfg"],
+    "rabi-json": ["rabi", "--config", "rabi.cfg", "--format", "json"],
+    "rabi-profile": ["rabi", "--config", "rabi_profile.cfg"],
+    **{f"figure-{n}": ["figure", n] for n in ("1", "2", "4", "5", "6")},
+    **{f"figure-{n}-json": ["figure", "--format", "json", n] for n in ("1", "2", "4", "5", "6")},
+    "exit-2-jobs-0": ["kdtli", "--config", "grating.cfg", "--jobs", "0"],
+    "exit-2-talbot-jobs": ["talbot", "--config", "talbot.cfg", "--jobs", "2"],
+    "exit-2-bad-key": ["kdtli", "--config", "bad_key.cfg"],
+    "exit-3-rabi-cap": ["rabi", "--config", "rabi_cap.cfg"],
+    "exit-3-ladder-cap": ["ladder", "--config", "ladder_cap.cfg", "--sweep",
+                          "talbot_parameter=0.5:1:3"],
+}
+
+
+def main(out: Path) -> None:
+    out.mkdir(parents=True)
+    for name, text in CONFIGS.items():
+        (out / name).write_text(text)
+    for name, argv in CALLS.items():
+        argv = [*argv, "--out", name]
+        done = subprocess.run([sys.executable, "-m", "lasergrating.cli", *argv], cwd=out,
+                              capture_output=True, text=True)
+        record = {"argv": argv, "exit": done.returncode, "stdout": done.stdout,
+                  "stderr": done.stderr}
+        (out / f"{name}.json").write_text(json.dumps(record, indent=2) + "\n")
+        print(f"{done.returncode} {name}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    main(Path(sys.argv[1]))

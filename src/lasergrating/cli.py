@@ -2,10 +2,14 @@
 
 Commands: derive-params, talbot, kdtli, farfield, ladder, rabi, figure.
 Configuration is a sectioned key/value file with units spelled out in the
-key names (see docs/formats.md).  Outputs are deterministic: fixed float
-formatting, sorted manifests, no timestamps; sweep points are computed and
-written in input order.  The physics layers are imported by the commands
-that run them, so a run compiles and loads only what it needs.
+key names (see docs/formats.md).  Commands and figures return their tables
+as (stem, meta, columns, blocks) tuples with every number computed (a lazy
+`blocks` only gathers); `main` alone writes them in the --format and lists
+them in the manifest, so a run that fails writes no data file.  Outputs are
+deterministic: fixed float formatting, sorted manifests, no timestamps;
+sweep points are computed and written in input order.  The physics layers
+are imported by the commands that run them, so a run compiles and loads
+only what it needs.
 """
 
 from __future__ import annotations
@@ -209,14 +213,6 @@ def sweep_values_or_single(cfg, args):
 # commands
 # ---------------------------------------------------------------------------
 
-def _writer(args):
-    return output.write_json_table if args.format == "json" else output.write_csv
-
-
-def _ext(args):
-    return "json" if args.format == "json" else "csv"
-
-
 def _ell_list(args, grating) -> list:
     if args.ell == "all":
         from .grating import poisson_ell_max
@@ -229,7 +225,7 @@ def _ell_list(args, grating) -> list:
         raise ConfigError(f"bad --ell value {args.ell!r}") from exc
 
 
-def cmd_derive_params(cfg, args, outdir: Path) -> list[str]:
+def cmd_derive_params(cfg, args) -> list:
     setup = beam_from_config(cfg)
     grating = derive_grating(setup)
     values = {
@@ -244,15 +240,14 @@ def cmd_derive_params(cfg, args, outdir: Path) -> list[str]:
         values.update(talbot_length_m=scales.talbot_length,
                       talbot_parameter=scales.talbot_parameter,
                       interaction_time_s=scales.interaction_time)
-    name = f"derived_parameters.{_ext(args)}"
-    _writer(args)(outdir / name, {"command": "derive-params"}, ["name", "value"],
-                  [(list(values), list(values.values()))])
-    return [name]
+    return [("derived_parameters", {"command": "derive-params"}, ["name", "value"],
+             [(list(values), list(values.values()))])]
 
 
-def cmd_talbot(cfg, args, outdir: Path) -> list[str]:
+def cmd_talbot(cfg, args) -> list:
     """A (variant, ell, j, xi, re, im) block per table and order j: re gathered from the
-    folded table (classical: the quantum one, j reversed), im 0 as the forms are real."""
+    folded table (classical: the quantum one, j reversed), im 0 as the forms are real.
+    The blocks are made as the writer reads them."""
     from . import specfun, talbot
     grating = grating_from_config(cfg)
     j_max = get(cfg, "j_max")
@@ -272,53 +267,37 @@ def cmd_talbot(cfg, args, outdir: Path) -> list[str]:
             label, ell, values, mirror = tables.pop(0)
             yield from ((label, ell, j, xi, output.Gathered(values, index + distinct.size * (
                 j_max + np.where(flip != mirror, -j, j))), 0.0) for j in range(-j_max, j_max + 1))
-    name = f"talbot_coefficients.{_ext(args)}"
     meta = {"command": "talbot", "phi0": grating.phi0, "n0": grating.n0, "j_max": j_max}
-    _writer(args)(outdir / name, meta, ["variant", "ell", "j", "xi", "re", "im"], blocks())
-    return [name]
+    return [("talbot_coefficients", meta, ["variant", "ell", "j", "xi", "re", "im"], blocks())]
 
 
-def _kdtli_point(label, value, cfg, variants):
-    from . import nearfield
-    grating = grating_from_config(cfg)
-    lt = talbot_parameter_from_config(cfg)
-    f = get(cfg, "open_fraction")
-    spread = get(cfg, "velocity_spread")
-    curves = []
-    for variant in variants:
-        kc = nearfield.KdtliConfig(grating, f, lt, source=variant)
-        sig = nearfield.kdtli_signal(kc, spread)
-        curves.append((label, value, variant, lt, nearfield.sinusoidal_visibility(kc), sig))
-    return curves
-
-
-def cmd_kdtli(cfg, args, outdir: Path) -> list[str]:
+def cmd_kdtli(cfg, args) -> list:
     """One (sweep_key, sweep_value, variant, talbot_parameter, visibility,
-    signal) curve per sweep point and variant, then one per --ell count."""
+    signal) curve per sweep point and variant, then one per --ell count.  The
+    --ell curves use the unswept config and no velocity spread."""
     from . import nearfield, talbot
-    variants = (args.variant,) if args.variant else talbot.VARIANTS
-    curves = [c for point in sweep_values_or_single(cfg, args)
-              for c in _kdtli_point(*point, variants)]
     grating = grating_from_config(cfg)
-    f = get(cfg, "open_fraction")
-    for ell in _ell_list(args, grating):
-        lt = talbot_parameter_from_config(cfg)
-        kc = nearfield.KdtliConfig(grating, f, lt, source=ell)
-        curves.append(("", math.nan, f"ell={ell}", lt, nearfield.sinusoidal_visibility(kc),
-                       nearfield.kdtli_signal(kc)))
+    runs = [(label, value, point, variant, get(point, "velocity_spread"))
+            for label, value, point in sweep_values_or_single(cfg, args)
+            for variant in ((args.variant,) if args.variant else talbot.VARIANTS)]
+    runs += [("", math.nan, cfg, ell, 0.0) for ell in _ell_list(args, grating)]
+    curves = []
+    for label, value, point, source, spread in runs:
+        kc = nearfield.KdtliConfig(grating=grating_from_config(point),
+                                   talbot_parameter=talbot_parameter_from_config(point),
+                                   open_fraction=get(point, "open_fraction"), source=source)
+        sig = nearfield.kdtli_signal(kc, spread)
+        curves.append((label, value, source if isinstance(source, str) else f"ell={source}",
+                       kc.talbot_parameter, nearfield.sinusoidal_visibility(kc), sig))
     meta = {"command": "kdtli", "phi0": grating.phi0, "n0": grating.n0,
-            "open_fraction": f}
-    names = [f"kdtli_signal.{_ext(args)}", f"kdtli_visibility.{_ext(args)}"]
-    _writer(args)(outdir / names[0], meta,
-                  ["sweep_key", "sweep_value", "variant", "talbot_parameter", "shift", "signal"],
-                  [c[:4] + (c[5].shifts, c[5].values) for c in curves])
-    _writer(args)(outdir / names[1], meta,
-                  ["sweep_key", "sweep_value", "variant", "talbot_parameter", "visibility"],
-                  [c[:5] for c in curves])
-    return names
+            "open_fraction": get(cfg, "open_fraction")}
+    columns = ["sweep_key", "sweep_value", "variant", "talbot_parameter"]
+    return [("kdtli_signal", meta, columns + ["shift", "signal"],
+             [c[:4] + (c[5].shifts, c[5].values) for c in curves]),
+            ("kdtli_visibility", meta, columns + ["visibility"], [c[:5] for c in curves])]
 
 
-def cmd_farfield(cfg, args, outdir: Path) -> list[str]:
+def cmd_farfield(cfg, args) -> list:
     from . import farfield
     grating = grating_from_config(cfg)
     xmax = get(cfg, "screen_max")
@@ -329,23 +308,20 @@ def cmd_farfield(cfg, args, outdir: Path) -> list[str]:
         period_over_sep=get(cfg, "period_over_sep"),
         sigma_det=get(cfg, "sigma_det"),
         screen=np.linspace(-xmax, xmax, get(cfg, "screen_points")))
-    variants = (args.variant,) if args.variant else ("quantum",)
     blocks = []
-    for variant in variants:
+    for variant in (args.variant,) if args.variant else ("quantum",):
         for dens in farfield.farfield_densities(fc, _ell_list(args, grating) or [None], variant):
             smooth = farfield.apply_detector_resolution(dens, fc.sigma_det)
             blocks.append((variant, "sum" if dens.ell is None else dens.ell,
                            dens.positions, dens.values, smooth.values))
-    name = f"farfield_density.{_ext(args)}"
-    _writer(args)(outdir / name,
-                  {"command": "farfield", "phi0": grating.phi0, "n0": grating.n0,
-                   "collimator_ratio": fc.collimator_ratio,
-                   "period_over_sep": fc.period_over_sep, "sigma_det": fc.sigma_det},
-                  ["variant", "ell", "position", "density", "density_smoothed"], blocks)
-    return [name]
+    meta = {"command": "farfield", "phi0": grating.phi0, "n0": grating.n0,
+            "collimator_ratio": fc.collimator_ratio,
+            "period_over_sep": fc.period_over_sep, "sigma_det": fc.sigma_det}
+    return [("farfield_density", meta,
+             ["variant", "ell", "position", "density", "density_smoothed"], blocks)]
 
 
-def cmd_ladder(cfg, args, outdir: Path) -> list[str]:
+def cmd_ladder(cfg, args) -> list:
     """Closed-form ladder kernel line and visibility sweep.  `[ladder] envelope`
     is validated and written to the metadata but does not change the kernel."""
     from . import dynamics
@@ -357,27 +333,20 @@ def cmd_ladder(cfg, args, outdir: Path) -> list[str]:
         raise ConfigError(f"unknown envelope {envelope!r}")
     u = np.arange(512) / 512
     line = dynamics.ladder_analytic(u - 0.5 * xi, u + 0.5 * xi, grating)
-    names = [f"ladder_kernel.{_ext(args)}"]
-    _writer(args)(outdir / names[0],
-                  {"command": "ladder", "phi0": grating.phi0, "n0": grating.n0,
-                   "eta_p": grating.eta_p, "eta_a": grating.eta_a,
-                   "envelope": envelope, "xi": xi},
-                  ["ell", "u", "re", "im"],
-                  [(ch, u, v.real, v.imag) for ch, v in enumerate(line)])
+    meta = {"command": "ladder", "phi0": grating.phi0, "n0": grating.n0,
+            "eta_p": grating.eta_p, "eta_a": grating.eta_a}
+    tables = [("ladder_kernel", {**meta, "envelope": envelope, "xi": xi}, ["ell", "u", "re", "im"],
+               [(ch, u, v.real, v.imag) for ch, v in enumerate(line)])]
     if args.sweep:
         values = parse_sweep(args.sweep)[2]
         f = get(cfg, "open_fraction")
-        vis = _vis_curve(grating, f, values, "ladder")
-        names.append(f"ladder_visibility.{_ext(args)}")
-        _writer(args)(outdir / names[1],
-                      {"command": "ladder", "phi0": grating.phi0, "n0": grating.n0,
-                       "eta_p": grating.eta_p, "eta_a": grating.eta_a,
-                       "open_fraction": f},
-                      ["talbot_parameter", "visibility"], [(values, vis)])
-    return names
+        tables.append(("ladder_visibility", {**meta, "open_fraction": f},
+                       ["talbot_parameter", "visibility"],
+                       [(values, _vis_curve(grating, f, values, "ladder"))]))
+    return tables
 
 
-def cmd_rabi(cfg, args, outdir: Path) -> list[str]:
+def cmd_rabi(cfg, args) -> list:
     from . import rabi
     rc = rabi.RabiConfig(
         pulse_area=get(cfg, "pulse_area_pi") * math.pi,
@@ -385,21 +354,17 @@ def cmd_rabi(cfg, args, outdir: Path) -> list[str]:
         lifetime=get(cfg, "lifetime_tl"),
     )
     kern = rabi.rabi_solve(rc)
-    names = [f"rabi_profile.{_ext(args)}"]
     meta = {"command": "rabi", "pulse_area": rc.pulse_area, "detuning": rc.detuning,
             "lifetime": rc.lifetime}
-    _writer(args)(outdir / names[0], meta,
-                  ["x", "p_ground", "p_excited", "p_dark"],
-                  [(kern.positions, *kern.populations)])
+    tables = [("rabi_profile", meta, ["x", "p_ground", "p_excited", "p_dark"],
+               [(kern.positions, *kern.populations)])]
     if "interferometer" in cfg:
         f = get(cfg, "open_fraction")
         lt = talbot_parameter_from_config(cfg)
         sig = rabi.rabi_kdtli(rc, f, lt)
-        names.append(f"rabi_kdtli.{_ext(args)}")
-        _writer(args)(outdir / names[1], {**meta, "open_fraction": f,
-                                          "talbot_parameter": lt},
-                      ["shift", "signal"], [(sig.shifts, sig.values)])
-    return names
+        tables.append(("rabi_kdtli", {**meta, "open_fraction": f, "talbot_parameter": lt},
+                       ["shift", "signal"], [(sig.shifts, sig.values)]))
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +378,7 @@ def _vis_curve(grating, f, lts, source) -> np.ndarray:
     return nearfield.sinusoidal_visibility(kc, lts)
 
 
-def figure1(args, outdir: Path) -> list[str]:
+def figure1() -> list:
     f = 0.42
     lts = np.linspace(0.005, 4.0, 800)
     phase_only = GratingParameters(phi0=math.pi, n0=0.0)
@@ -423,16 +388,12 @@ def figure1(args, outdir: Path) -> list[str]:
               ("a", "classical_n0_1", absorbing, "classical")]
     curves += [("b", f"ell={ell}", absorbing, ell) for ell in (0, 1, 2)]
     curves.append(("b", "unconditional", absorbing, "quantum"))
-    name = f"figure1_visibility.{_ext(args)}"
-    _writer(args)(outdir / name,
-                  {"command": "figure 1", "open_fraction": f, "phi0": math.pi},
-                  ["panel", "curve", "talbot_parameter", "visibility"],
-                  [(panel, curve, lts, _vis_curve(g, f, lts, src))
-                   for panel, curve, g, src in curves])
-    return [name, _plot_script(outdir, 1, name)]
+    return [("figure1_visibility", {"command": "figure 1", "open_fraction": f, "phi0": math.pi},
+             ["panel", "curve", "talbot_parameter", "visibility"],
+             [(panel, curve, lts, _vis_curve(g, f, lts, src)) for panel, curve, g, src in curves])]
 
 
-def figure2(args, outdir: Path) -> list[str]:
+def figure2() -> list:
     from . import nearfield
     f = 0.42
     g = GratingParameters(phi0=math.pi, n0=1.0)
@@ -442,14 +403,12 @@ def figure2(args, outdir: Path) -> list[str]:
                            ("quantum", "unconditional")):
             sig = nearfield.kdtli_signal(nearfield.KdtliConfig(g, f, lt, source=src))
             blocks.append((panel, curve, lt, sig.shifts, sig.values))
-    name = f"figure2_interferograms.{_ext(args)}"
-    _writer(args)(outdir / name,
-                  {"command": "figure 2", "open_fraction": f, "phi0": math.pi, "n0": 1.0},
-                  ["panel", "curve", "talbot_parameter", "shift", "signal"], blocks)
-    return [name, _plot_script(outdir, 2, name)]
+    return [("figure2_interferograms",
+             {"command": "figure 2", "open_fraction": f, "phi0": math.pi, "n0": 1.0},
+             ["panel", "curve", "talbot_parameter", "shift", "signal"], blocks)]
 
 
-def figure4(args, outdir: Path) -> list[str]:
+def figure4() -> list:
     from . import farfield
     screen = np.linspace(-3.0, 3.0, 2401)
 
@@ -466,16 +425,14 @@ def figure4(args, outdir: Path) -> list[str]:
               ("b", "phase_only", phase_only), ("b", "absorbing_n0_10", absorbing_10),
               ("c", "ell=0", ell0), ("c", "ell=1", ell1), ("c", "ell=2", ell2),
               ("c", "unconditional", absorbing_2)]
-    name = f"figure4_farfield.{_ext(args)}"
-    _writer(args)(outdir / name,
-                  {"command": "figure 4", "phi0": 2.5, "collimator_ratio": 10.0,
-                   "period_over_sep": 1e-3, "sigma_det": 0.1},
-                  ["panel", "curve", "position", "density"],
-                  [(panel, curve, dn.positions, dn.values) for panel, curve, dn in curves])
-    return [name, _plot_script(outdir, 4, name)]
+    return [("figure4_farfield",
+             {"command": "figure 4", "phi0": 2.5, "collimator_ratio": 10.0,
+              "period_over_sep": 1e-3, "sigma_det": 0.1},
+             ["panel", "curve", "position", "density"],
+             [(panel, curve, dn.positions, dn.values) for panel, curve, dn in curves])]
 
 
-def figure5(args, outdir: Path) -> list[str]:
+def figure5() -> list:
     from . import talbot
     from .specfun import sinc
     f = 0.42
@@ -494,39 +451,30 @@ def figure5(args, outdir: Path) -> list[str]:
                _vis_curve(GratingParameters(1.875, 1.5, eta_p, eta_a), f, lts, "ladder"))
               for curve, eta_p, eta_a in cases]
     blocks += [("b", curve, n0s, panel_b(eta_p, eta_a)) for curve, eta_p, eta_a in cases]
-    name = f"figure5_visibility.{_ext(args)}"
-    _writer(args)(outdir / name,
-                  {"command": "figure 5", "open_fraction": f, "n0_panel_a": 1.5,
-                   "phi0_over_n0": 1.25, "talbot_parameter_panel_b": 2.2},
-                  ["panel", "curve", "x", "visibility"], blocks)
-    return [name, _plot_script(outdir, 5, name)]
+    return [("figure5_visibility",
+             {"command": "figure 5", "open_fraction": f, "n0_panel_a": 1.5,
+              "phi0_over_n0": 1.25, "talbot_parameter_panel_b": 2.2},
+             ["panel", "curve", "x", "visibility"], blocks)]
 
 
-def figure6(args, outdir: Path) -> list[str]:
+def figure6() -> list:
     from . import rabi
-    files = []
     rc = rabi.RabiConfig(pulse_area=4.0 * math.pi, detuning=0.0, lifetime=1.0)
     xs, p0 = rabi.rabi_solve(rc).transmission_profile()
-    ladder_ref = np.exp(-1.2 * np.cos(np.pi * xs) ** 2)
-    prof = f"figure6_profile.{_ext(args)}"
-    _writer(args)(outdir / prof,
-                  {"command": "figure 6", "pulse_area_pi": 4.0, "detuning": 0.0,
-                   "lifetime_tl": 1.0, "ladder_n0": 1.2},
-                  ["x", "p_ground_rabi", "p_ell0_ladder"], [(xs, p0, ladder_ref)])
-    files.append(prof)
     blocks = []
     for panel, area_pi in (("b", 2.0), ("c", 4.0), ("d", 6.0), ("e", 8.0)):
         rc = rabi.RabiConfig(pulse_area=area_pi * math.pi, detuning=0.0, lifetime=1.0)
         sig = rabi.rabi_kdtli(rc, open_fraction=0.1, talbot_parameter=2.0)
         blocks.append((panel, area_pi, sig.shifts, sig.values))
-    name = f"figure6_interferograms.{_ext(args)}"
-    _writer(args)(outdir / name,
-                  {"command": "figure 6", "detuning": 0.0, "lifetime_tl": 1.0,
-                   "open_fraction": 0.1, "talbot_parameter": 2.0},
-                  ["panel", "pulse_area_pi", "shift", "signal"], blocks)
-    files.append(name)
-    files.append(_plot_script(outdir, 6, name))
-    return files
+    return [("figure6_profile",
+             {"command": "figure 6", "pulse_area_pi": 4.0, "detuning": 0.0,
+              "lifetime_tl": 1.0, "ladder_n0": 1.2},
+             ["x", "p_ground_rabi", "p_ell0_ladder"],
+             [(xs, p0, np.exp(-1.2 * np.cos(np.pi * xs) ** 2))]),
+            ("figure6_interferograms",
+             {"command": "figure 6", "detuning": 0.0, "lifetime_tl": 1.0,
+              "open_fraction": 0.1, "talbot_parameter": 2.0},
+             ["panel", "pulse_area_pi", "shift", "signal"], blocks)]
 
 
 _PLOT_TEMPLATE = '''"""Plot the emitted data for figure {fig} (standalone; needs matplotlib)."""
@@ -565,13 +513,6 @@ def main(path):
 if __name__ == "__main__":
     main(sys.argv[1] if len(sys.argv) > 1 else {default!r})
 '''
-
-
-def _plot_script(outdir: Path, fig: int, data_name: str) -> str:
-    name = f"plot_figure{fig}.py"
-    with open(outdir / name, "w") as fh:
-        fh.write(_PLOT_TEMPLATE.format(fig=fig, default=data_name))
-    return name
 
 
 FIGURES = {"1": figure1, "2": figure2, "4": figure4, "5": figure5, "6": figure6}
@@ -644,8 +585,17 @@ def main(argv=None) -> int:
         outdir = Path(args.out or os.environ.get(OUT_ENV, "."))
         made = None if outdir.exists() else outdir
         outdir.mkdir(parents=True, exist_ok=True)
-        files = FIGURES[args.figure](args, outdir) if args.command == "figure" \
-            else COMMANDS[args.command](cfg, args, outdir)
+        tables = FIGURES[args.figure]() if args.command == "figure" \
+            else COMMANDS[args.command](cfg, args)
+        write = output.write_json_table if args.format == "json" else output.write_csv
+        files = []
+        for stem, meta, columns, blocks in tables:
+            files.append(f"{stem}.{args.format}")
+            write(outdir / files[-1], meta, columns, blocks)
+        if args.command == "figure":  # a plot script for the last table
+            files.append(f"plot_figure{args.figure}.py")
+            (outdir / files[-1]).write_text(
+                _PLOT_TEMPLATE.format(fig=args.figure, default=files[-2]))
         output.write_manifest(outdir / "manifest.json", args.command, params, files)
         return 0
     except (ConfigError, InvalidInputError) as exc:

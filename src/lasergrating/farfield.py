@@ -38,6 +38,7 @@ from . import talbot
 
 ALIAS_MARGIN = 4.0       # screen units kept clear of the aliased density, see _q_grid
 Q_BLOCK = 1 << 16        # Talbot-table entries (orders x q) per block of the q sum
+ORDER_TAIL = 1e-10       # largest |B_{+-j_max}| the order cutoff may drop
 
 
 @dataclass
@@ -56,7 +57,6 @@ class FarFieldConfig:
     screen: np.ndarray = field(default_factory=lambda: np.linspace(-3.0, 3.0, 2401))
     j_max: int | None = None
     q_points_per_unit: int = 256
-    tail: float = 1e-10
 
     def __post_init__(self):
         if not 0 < self.collimator_ratio < math.inf:
@@ -219,9 +219,9 @@ def _screen_coefficients(config: FarFieldConfig, ells, variant: str):
                 part = tab[:, :, index[sel] - i]
                 part *= _sine_factor(orders, q[sel], config.collimator_ratio, ratio)
                 g[:, sel] = part.sum(axis=1)
-    if edge > config.tail:
+    if edge > ORDER_TAIL:
         raise ResolutionError(
-            f"order cutoff {j_max} too small: |B_jmax| = {edge:.2e} > {config.tail:.0e}")
+            f"order cutoff {j_max} too small: |B_jmax| = {edge:.2e} > {ORDER_TAIL:.0e}")
     dq = q[1] - q[0]
     wts = np.full(q.size, dq)
     wts[0] = wts[-1] = 0.5 * dq

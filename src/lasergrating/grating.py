@@ -57,8 +57,8 @@ def absorption_probability(x, ell: int, grating: GratingParameters):
     return out if np.ndim(out) else float(out)
 
 
-def poisson_ell_max(grating: GratingParameters, tail: float = POISSON_TAIL) -> int:
-    """Smallest L with antinode Poisson tail below `tail`.
+def poisson_ell_max(grating: GratingParameters) -> int:
+    """Smallest L with antinode Poisson tail below POISSON_TAIL.
 
     For excited-state absorption ratios eta_a > 1 the effective antinode
     rate max(1, eta_a) * n0 bounds the ladder occupation from above.
@@ -69,7 +69,7 @@ def poisson_ell_max(grating: GratingParameters, tail: float = POISSON_TAIL) -> i
     term = math.exp(-rate)
     cum = term
     ell = 0
-    while 1.0 - cum > tail:
+    while 1.0 - cum > POISSON_TAIL:
         ell += 1
         term *= rate / ell
         cum += term

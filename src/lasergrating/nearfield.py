@@ -28,6 +28,8 @@ from .specfun import sinc
 REALITY_TOL = 1e-10
 VELOCITY_SAMPLES = 21    # gaussian velocity samples of a nonzero spread
 VELOCITY_SIGMAS = 3.0    # half-width of the sampled range, in standard deviations
+SHIFT_SAMPLES = 512      # signal samples per period of the third-grating shift
+ORDER_TAIL = 1e-10       # largest |S_{+-j_max}| relative to the largest component
 
 
 @dataclass
@@ -43,9 +45,7 @@ class KdtliConfig:
     open_fraction: float
     talbot_parameter: float
     source: object = "quantum"
-    n_shift: int = 512
     j_max: int = 32
-    tail: float = 1e-10
 
     def __post_init__(self):
         if not 0.0 < self.open_fraction < 1.0:
@@ -53,8 +53,6 @@ class KdtliConfig:
         if not 0 < self.talbot_parameter < math.inf:
             raise InvalidInputError(
                 f"talbot parameter must be finite and positive, got {self.talbot_parameter!r}")
-        if self.n_shift < 256:
-            raise InvalidInputError("need >= 256 shift samples per period")
         if self.grating is None and not hasattr(self.source, "pairs"):
             raise InvalidInputError("closed-form sources need grating parameters")
 
@@ -86,19 +84,19 @@ def _components(config: KdtliConfig, source, talbot_parameters):
     edge = np.maximum(np.abs(comps[:, 0]), np.abs(comps[:, -1]))
     scale = np.max(np.abs(comps), axis=1)
     for e, s in zip(edge, scale):
-        if s > 0 and e > config.tail * s:
+        if s > 0 and e > ORDER_TAIL * s:
             raise CutoffError(
                 f"j_max={config.j_max} too small: edge component {e:.2e} "
-                f"above tail bound {config.tail:.0e} of scale {s:.2e}")
+                f"above tail bound {ORDER_TAIL:.0e} of scale {s:.2e}")
     return orders, comps
 
 
-def _synthesize(orders, comps, n_shift: int) -> np.ndarray:
-    """Real signals on x_s = k / n_shift, one per row of `comps`, from one
-    complex inverse FFT; a row with an imaginary residue is an error."""
-    spec = np.zeros((comps.shape[0], n_shift), complex)
-    np.add.at(spec, (slice(None), orders % n_shift), comps)
-    vals = np.fft.ifft(spec, axis=1) * n_shift
+def _synthesize(orders, comps) -> np.ndarray:
+    """Real signals on x_s = k / SHIFT_SAMPLES, one per row of `comps`, from
+    one complex inverse FFT; a row with an imaginary residue is an error."""
+    spec = np.zeros((comps.shape[0], SHIFT_SAMPLES), complex)
+    np.add.at(spec, (slice(None), orders % SHIFT_SAMPLES), comps)
+    vals = np.fft.ifft(spec, axis=1) * SHIFT_SAMPLES
     resid = np.max(np.abs(vals.imag), axis=1)
     scale = np.maximum(np.max(np.abs(vals.real), axis=1), 1e-300)
     if np.any(resid > REALITY_TOL * scale):
@@ -156,10 +154,10 @@ def kdtli_signal(config: KdtliConfig, velocity_spread: float = 0.0) -> FringeSig
         weights = np.exp(-0.5 * ((rel - 1.0) / velocity_spread) ** 2)
         weights /= weights.sum()
     orders, comps = _components(config, resolve_source(config), config.talbot_parameter / rel)
-    values = _synthesize(orders, comps, config.n_shift)
+    values = _synthesize(orders, comps)
     # sums over axis 0 add the samples in order, so no BLAS reduction is involved
     return FringeSignal(
-        shifts=np.arange(config.n_shift) / config.n_shift,
+        shifts=np.arange(SHIFT_SAMPLES) / SHIFT_SAMPLES,
         values=(weights[:, None] * values).sum(axis=0),
         components=dict(zip(orders.tolist(), (weights[:, None] * comps).sum(axis=0))),
     )

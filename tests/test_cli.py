@@ -672,7 +672,9 @@ def test_config_the_command_would_not_read_is_config_error(command, text, sweep,
 
 def test_failed_run_leaves_no_empty_output_directory(tmp_path):
     """A run that made the output directory and then fails removes it while
-    it is empty; a directory that was there before stays."""
+    it is empty; a directory that was there before stays.  A command
+    computes all of its tables before the first is written, so a run that
+    fails after its first table is ready writes no data file either."""
     cfg = tmp_path / "x.cfg"
     cfg.write_text(BEAM_CFG.replace("polarizability_A3 = 100\n", ""))
     out = tmp_path / "run"
@@ -681,19 +683,42 @@ def test_failed_run_leaves_no_empty_output_directory(tmp_path):
     out.mkdir()
     assert run_quietly(["kdtli", "--config", cfg, "--out", out]) == (2, [])
     assert out.is_dir()
+    # the profile and the kernel line are ready before the cap of the
+    # interferogram and of the visibility curve (N > 16384) is reached
+    cfg.write_text(RABI_CFG.replace("pulse_area_pi = 2.0", "pulse_area_pi = 20000"))
+    assert run(["rabi", "--config", cfg, "--out", tmp_path / "rabi"]) == 3
+    cfg.write_text(GRATING_CFG.replace("3.141592653589793", "1e5"))
+    assert run(["ladder", "--config", cfg, "--sweep", "talbot_parameter=0.5:1:3",
+                "--out", tmp_path / "ladder"]) == 3
+    assert not (tmp_path / "rabi").exists() and not (tmp_path / "ladder").exists()
 
 
 def test_known_keys_a_command_does_not_read_are_accepted(tmp_path):
     """One config serves every command, and [grating] phi0/n0 win over
-    [beam] without an error."""
+    [beam] without an error.  Each command writes the files and header
+    columns of its rows in the output table of docs/formats.md, no more and
+    no fewer (the goldens pin the figure rows)."""
     cfg = tmp_path / "all.cfg"
     cfg.write_text(BEAM_KDTLI_CFG + GRATING_CFG.split("\n\n")[0] + "\n\n" + RABI_CFG.split(
         "\n\n")[0] + "\n\n[farfield]\nscreen_max = 1.5\nscreen_points = 401\n\n[talbot]\nj_max = 2\n"
         "xi_points = 4\n\n[ladder]\nkernel_xi = 0.3\n")
+    documented = _doc_output_table()
     for command in ("derive-params", "talbot", "kdtli", "farfield", "ladder", "rabi"):
-        assert run([command, "--config", cfg, "--out", tmp_path / command]) == 0, command
+        sweep = ["--sweep", "talbot_parameter=0.5:3:3"] if command == "ladder" else []
+        assert run([command, "--config", cfg, "--out", tmp_path / command] + sweep) == 0, command
+        written = {path.name: read_csv(path)[1] for path in (tmp_path / command).glob("*.csv")}
+        assert written == {name: columns for (cmd, name), columns in documented.items()
+                           if cmd == command}, command
     meta, _, _ = read_csv(tmp_path / "kdtli" / "kdtli_signal.csv")
     assert float(meta["phi0"]) == math.pi
+
+
+def _doc_output_table() -> dict:
+    """(command, file) -> columns, from the output table of docs/formats.md."""
+    text = (ROOT / "docs" / "formats.md").read_text().split("| command | file | columns |")[1]
+    rows = [line.strip("|").split("|") for line in text.split("\n\n")[0].splitlines()[2:]]
+    return {(cmd.strip(), name.strip()): [c.strip() for c in columns.split(",")]
+            for cmd, name, columns in rows}
 
 
 def _doc_block(path: Path, after: str) -> str:
