@@ -11,8 +11,9 @@ message names OUT.  Call NAME writes its files to OUT/NAME/ and its record
 (argv, exit code, stdout, stderr) to OUT/NAME.json.
 
 The matrix covers every command and figure in CSV and JSON, sweeps,
-`--ell all`, `--variant`, `--jobs`, runs that exit 2 and runs that exit 3
-after some of their numbers are ready.  To compare two trees, run it once
+`--ell all`, `--variant`, `--jobs`, talbot blocks that span several pieces
+of the writers, runs that exit 2, and runs that exit 3 before or after some of
+their numbers are ready.  To compare two trees, run it once
 with each tree's src/ on PYTHONPATH and apply `diff -r` to the two OUT
 folders.
 """
@@ -34,6 +35,9 @@ CONFIGS = {
     "grating.cfg": GRATING + "\n" + KDTLI,
     "spread.cfg": GRATING + "\n" + KDTLI + "velocity_spread = 0.07\n",
     "talbot.cfg": "[grating]\nphi0 = 3.0\nn0 = 0.95\n\n[talbot]\nj_max = 4\nxi_points = 16\n",
+    # blocks of 256 rows, wider than one piece of the writers
+    "talbot_wide.cfg": "[grating]\nphi0 = 3.0\nn0 = 0.95\n\n[talbot]\nj_max = 32\n"
+                       "xi_points = 256\n",
     "farfield.cfg": "[grating]\nphi0 = 2.5\nn0 = 2.0\n\n[farfield]\nscreen_max = 2.0\n"
                     "screen_points = 401\n",
     "ladder.cfg": GRATING + "\n" + KDTLI + "\n[ladder]\nenvelope = gaussian\nkernel_xi = 0.3\n",
@@ -45,6 +49,12 @@ CONFIGS = {
     "rabi_cap.cfg": RABI.replace("2.0", "20000") + "\n[interferometer]\n"
                     "talbot_parameter = 2.0\nopen_fraction = 0.1\n",
     "ladder_cap.cfg": GRATING.replace("3.141592653589793", "1e5") + "\n" + KDTLI,
+    # one-point grids: a one-point screen is exit 2, a one-point q grid (D/d
+    # below 1/512) exit 3
+    "farfield_one_screen_point.cfg": "[grating]\nphi0 = 2.5\nn0 = 2.0\n\n[farfield]\n"
+                                     "screen_points = 1\n",
+    "farfield_one_q_point.cfg": "[grating]\nphi0 = 2.5\nn0 = 2.0\n\n[farfield]\n"
+                                "collimator_ratio = 0.0019\n",
 }
 
 SWEEP = ["--sweep", "talbot_parameter=0.5:3:4"]
@@ -56,6 +66,9 @@ CALLS = {
     "talbot-ell-all-json": ["talbot", "--config", "talbot.cfg", "--ell", "all",
                             "--format", "json"],
     "talbot-classical": ["talbot", "--config", "talbot.cfg", "--variant", "classical"],
+    "talbot-wide-ell-1": ["talbot", "--config", "talbot_wide.cfg", "--ell", "1"],
+    "talbot-wide-ell-1-json": ["talbot", "--config", "talbot_wide.cfg", "--ell", "1",
+                               "--format", "json"],
     "kdtli": ["kdtli", "--config", "grating.cfg"],
     "kdtli-json": ["kdtli", "--config", "grating.cfg", "--format", "json"],
     "kdtli-spread": ["kdtli", "--config", "spread.cfg"],
@@ -87,6 +100,9 @@ CALLS = {
     "exit-2-jobs-0": ["kdtli", "--config", "grating.cfg", "--jobs", "0"],
     "exit-2-talbot-jobs": ["talbot", "--config", "talbot.cfg", "--jobs", "2"],
     "exit-2-bad-key": ["kdtli", "--config", "bad_key.cfg"],
+    "exit-2-farfield-one-screen-point": ["farfield", "--config",
+                                         "farfield_one_screen_point.cfg"],
+    "exit-3-farfield-one-q-point": ["farfield", "--config", "farfield_one_q_point.cfg"],
     "exit-3-rabi-cap": ["rabi", "--config", "rabi_cap.cfg"],
     "exit-3-ladder-cap": ["ladder", "--config", "ladder_cap.cfg", "--sweep",
                           "talbot_parameter=0.5:1:3"],

@@ -42,7 +42,7 @@ OUT_ENV = "LASERGRATING_OUT"
 
 # Every config key: section -> key -> default.  The default sets the kind:
 # None is a float the reading command needs, a float an optional float, an
-# int an integer (at least 0 for j_max, else at least 1), a str a word.
+# int an integer (at least its INT_MINIMUM, else 1), a str a word.
 KEYS = {
     "beam": {"power_watt": None, "waist_y_um": None, "waist_z_um": None,
              "wavelength_nm": None, "polarizability_A3": None, "polarizability_si": None,
@@ -57,6 +57,7 @@ KEYS = {
     "ladder": {"envelope": "constant", "kernel_xi": 0.0},
     "rabi": {"pulse_area_pi": None, "detuning_tl": 0.0, "lifetime_tl": 1.0},
 }
+INT_MINIMUM = {"j_max": 0, "screen_points": 2}  # a far-field screen needs 2 points
 # pairs of keys that give one value; a file gives at most one of each
 EXCLUSIVE = (("polarizability_A3", "polarizability_si"), ("cross_section_A2", "cross_section_m2"),
              ("talbot_parameter", "separation_mm"))
@@ -92,7 +93,7 @@ def get(cfg: configparser.ConfigParser, key: str):
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: {exc}") from exc
     if isinstance(default, int):
-        minimum = 0 if key == "j_max" else 1
+        minimum = INT_MINIMUM.get(key, 1)
         if not (math.isfinite(value) and value == int(value) and value >= minimum):
             raise ConfigError(f"key {key!r} must be an integer >= {minimum}, got {raw!r}")
         return int(value)
@@ -256,17 +257,22 @@ def cmd_talbot(cfg, args) -> list:
     specfun.spectral_points(0.0, j_max + max(ells, default=0))  # the cap, before any array
     distinct, index, flip = talbot.fold_xi(xi)
     quantum = talbot.symmetric_rows(j_max, distinct, "quantum", grating).ravel()
-    tables = [(v, "", quantum, v == "classical")
+    tables = [(v, "", quantum, -1 if v == "classical" else 1)
               for v in ((args.variant,) if args.variant else talbot.VARIANTS)]
-    if ells:  # a copy per count, so that each is freed once written
-        tables += [("conditional", ell, rows.ravel().copy(), False) for ell, rows in
+    if ells:  # one array per count, not views of their stack: each is freed once its blocks
+        # are written, as the writer keeps only its texts of the latest values
+        tables += [("conditional", ell, rows.ravel().copy(), 1) for ell, rows in
                    zip(ells, talbot.symmetric_rows(j_max, distinct, ells, grating))]
+    # B_j(xi_k) is in column index_k and row j_max + j of a table (j_max - j where flip_k),
+    # at index base_k + stride_k j; the classical rows are the quantum ones at -j (sign)
+    base = index + distinct.size * j_max
+    stride = np.where(flip, -distinct.size, distinct.size)
 
-    def blocks():  # B_j(xi_k) is in row (flip_k xor mirror ? -j : j) + j_max, column index_k
+    def blocks():
         while tables:
-            label, ell, values, mirror = tables.pop(0)
-            yield from ((label, ell, j, xi, output.Gathered(values, index + distinct.size * (
-                j_max + np.where(flip != mirror, -j, j))), 0.0) for j in range(-j_max, j_max + 1))
+            label, ell, values, sign = tables.pop(0)
+            yield from ((label, ell, j, xi, output.Gathered(values, base + stride * (sign * j)),
+                         0.0) for j in range(-j_max, j_max + 1))
     meta = {"command": "talbot", "phi0": grating.phi0, "n0": grating.n0, "j_max": j_max}
     return [("talbot_coefficients", meta, ["variant", "ell", "j", "xi", "re", "im"], blocks())]
 
@@ -478,7 +484,7 @@ def figure6() -> list:
 
 
 _PLOT_TEMPLATE = '''"""Plot the emitted data for figure {fig} (standalone; needs matplotlib)."""
-import csv
+import {module}
 import sys
 from collections import defaultdict
 
@@ -486,14 +492,7 @@ import matplotlib.pyplot as plt
 
 
 def load(path):
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            rows.append(line.rstrip("\\n").split(","))
-    header, data = rows[0], rows[1:]
-    return header, data
+{load}
 
 
 def main(path):
@@ -514,6 +513,22 @@ if __name__ == "__main__":
     main(sys.argv[1] if len(sys.argv) > 1 else {default!r})
 '''
 
+
+# the module the script imports and the body of its load(path), per --format: the
+# header and the rows of cell texts
+_PLOT_LOADERS = {
+    "csv": ("csv", '''    rows = []
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("#"):
+                continue
+            rows.append(line.rstrip("\\n").split(","))
+    header, data = rows[0], rows[1:]
+    return header, data'''),
+    "json": ("json", '''    with open(path) as fh:
+        table = json.load(fh)
+    return table["columns"], table["rows"]'''),
+}
 
 FIGURES = {"1": figure1, "2": figure2, "4": figure4, "5": figure5, "6": figure6}
 
@@ -594,8 +609,9 @@ def main(argv=None) -> int:
             write(outdir / files[-1], meta, columns, blocks)
         if args.command == "figure":  # a plot script for the last table
             files.append(f"plot_figure{args.figure}.py")
-            (outdir / files[-1]).write_text(
-                _PLOT_TEMPLATE.format(fig=args.figure, default=files[-2]))
+            module, load = _PLOT_LOADERS[args.format]
+            (outdir / files[-1]).write_text(_PLOT_TEMPLATE.format(
+                fig=args.figure, default=files[-2], module=module, load=load))
         output.write_manifest(outdir / "manifest.json", args.command, params, files)
         return 0
     except (ConfigError, InvalidInputError) as exc:

@@ -108,6 +108,10 @@ def _q_grid(config: FarFieldConfig, j_max: int, ratio: float):
     if config.q_points_per_unit < 64:
         raise ResolutionError("need >= 64 quadrature points per unit q")
     n = int(2 * dd * config.q_points_per_unit) + 1
+    if n < 2:
+        raise ResolutionError(
+            f"q grid of {n} point on [-D/d, D/d] at D/d = {dd:.4g}; 2 points need "
+            f"D/d >= {0.5 / config.q_points_per_unit:.4g}")
     q = np.linspace(-dd, dd, n)
     # the trapezoid sum repeats with period 1/dq in x; the density lies
     # within the orders' peaks at x = j/2 widened by the slit's Fresnel
@@ -246,9 +250,11 @@ def apply_detector_resolution(density: ScreenDensity, sigma: float) -> ScreenDen
     (spacing < sigma/4).
     """
     x = density.positions
-    dx = x[1] - x[0]
     if sigma == 0.0:
         return ScreenDensity(x.copy(), density.values.copy(), density.ell)
+    if x.size < 2:
+        raise ResolutionError(f"a one-point screen cannot resolve sigma_det = {sigma:.3g}")
+    dx = x[1] - x[0]
     if dx >= sigma / 4.0:
         raise ResolutionError(
             f"grid spacing {dx:.3g} too coarse for sigma_det = {sigma:.3g}")

@@ -6,31 +6,36 @@ no timestamps.
 Tables are written from columns.  `blocks` yields one block per curve or
 sub-table, with one value per column: a scalar (a label, repeated on every
 row) or a 1-D array or list; the arrays of a block give its rows (one row if
-it has none).  Each chunk of CHUNK_ROWS rows is formatted from one `%`
-template and written at once, so no writer holds the rows or the document.
-A number array that one write meets again (the same abscissa in every
-curve) has its cell texts formatted once and baked into the template of
-each later block, so `%` fills only the columns that change; a `Gathered`
-column reuses the texts of its values while the blocks bring the same ones.
-The bytes are the same either way; the contract is in docs/formats.md.
+it has none).  A block is written in pieces: as many whole rows as fit in
+io.DEFAULT_BUFFER_SIZE characters, counting the widest text each cell can
+take, and at least one.  Each piece is joined from the texts of its rows and
+written at once, so no writer holds the rows or the document, and no piece,
+nor any text or list it is made from, outgrows the file buffer unless one
+row does.  A number array that one write meets again (the same abscissa in
+every curve) has its cell texts formatted once and reused by each later
+block; a `Gathered` column reuses the texts of its values while the blocks
+bring the same ones.  The bytes are the same either way; the contract is in
+docs/formats.md.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import zlib
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 VERSION = "0.1.0"
-CHUNK_ROWS = 4096
 _NUMBER_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}  # by dtype kind
-# (open, sep, close, between) of a row: see _chunks
-_CSV_FRAME = ("", ",", "\n", "")
-_JSON_FRAME = ("    [\n      ", ",\n      ", "\n    ]", ",\n")
-_JSON_EMPTY_FRAME = ("    [", "", "]", ",\n")
+_NUMBER_WIDTH = 24  # widest '%.17g' text (-2.2250738585072014e-308); 64-bit '%d' has 20
+_SCALARS = (str, int, float)  # immutable: one object keeps its cell text
+_TEXT_STEP = 256  # values formatted by one '%': a 7 KB string at most
+# (first, open, sep, close, between) of the rows: see _chunks
+_CSV_FRAME = ("", "", ",", "\n", "")
+_JSON_FRAME = ("\n", "    [\n      ", ",\n      ", "\n    ]", ",\n")
+_JSON_EMPTY_FRAME = ("\n", "    [", "", "]", ",\n")
 
 
 @dataclass(frozen=True)
@@ -52,28 +57,43 @@ def _number_text(arr: np.ndarray, quote) -> str:
     return (quote(_NUMBER_FORMATS[arr.dtype.kind]) + "\n") * arr.size % tuple(arr.tolist())
 
 
-def _gathered_cells(latest: list, column: Gathered, quote):
-    """The quoted texts of the column's cells.  `latest` holds (content, texts) of the last
-    values, reused only for the same dtype and bytes (not for -0.0 and 0.0), else renewed."""
+def _texts(data: np.ndarray, quote) -> np.ndarray:
+    """The quoted '%d' or '%.17g' texts of 1-D `data` as an object array."""
+    texts = np.empty(data.size, object)
+    for i in range(0, data.size, _TEXT_STEP):
+        texts[i:i + _TEXT_STEP] = _number_text(data[i:i + _TEXT_STEP], quote).split("\n")[:-1]
+    return texts
+
+
+def _bits(arr: np.ndarray) -> np.ndarray:
+    """Contiguous `arr` as unsigned integers of its item size, so that equal bits
+    are equal elements: -0.0 and 0.0, or two NaN payloads, differ."""
+    return arr.view(f"u{arr.itemsize}" if arr.itemsize in (1, 2, 4, 8) else "u1")
+
+
+def _gathered_cells(latest: list, column: Gathered, index: np.ndarray, quote):
+    """The texts of the column's values (`_texts`) and the longest of them.  `latest`
+    holds (dtype, bits, texts, width) of the values formatted last, whose texts
+    serve while the values that `index` reads keep their dtype and bits."""
     data = np.ascontiguousarray(column.values)
     if data.ndim != 1 or data.dtype.kind not in _NUMBER_FORMATS:
         raise ValueError(f"gathered values must be 1-D numbers, got {data.dtype} {data.shape}")
-    content = data.dtype.str, data.tobytes()
-    if latest[:1] != [content]:
-        latest[:] = content, np.empty(data.size, object)  # the old texts go first
-        for i in range(0, data.size, 256):  # in small pieces: less transient memory
-            latest[1][i:i + 256] = _number_text(data[i:i + 256], quote).split("\n")[:-1]
-    return latest[1][column.index]
+    bits = _bits(data)
+    if (latest[1] is None or latest[0] != data.dtype or latest[1].shape != bits.shape
+            or not (bits[index] == latest[1][index]).all()):
+        latest[:] = None, None, None, 0  # the old texts go first
+        texts = _texts(data, quote)
+        latest[:] = data.dtype, bits.copy(), texts, max(map(len, texts), default=0)
+    return latest[2], latest[3]
 
 
 def _repeated_texts(memo: dict, arr: np.ndarray, quote):
-    """The '%'-escaped cell texts of number array `arr` if this write met the
-    same content before, else None.
+    """The texts of number array `arr` (`_texts`) and the longest of them, if
+    this write met the same content before, else None.
 
     The first meeting stores only a digest; the second formats the texts and
-    keeps them with a copy of the bytes, which every later hit must match
-    byte for byte (so -0.0 and 0.0, or two NaN payloads, never share texts,
-    and a digest collision only costs the reuse).
+    keeps them with a copy of the bits, which every later hit must match
+    (`_bits`, so a digest collision only costs the reuse).
     """
     data = np.ascontiguousarray(arr)
     key = data.dtype.str, data.shape, zlib.crc32(data)
@@ -82,64 +102,90 @@ def _repeated_texts(memo: dict, arr: np.ndarray, quote):
         memo[key] = None
         return None
     if entry is None:
-        texts = _number_text(arr, quote).replace("%", "%%").split("\n")[:-1]
-        memo[key] = data.tobytes(), texts
-        return texts
-    return entry[1] if entry[0] == data.tobytes() else None
+        texts = _texts(data, quote)
+        memo[key] = _bits(data).copy(), texts, max(map(len, texts), default=0)
+        return memo[key][1:]
+    return entry[1:] if (_bits(data) == entry[0]).all() else None
 
 
 def _chunks(columns, blocks, quote, frame):
-    """The text of each chunk of at most CHUNK_ROWS rows.
+    """The text of each piece of each block: its next rows, as many as fit in
+    io.DEFAULT_BUFFER_SIZE characters, and at least one.
 
-    A row is open + the cells joined by sep + close, and rows are joined by
-    between (`frame`).  Scalars are baked into the row template by `_cell`,
-    '%' escaped, and so is the first number array per block that this write
-    has met before (`_repeated_texts`); other number arrays fill '%d' or
-    '%.17g', other arrays and gathered columns '%s' with their `_cell` texts
-    (`_gathered_cells`).  `quote` is json.dumps for JSON cells, str for CSV.
+    A row is open + the cells joined by sep + close (`frame`); the write's
+    first row follows first, every other row between, so the pieces are
+    written as they come.  A piece is one join of the row texts around the
+    cells of its array columns: scalars are part of those texts (`_cell`);
+    a number array's cells are formatted per piece ('%d' or '%.17g'), or
+    reused where this write met the array before (`_repeated_texts`); other
+    arrays and gathered columns give their `_cell` texts (`_gathered_cells`).
+    A row's width adds up its texts and the widest cell each array column
+    can give.  `quote` is json.dumps for JSON cells, str for CSV.
     """
-    open_, sep, close, between = frame
-    memo, latest = {}, []
+    lead, open_, sep, close, between = frame
+    number_width = len(quote("")) + _NUMBER_WIDTH
+    memo, latest = {}, [None] * 4
+    last = [(memo, "")] * len(columns)  # each column's last scalar and cell; memo is none
     for block in blocks:
         if len(block) != len(columns):
             raise ValueError(f"block has {len(block)} values for {len(columns)} columns")
-        cells, arrays, baked, sizes = [], [], None, set()
-        for value in block:
+        texts = [open_]  # texts[i] comes before array column i, texts[-1] ends the row
+        fills, sizes = [], set()
+        for i, value in enumerate(block):
+            texts[-1] += sep if i else ""
             gathered = isinstance(value, Gathered)
-            if not gathered and np.ndim(value) == 0:
-                cells.append(quote(_cell(value)).replace("%", "%%"))
+            if value is last[i][0]:
+                texts[-1] += last[i][1]
                 continue
-            arr = _gathered_cells(latest, value, quote) if gathered else np.asarray(value)
+            if not gathered and (type(value) in _SCALARS or np.ndim(value) == 0):
+                cell = quote(_cell(value))
+                texts[-1] += cell
+                if type(value) in _SCALARS:
+                    last[i] = value, cell
+                continue
+            arr = np.asarray(value.index if gathered else value)
             if arr.ndim != 1:
                 raise ValueError(f"column arrays must be 1-D, got shape {arr.shape}")
             sizes.add(arr.size)
-            if not gathered and arr.dtype.kind in _NUMBER_FORMATS:
-                if baked is None and (texts := _repeated_texts(memo, arr, quote)) is not None:
-                    baked = len(cells), texts
-                    cells.append("")
-                    continue
-                cells.append(quote(_NUMBER_FORMATS[arr.dtype.kind]))
+            # (texts or numbers, index into them or None, widest cell); no name keeps
+            # gathered texts past their blocks, so replaced ones are freed at once
+            if gathered:
+                fills.append((*_gathered_cells(latest, value, arr, quote), arr))
+            elif arr.dtype.kind not in _NUMBER_FORMATS:
+                cells = np.array([quote(_cell(v)) for v in arr.tolist()], object)
+                fills.append((cells, max(map(len, cells), default=0), None))
             else:
-                cells.append("%s")
-                arr = arr if gathered else np.array([quote(_cell(v)) for v in arr.tolist()], object)
-            arrays.append(arr)
+                fills.append((*(_repeated_texts(memo, arr, quote) or (arr, number_width)), None))
+            texts.append("")
         if len(sizes) > 1:
             raise ValueError(f"column arrays of one block differ in length: {sorted(sizes)}")
         n_rows = sizes.pop() if sizes else 1
-        if baked is None:
-            row = open_ + sep.join(cells) + close
-        else:
-            k, texts = baked
-            pre = open_ + "".join(c + sep for c in cells[:k])
-            post = "".join(sep + c for c in cells[k + 1:]) + close
-        for start in range(0, n_rows, CHUNK_ROWS):
-            stop = min(start + CHUNK_ROWS, n_rows)
-            parts = [arr[start:stop].tolist() for arr in arrays]
-            if baked is None:
-                template = row + (between + row) * (stop - start - 1)
-            else:
-                template = pre + (post + between + pre).join(texts[start:stop]) + post
-            yield template % tuple(chain.from_iterable(zip(*parts)))
+        texts[-1] += close
+        if not fills:  # scalars only: one row
+            yield lead + texts[0]
+            lead = between
+            continue
+        width = (max(len(lead), len(between)) + sum(map(len, texts))
+                 + sum(widest for _, widest, _ in fills))
+        step = max(1, io.DEFAULT_BUFFER_SIZE // width)
+        n = 2 * len(fills)  # slots per row: cell, text, cell, ..., cell, joint to the next row
+        row = [None] * n
+        row[1::2] = texts[1:-1] + [texts[-1] + between + texts[0]]
+        parts = []
+        for start in range(0, n_rows, step):
+            stop = min(start + step, n_rows)
+            if len(parts) != 1 + n * (stop - start):
+                parts = [None] + row * (stop - start)
+                parts[-1] = texts[-1]
+            parts[0] = lead + texts[0]
+            cells = [source[index[start:stop]].tolist() if index is not None
+                     else source[start:stop].tolist() if source.dtype == object
+                     else _number_text(source[start:stop], quote).split("\n")[:-1]
+                     for source, _, index in fills]
+            for i, column in enumerate(cells):
+                parts[1 + 2 * i::n] = column
+            lead = between
+            yield "".join(parts)
 
 
 def write_csv(path, header_meta: dict, columns: list[str], blocks) -> None:
@@ -176,11 +222,9 @@ def write_json_table(path, header_meta: dict, columns: list[str], blocks) -> Non
     head, _, tail = skeleton.partition('\n  "rows": []')
     with open(path, "w") as fh:
         fh.write(head + '\n  "rows": [')
-        lead = "\n"
-        frame = _JSON_FRAME if columns else _JSON_EMPTY_FRAME
-        for text in _chunks(columns, blocks, json.dumps, frame):
-            fh.write(lead)
+        close = "]"
+        for text in _chunks(columns, blocks, json.dumps,
+                            _JSON_FRAME if columns else _JSON_EMPTY_FRAME):
             fh.write(text)
-            lead = ",\n"
-        fh.write("]" if lead == "\n" else "\n  ]")
-        fh.write(tail + "\n")
+            close = "\n  ]"
+        fh.write(close + tail + "\n")

@@ -4,8 +4,10 @@ import ast
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -405,6 +407,26 @@ def test_farfield_alias_guard_exit_code(tmp_path):
     assert not (tmp_path / "farfield_density.csv").exists()
 
 
+@pytest.mark.parametrize("line, code, message", [
+    ("screen_points = 1", 2, "config error: key 'screen_points' must be an integer >= 2"),
+    ("collimator_ratio = 0.0019", 3, "numerical error: q grid of 1 point"),
+], ids=["one-screen-point", "one-q-point"])
+def test_farfield_one_point_grid_exit_code(line, code, message, tmp_path, capsys):
+    """A one-point screen or q grid (D/d below 1/512 at 256 points per unit)
+    ended in an IndexError traceback (exit 1); now it fails before any output."""
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"[grating]\nphi0 = 2.5\nn0 = 2.0\n\n[farfield]\n{line}\n")
+    out = tmp_path / "run"
+    assert run(["farfield", "--config", cfg, "--out", out]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    # the smallest grids that work: 2 screen points, and 2 q points at D/d = 1/512
+    cfg.write_text("[grating]\nphi0 = 2.5\nn0 = 2.0\n\n[farfield]\nscreen_points = 2\n"
+                   f"collimator_ratio = {1 / 512!r}\nsigma_det = 0\n")
+    assert run(["farfield", "--config", cfg, "--out", out]) == 0
+    assert len(read_csv(out / "farfield_density.csv")[2]) == 2
+
+
 def test_io_error_exit_code(beam_cfg, tmp_path):
     target = tmp_path / "blocked"
     target.write_text("a file, not a directory")
@@ -785,6 +807,32 @@ def test_figure2_emits_stacked_conditionals(tmp_path):
     assert (out / "plot_figure2.py").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert "figure2_interferograms.csv" in manifest["files"]
+
+
+def test_plot_script_reads_either_format(tmp_path, monkeypatch):
+    """plot_figureN.py reads the table of its run's --format: figure 1 gives the
+    same 7 curves of 800 points from CSV and from JSON (the JSON run's script
+    used to parse the JSON as CSV and fail).  matplotlib is not a dependency,
+    so pyplot is a stub that records the curves."""
+    curves = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        assert run(["figure", "1", "--format", fmt, "--out", out]) == 0
+        plotted = curves[fmt] = []
+        ax = types.SimpleNamespace(set_title=lambda title: None, legend=lambda **kw: None,
+                                   plot=lambda xs, ys, label: plotted.append((label, xs, ys)))
+        fig = types.SimpleNamespace(savefig=lambda *args, **kw: None)
+        pyplot = types.ModuleType("matplotlib.pyplot")
+        pyplot.subplots = lambda: (fig, ax)
+        matplotlib = types.ModuleType("matplotlib")
+        matplotlib.pyplot = pyplot
+        monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+        script = runpy.run_path(str(out / "plot_figure1.py"))
+        script["main"](str(out / f"figure1_visibility.{fmt}"))
+    assert [len(xs) for _, xs, _ in curves["csv"]] == [800] * 7
+    assert all(len(ys) == 800 for _, _, ys in curves["csv"])
+    assert curves["json"] == curves["csv"]
 
 
 def test_parse_sweep():

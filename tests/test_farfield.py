@@ -304,6 +304,18 @@ def test_nonuniform_screen_is_the_dense_sum():
     assert fig4_config(screen=np.linspace(-1.3, 4.1, 517)).screen.size == 517
 
 
+def test_one_point_grids_are_rejected():
+    """A one-point screen has no spacing for the detector kernel, and a
+    one-point q grid none for the trapezoid: both used to end in an
+    IndexError.  Without smoothing, a one-point screen is a density."""
+    (density,) = farfield_densities(fig4_config(screen=np.array([0.5])), [None])
+    assert apply_detector_resolution(density, 0.0).values == density.values
+    with pytest.raises(ResolutionError):
+        apply_detector_resolution(density, 0.1)
+    with pytest.raises(ResolutionError):
+        farfield_densities(fig4_config(collimator_ratio=0.0019), [None])
+
+
 def test_screen_transform_time_and_memory():
     x = np.linspace(-3.0, 3.0, 2401)
     q = np.linspace(-10.0, 10.0, 5121)

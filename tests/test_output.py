@@ -1,6 +1,7 @@
 """Columnar writers: byte-identical to the row-wise writers they replaced, on
 every CLI table and on edge cells, and streaming in bounded memory."""
 
+import io
 import json
 import math
 import tracemalloc
@@ -211,8 +212,13 @@ def test_empty_table_matches_row_writers(fmt, columns, blocks, tmp_path):
         assert '"rows": []' in path.read_text()
 
 
+# rows of a block that spans at least three pieces: a piece holds at most
+# io.DEFAULT_BUFFER_SIZE characters, and every row of these tests has more than 4
+LONG_ROWS = io.DEFAULT_BUFFER_SIZE // 4 + 3
+
+
 def test_long_blocks_span_chunks(tmp_path):
-    n = 2 * output.CHUNK_ROWS + 3
+    n = LONG_ROWS
     blocks = [("a", np.arange(n), np.linspace(-1.0, 1.0, n)), ("b", [1], [0.5])]
     for fmt in ("csv", "json"):
         _assert_matches_oracle(fmt, tmp_path / f"long.{fmt}", {}, ["k", "i", "x"], blocks)
@@ -221,7 +227,7 @@ def test_long_blocks_span_chunks(tmp_path):
 _ZEROS = np.array([0.0, 1.5, 0.0])
 _NAN_PAYLOADS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000abc],
                          np.uint64).view(np.float64)
-_LONG = np.linspace(-1.0, 1.0, 2 * output.CHUNK_ROWS + 3)
+_LONG = np.linspace(-1.0, 1.0, LONG_ROWS)
 # blocks that repeat number arrays, which the writers format once per write
 REPEATED_BLOCKS = {
     "signed-zero": (["k", "x"], [("a", _ZEROS), ("b", -_ZEROS), ("a", _ZEROS), ("b", -_ZEROS),
@@ -260,7 +266,7 @@ def test_repeated_arrays_match_row_writers(case, fmt, collide, tmp_path, monkeyp
 _EDGE = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308,
                   -5e-324, 0.1])
 _INTS = np.array([-3, 0, 7, 2**62], np.int64)
-_LONG_INDEX = np.arange(2 * output.CHUNK_ROWS + 3) % _EDGE.size
+_LONG_INDEX = np.arange(LONG_ROWS) % _EDGE.size
 _XI = np.linspace(0.0, 2.0, 4, endpoint=False)
 _Q = np.linspace(-1.0, 1.0, 12)
 # blocks with gathered columns: cell k is values[index[k]]
@@ -391,6 +397,70 @@ def test_talbot_command_matches_independent_table(xi_points, j_max, flags, tmp_p
         assert (np.delete(re, own, axis=2) == np.delete(mirror, own, axis=2)).all()
         assert re[..., own].astype(float) == pytest.approx(mirror[..., own].astype(float),
                                                            abs=1e-15)
+
+
+@pytest.mark.parametrize("bound", [1, 300, io.DEFAULT_BUFFER_SIZE])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_piece_bound_keeps_the_bytes(bound, fmt, tmp_path, monkeypatch):
+    """The bytes do not depend on the size of the pieces: with the bound at one
+    character (a piece per row), at a few rows and at its default, every table
+    of these tests matches the row-wise writers, and the talbot command writes
+    the file it writes at the default bound."""
+    cfg = tmp_path / "talbot.cfg"
+    cfg.write_text("[grating]\nphi0 = 3.0\nn0 = 0.95\n\n[talbot]\nj_max = 3\nxi_points = 8\n")
+    argv = ["talbot", "--config", str(cfg), "--ell", "all", "--format", fmt, "--out"]
+    assert main(argv + [str(tmp_path / "default")]) == 0
+    monkeypatch.setattr(io, "DEFAULT_BUFFER_SIZE", bound)
+    assert main(argv + [str(tmp_path / "bound")]) == 0
+    name = f"talbot_coefficients.{fmt}"
+    assert (tmp_path / "bound" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+    tables = [(EDGE_COLUMNS, EDGE_BLOCKS), *REPEATED_BLOCKS.values(), *GATHERED_BLOCKS.values(),
+              (["name", "value"], [("a", np.array([]))]), ([], [(), ()])]
+    for k, (columns, blocks) in enumerate(tables):
+        _assert_matches_oracle(fmt, tmp_path / f"table{k}.{fmt}", {"n": "100%"}, columns, blocks)
+
+
+class _RecordingFile:
+    """A text file that records the length of each write."""
+
+    def __init__(self, fh, sizes):
+        self.fh, self.sizes = fh, sizes
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_talbot_table_json_writes_pieces_within_the_file_buffer(tmp_path, monkeypatch):
+    """On the talbot-table JSON (975 blocks of 256 rows, about 33 KB each),
+    no piece the writer formats and no write it makes exceeds
+    io.DEFAULT_BUFFER_SIZE characters, and each block spans several pieces."""
+    pieces, writes = [], []
+    chunks = output._chunks
+
+    def recording_chunks(*args):
+        for text in chunks(*args):
+            pieces.append(len(text))
+            yield text
+
+    monkeypatch.setattr(output, "_chunks", recording_chunks)
+    monkeypatch.setattr(output, "open", lambda path, mode, **kw: _RecordingFile(
+        open(path, mode, **kw), writes), raising=False)
+    cfg = tmp_path / "talbot.cfg"
+    cfg.write_text("[grating]\nphi0 = 3.0\nn0 = 0.95\n\n[talbot]\nj_max = 32\nxi_points = 256\n")
+    assert main(["talbot", "--config", str(cfg), "--ell", "all", "--format", "json",
+                 "--out", str(tmp_path)]) == 0
+    size = (tmp_path / "talbot_coefficients.json").stat().st_size
+    assert sum(pieces) > 0.99 * size
+    assert max(pieces) <= io.DEFAULT_BUFFER_SIZE and max(writes) <= io.DEFAULT_BUFFER_SIZE
+    assert len(pieces) >= 4 * 975
+    assert sum(pieces) / len(pieces) > io.DEFAULT_BUFFER_SIZE / 2  # not row by row
 
 
 def _talbot_table_write_peak(fmt, tmp_path):
