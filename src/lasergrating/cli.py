@@ -259,8 +259,8 @@ def cmd_talbot(cfg, args) -> list:
     quantum = talbot.symmetric_rows(j_max, distinct, "quantum", grating).ravel()
     tables = [(v, "", quantum, -1 if v == "classical" else 1)
               for v in ((args.variant,) if args.variant else talbot.VARIANTS)]
-    if ells:  # one array per count, not views of their stack: each is freed once its blocks
-        # are written, as the writer keeps only its texts of the latest values
+    if ells:  # one array per count, not views of their stack, so that each is freed once
+        # its blocks are written: the writer keeps the texts of the latest values only
         tables += [("conditional", ell, rows.ravel().copy(), 1) for ell, rows in
                    zip(ells, talbot.symmetric_rows(j_max, distinct, ells, grating))]
     # B_j(xi_k) is in column index_k and row j_max + j of a table (j_max - j where flip_k),

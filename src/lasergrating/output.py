@@ -9,13 +9,13 @@ row) or a 1-D array or list; the arrays of a block give its rows (one row if
 it has none).  A block is written in pieces: as many whole rows as fit in
 io.DEFAULT_BUFFER_SIZE characters, counting the widest text each cell can
 take, and at least one.  Each piece is joined from the texts of its rows and
-written at once, so no writer holds the rows or the document, and no piece,
-nor any text or list it is made from, outgrows the file buffer unless one
-row does.  A number array that one write meets again (the same abscissa in
-every curve) has its cell texts formatted once and reused by each later
-block; a `Gathered` column reuses the texts of its values while the blocks
-bring the same ones.  The bytes are the same either way; the contract is in
-docs/formats.md.
+written at once, so no writer holds the rows or the document, and no piece
+outgrows the file buffer unless one row does.  A number array that one
+write meets again (the same abscissa in every curve) has its cell texts
+formatted once and reused by each later block; a `Gathered` column reuses
+the texts of its values while the blocks bring the same ones; an array of
+labels has its texts made per block.  The bytes are the same either way;
+the contract is in docs/formats.md.
 """
 
 from __future__ import annotations
