@@ -30,7 +30,6 @@ import numpy as np
 VERSION = "0.1.0"
 _NUMBER_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}  # by dtype kind
 _NUMBER_WIDTH = 24  # widest '%.17g' text (-2.2250738585072014e-308); 64-bit '%d' has 20
-_SCALARS = (str, int, float)  # immutable: one object keeps its cell text
 _TEXT_STEP = 256  # values formatted by one '%': a 7 KB string at most
 # (first, open, sep, close, between) of the rows: see _chunks
 _CSV_FRAME = ("", "", ",", "\n", "")
@@ -65,26 +64,21 @@ def _texts(data: np.ndarray, quote) -> np.ndarray:
     return texts
 
 
-def _bits(arr: np.ndarray) -> np.ndarray:
-    """Contiguous `arr` as unsigned integers of its item size, so that equal bits
-    are equal elements: -0.0 and 0.0, or two NaN payloads, differ."""
-    return arr.view(f"u{arr.itemsize}" if arr.itemsize in (1, 2, 4, 8) else "u1")
-
-
 def _gathered_cells(latest: list, column: Gathered, index: np.ndarray, quote):
     """The texts of the column's values (`_texts`) and the longest of them.  `latest`
-    holds (dtype, bits, texts, width) of the values formatted last, whose texts
-    serve while the values that `index` reads keep their dtype and bits."""
+    holds (values, texts, width) of the values formatted last, a copy whose texts
+    serve while the values that `index` reads keep their dtype and bytes.  (Bytes,
+    not numpy's `==`: its first use in a process costs about 0.1 MB of RSS.)"""
     data = np.ascontiguousarray(column.values)
     if data.ndim != 1 or data.dtype.kind not in _NUMBER_FORMATS:
         raise ValueError(f"gathered values must be 1-D numbers, got {data.dtype} {data.shape}")
-    bits = _bits(data)
-    if (latest[1] is None or latest[0] != data.dtype or latest[1].shape != bits.shape
-            or not (bits[index] == latest[1][index]).all()):
-        latest[:] = None, None, None, 0  # the old texts go first
+    kept = latest[0]
+    if (kept is None or kept.dtype != data.dtype or kept.shape != data.shape
+            or data[index].tobytes() != kept[index].tobytes()):
+        latest[:] = None, None, 0  # the old texts go first
         texts = _texts(data, quote)
-        latest[:] = data.dtype, bits.copy(), texts, max(map(len, texts), default=0)
-    return latest[2], latest[3]
+        latest[:] = data.copy(), texts, max(map(len, texts), default=0)
+    return latest[1], latest[2]
 
 
 def _repeated_texts(memo: dict, arr: np.ndarray, quote):
@@ -92,8 +86,9 @@ def _repeated_texts(memo: dict, arr: np.ndarray, quote):
     this write met the same content before, else None.
 
     The first meeting stores only a digest; the second formats the texts and
-    keeps them with a copy of the bits, which every later hit must match
-    (`_bits`, so a digest collision only costs the reuse).
+    keeps them with the bytes, which every later hit must match byte for byte
+    (so -0.0 and 0.0, or two NaN payloads, never share texts, and a digest
+    collision only costs the reuse).
     """
     data = np.ascontiguousarray(arr)
     key = data.dtype.str, data.shape, zlib.crc32(data)
@@ -101,11 +96,12 @@ def _repeated_texts(memo: dict, arr: np.ndarray, quote):
     if entry is False:
         memo[key] = None
         return None
+    content = data.tobytes()
     if entry is None:
         texts = _texts(data, quote)
-        memo[key] = _bits(data).copy(), texts, max(map(len, texts), default=0)
+        memo[key] = content, texts, max(map(len, texts), default=0)
         return memo[key][1:]
-    return entry[1:] if (_bits(data) == entry[0]).all() else None
+    return entry[1:] if entry[0] == content else None
 
 
 def _chunks(columns, blocks, quote, frame):
@@ -124,8 +120,7 @@ def _chunks(columns, blocks, quote, frame):
     """
     lead, open_, sep, close, between = frame
     number_width = len(quote("")) + _NUMBER_WIDTH
-    memo, latest = {}, [None] * 4
-    last = [(memo, "")] * len(columns)  # each column's last scalar and cell; memo is none
+    memo, latest = {}, [None] * 3
     for block in blocks:
         if len(block) != len(columns):
             raise ValueError(f"block has {len(block)} values for {len(columns)} columns")
@@ -134,14 +129,8 @@ def _chunks(columns, blocks, quote, frame):
         for i, value in enumerate(block):
             texts[-1] += sep if i else ""
             gathered = isinstance(value, Gathered)
-            if value is last[i][0]:
-                texts[-1] += last[i][1]
-                continue
-            if not gathered and (type(value) in _SCALARS or np.ndim(value) == 0):
-                cell = quote(_cell(value))
-                texts[-1] += cell
-                if type(value) in _SCALARS:
-                    last[i] = value, cell
+            if not gathered and np.ndim(value) == 0:
+                texts[-1] += quote(_cell(value))
                 continue
             arr = np.asarray(value.index if gathered else value)
             if arr.ndim != 1:

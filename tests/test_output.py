@@ -334,6 +334,24 @@ def test_gathered_values_formatted_once_per_content(fmt, tmp_path, monkeypatch):
     assert formatted == [3, 3, 4, 3]
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble, np.int8])
+def test_gathered_values_changed_in_place_get_new_texts(dtype, tmp_path):
+    """Values changed in place between the blocks of one write, for every
+    item size, read as each block wrote alone would."""
+    def blocks():
+        a = np.array([0.5, 1.0, 2.0, 3.0]).astype(dtype)
+        for k in range(a.size):
+            yield k, output.Gathered(a, [3, 2, 1, 0])
+            a[k] = a[k] * 3 + 1
+
+    alone = []
+    for block in blocks():
+        output.write_csv(tmp_path / "alone.csv", {}, ["k", "x"], [block])
+        alone += (tmp_path / "alone.csv").read_text().splitlines()[2:]
+    output.write_csv(tmp_path / "inplace.csv", {}, ["k", "x"], blocks())
+    assert (tmp_path / "inplace.csv").read_text().splitlines()[2:] == alone
+
+
 def test_mismatched_columns_are_rejected(tmp_path):
     with pytest.raises(ValueError):
         output.write_csv(tmp_path / "bad.csv", {}, ["a", "b"], [("x", np.arange(3), 1.0)])
