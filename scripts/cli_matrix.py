@@ -1,27 +1,31 @@
 #!/usr/bin/env python3
 """Run a fixed matrix of CLI calls and record what each one did.
 
-    PYTHONPATH=src python scripts/cli_matrix.py OUT
+    python scripts/cli_matrix.py OUT
 
 OUT must not exist yet.  The script writes the configs of the matrix into
 OUT, then runs each call in its own subprocess (`python -m lasergrating.cli`,
-with the caller's environment, PYTHONPATH included) with OUT as its working
-directory.  Every --config and --out path is relative, so no manifest or
-message names OUT.  Call NAME writes its files to OUT/NAME/ and its record
-(argv, exit code, stdout, stderr) to OUT/NAME.json.
+with the caller's environment and the src/ folder next to this script first
+on PYTHONPATH) with OUT as its working directory.  Every --config and --out
+path is relative, so no manifest or message names OUT.  Call NAME writes its
+files to OUT/NAME/ and its record (argv, exit code, stdout, stderr) to
+OUT/NAME.json.  A call named exit-2-* must exit 2, exit-3-* 3 and any other
+0; the script exits 1, naming each call that did not, after running them all.
 
 The matrix covers every command and figure in CSV and JSON, sweeps,
 `--ell all`, `--variant`, `--jobs`, talbot blocks that span several pieces
 of the writers, runs that exit 2, and runs that exit 3 before or after some of
-their numbers are ready.  To compare two trees, run it once
-with each tree's src/ on PYTHONPATH and apply `diff -r` to the two OUT
-folders.
+their numbers are ready.  To compare two trees, run this script from each
+tree and apply `diff -r` to the two OUT folders.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 GRATING = "[grating]\nphi0 = 3.141592653589793\nn0 = 1.0\n"
 KDTLI = "[interferometer]\ntalbot_parameter = 3.25\nopen_fraction = 0.42\n"
@@ -109,21 +113,35 @@ CALLS = {
 }
 
 
-def main(out: Path) -> None:
+def expected_exit(name: str) -> int:
+    return {"exit-2-": 2, "exit-3-": 3}.get(name[:7], 0)
+
+
+def main(out: Path) -> int:
+    """Run every call of CALLS into `out`; 1 if any exit code is not the
+    expected one, else 0."""
     out.mkdir(parents=True)
     for name, text in CONFIGS.items():
         (out / name).write_text(text)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    wrong = []
     for name, argv in CALLS.items():
         argv = [*argv, "--out", name]
         done = subprocess.run([sys.executable, "-m", "lasergrating.cli", *argv], cwd=out,
-                              capture_output=True, text=True)
+                              env=env, capture_output=True, text=True)
         record = {"argv": argv, "exit": done.returncode, "stdout": done.stdout,
                   "stderr": done.stderr}
         (out / f"{name}.json").write_text(json.dumps(record, indent=2) + "\n")
         print(f"{done.returncode} {name}")
+        if done.returncode != expected_exit(name):
+            wrong.append(f"{name} (exit {done.returncode}, expected {expected_exit(name)})")
+    if wrong:
+        print("unexpected exit codes: " + ", ".join(wrong), file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit(__doc__)
-    main(Path(sys.argv[1]))
+    sys.exit(main(Path(sys.argv[1])))

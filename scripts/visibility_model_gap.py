@@ -9,6 +9,7 @@ point (n0 = 1, phi0 = pi, f = 0.42).
 import numpy as np
 
 from lasergrating import GratingParameters, KdtliConfig, kdtli_signal
+from lasergrating.talbot import ClosedForm
 
 G = GratingParameters(phi0=np.pi, n0=1.0)
 F = 0.42
@@ -19,7 +20,7 @@ if __name__ == "__main__":
     for spread in (0.0, 0.01, 0.02, 0.05, 0.1, 0.2):
         vis = {}
         for variant in ("quantum", "classical"):
-            cfg = KdtliConfig(G, F, LT, source=variant)
+            cfg = KdtliConfig(ClosedForm(G, variant), F, LT)
             sig = kdtli_signal(cfg, spread)
             vis[variant] = 2.0 * sig.components[1].real / sig.components[0].real
         gap = vis["quantum"] - vis["classical"]

@@ -256,13 +256,13 @@ def cmd_talbot(cfg, args) -> list:
     ells = _ell_list(args, grating)
     specfun.spectral_points(0.0, j_max + max(ells, default=0))  # the cap, before any array
     distinct, index, flip = talbot.fold_xi(xi)
-    quantum = talbot.symmetric_rows(j_max, distinct, "quantum", grating).ravel()
-    tables = [(v, "", quantum, -1 if v == "classical" else 1)
+    # the classical rows are read from the quantum table, so that the writer formats
+    # those values once per file; each count is an array of its own, freed once its
+    # blocks are written (the writer keeps the texts of the latest values only)
+    quantum, *conditional = talbot.symmetric_rows(j_max, distinct, ["quantum", *ells], grating)
+    tables = [(v, "", quantum.ravel(), -1 if v == "classical" else 1)
               for v in ((args.variant,) if args.variant else talbot.VARIANTS)]
-    if ells:  # one array per count, not views of their stack, so that each is freed once
-        # its blocks are written: the writer keeps the texts of the latest values only
-        tables += [("conditional", ell, rows.ravel().copy(), 1) for ell, rows in
-                   zip(ells, talbot.symmetric_rows(j_max, distinct, ells, grating))]
+    tables += [("conditional", ell, rows.ravel(), 1) for ell, rows in zip(ells, conditional)]
     # B_j(xi_k) is in column index_k and row j_max + j of a table (j_max - j where flip_k),
     # at index base_k + stride_k j; the classical rows are the quantum ones at -j (sign)
     base = index + distinct.size * j_max
@@ -288,12 +288,12 @@ def cmd_kdtli(cfg, args) -> list:
             for variant in ((args.variant,) if args.variant else talbot.VARIANTS)]
     runs += [("", math.nan, cfg, ell, 0.0) for ell in _ell_list(args, grating)]
     curves = []
-    for label, value, point, source, spread in runs:
-        kc = nearfield.KdtliConfig(grating=grating_from_config(point),
+    for label, value, point, kind, spread in runs:
+        kc = nearfield.KdtliConfig(talbot.ClosedForm(grating_from_config(point), kind),
                                    talbot_parameter=talbot_parameter_from_config(point),
-                                   open_fraction=get(point, "open_fraction"), source=source)
+                                   open_fraction=get(point, "open_fraction"))
         sig = nearfield.kdtli_signal(kc, spread)
-        curves.append((label, value, source if isinstance(source, str) else f"ell={source}",
+        curves.append((label, value, kind if isinstance(kind, str) else f"ell={kind}",
                        kc.talbot_parameter, nearfield.sinusoidal_visibility(kc), sig))
     meta = {"command": "kdtli", "phi0": grating.phi0, "n0": grating.n0,
             "open_fraction": get(cfg, "open_fraction")}
@@ -377,10 +377,10 @@ def cmd_rabi(cfg, args) -> list:
 # figure reproduction
 # ---------------------------------------------------------------------------
 
-def _vis_curve(grating, f, lts, source) -> np.ndarray:
+def _vis_curve(grating, f, lts, kind) -> np.ndarray:
     """Sine visibility over the L/L_T values `lts`, from one pairs call."""
-    from . import nearfield
-    kc = nearfield.KdtliConfig(grating, f, float(lts[0]), source=source)
+    from . import nearfield, talbot
+    kc = nearfield.KdtliConfig(talbot.ClosedForm(grating, kind), f, float(lts[0]))
     return nearfield.sinusoidal_visibility(kc, lts)
 
 
@@ -400,14 +400,14 @@ def figure1() -> list:
 
 
 def figure2() -> list:
-    from . import nearfield
+    from . import nearfield, talbot
     f = 0.42
     g = GratingParameters(phi0=math.pi, n0=1.0)
     blocks = []
     for panel, lt in (("a", 3.25), ("b", 4.25)):
         for src, curve in ((0, "ell=0"), (1, "ell=1"), (2, "ell=2"),
                            ("quantum", "unconditional")):
-            sig = nearfield.kdtli_signal(nearfield.KdtliConfig(g, f, lt, source=src))
+            sig = nearfield.kdtli_signal(nearfield.KdtliConfig(talbot.ClosedForm(g, src), f, lt))
             blocks.append((panel, curve, lt, sig.shifts, sig.values))
     return [("figure2_interferograms",
              {"command": "figure 2", "open_fraction": f, "phi0": math.pi, "n0": 1.0},
@@ -448,9 +448,10 @@ def figure5() -> list:
 
     def panel_b(eta_p, eta_a):
         """2 sinc^2(pi f) B_2(2.2) / B_0(0) over the gratings phi0 = 1.25 n0,
-        from one ladder_pairs call."""
-        b = talbot.ladder_pairs(np.repeat([0, 2], n0s.size), np.repeat([0.0, 2.2], n0s.size),
-                                np.tile(1.25 * n0s, 2), np.tile(n0s, 2), eta_p, eta_a)
+        from one pairs call over the array of gratings."""
+        gratings = GratingParameters(np.tile(1.25 * n0s, 2), np.tile(n0s, 2), eta_p, eta_a)
+        b = talbot.ClosedForm(gratings, "ladder").pairs(np.repeat([0, 2], n0s.size),
+                                                        np.repeat([0.0, 2.2], n0s.size))
         return 2.0 * float(sinc(math.pi * f)) ** 2 * (b[n0s.size:] / b[:n0s.size])
 
     blocks = [("a", curve, lts,

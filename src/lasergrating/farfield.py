@@ -14,7 +14,8 @@ integral, and the free Schroedinger propagator e^{+ik(dx)^2/2L} to agree):
 The Talbot sums g_k run on the q grid folded by `talbot.fold_xi`: the
 coefficients repeat with period 2 in q, and B_j(-q) = B_{-j}(q), so they are
 evaluated once per distinct value of q folded onto [0, 1] (exact argument
-reduction) and gathered, flipped in j where needed, at every q point.
+reduction), all kinds of a pass from one `talbot.symmetric_rows` call, and
+gathered, flipped in j where needed, at every q point.
 
 The screen sum w(x_m) = sum_k g_k e^{2 pi i x_m q_k} runs as a centred
 Bluestein chirp-z transform, so no screen x q matrix is built; the screen
@@ -183,17 +184,6 @@ def _screen_transform(x: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray
     return conv * np.exp(2j * np.pi * post)
 
 
-def _talbot_block(grating, j_max: int, distinct, ells, variant: str) -> np.ndarray:
-    """Talbot rows (len(ells), 2 j_max + 1, len(distinct)) at folded q
-    values: conditional for a count, unconditional for None.  A function of
-    its own, so that the per-kind tables are freed before the q points
-    gather from the stack."""
-    counts = [ell for ell in ells if ell is not None]
-    cond = iter(talbot.symmetric_rows(j_max, distinct, counts, grating) if counts else ())
-    return np.stack([talbot.symmetric_rows(j_max, distinct, variant, grating)
-                     if ell is None else next(cond) for ell in ells])
-
-
 def _screen_coefficients(config: FarFieldConfig, ells, variant: str):
     """q grid and the weighted Talbot sums c_k = g(q_k) w_k of the screen
     transform (trapezoid weights w_k), one row per entry of `ells`: a count,
@@ -212,10 +202,11 @@ def _screen_coefficients(config: FarFieldConfig, ells, variant: str):
     by_value = np.argsort(index, kind="stable")
     step = max(1, Q_BLOCK // (len(ells) * orders.size))
     starts = np.searchsorted(index, np.arange(0, distinct.size + step, step), sorter=by_value)
+    kinds = [variant if ell is None else ell for ell in ells]
     g = np.empty((len(ells), q.size))
     edge = 0.0
     for i, lo, hi in zip(range(0, distinct.size, step), starts, starts[1:]):
-        rows = _talbot_block(config.grating, j_max, distinct[i:i + step], ells, variant)
+        rows = np.stack(talbot.symmetric_rows(j_max, distinct[i:i + step], kinds, config.grating))
         edge = max(edge, float(np.max(np.abs(rows[:, [0, -1]]))))
         for k in range(lo, hi, step):
             pts = by_value[k:min(k + step, hi)]
@@ -247,14 +238,14 @@ def apply_detector_resolution(density: ScreenDensity, sigma: float) -> ScreenDen
     """Convolve with a normalized gaussian of std sigma (units of Dx).
 
     Preserves the screen integral; the grid spacing must resolve the kernel
-    (spacing < sigma/4).
+    (|spacing| < sigma/4), on an ascending or a descending screen.
     """
     x = density.positions
     if sigma == 0.0:
         return ScreenDensity(x.copy(), density.values.copy(), density.ell)
     if x.size < 2:
         raise ResolutionError(f"a one-point screen cannot resolve sigma_det = {sigma:.3g}")
-    dx = x[1] - x[0]
+    dx = abs(x[1] - x[0])
     if dx >= sigma / 4.0:
         raise ResolutionError(
             f"grid spacing {dx:.3g} too coarse for sigma_det = {sigma:.3g}")

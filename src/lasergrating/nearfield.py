@@ -2,11 +2,12 @@
 
 The detected signal is a Fourier series in the third-grating shift
 S(x_s) = sum_j f^2 sinc^2(j pi f) B_2j(j L/L_T) e^{2 pi i j x_s / d},
-synthesized from any Talbot-coefficient source with pairs(orders, xi)
-(talbot.ClosedForm: the unconditional closed form, its classical
-random-walk variant, a conditional absorption count or the summed ladder
-kernel; talbot.RankOneSource: the ground-state kernel of the Rabi model),
-all closed forms.  `kdtli_signal(config, velocity_spread)` is the one
+synthesized from the Talbot-coefficient source object the config holds,
+anything with pairs(orders, xi) (talbot.ClosedForm: the unconditional
+closed form, its classical random-walk variant, a conditional absorption
+count or the summed ladder kernel; talbot.RankOneSource: the ground-state
+kernel of the Rabi model), all closed forms; this module knows no grating
+parameters.  `kdtli_signal(config, velocity_spread)` is the one
 signal route: the plain signal is its average at zero spread.  A signal,
 velocity-averaged or not, and a whole visibility curve each take one pairs
 call, and the synthesis is one complex inverse FFT per velocity sample,
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffError, InvalidInputError
-from .params import GratingParameters
-from . import talbot
 from .specfun import sinc
 
 REALITY_TOL = 1e-10
@@ -36,15 +35,13 @@ ORDER_TAIL = 1e-10       # largest |S_{+-j_max}| relative to the largest compone
 class KdtliConfig:
     """Interferometer configuration.
 
-    source: "quantum" | "classical" | "ladder" | ell (int) | an object with
-    pairs(orders, xi), such as talbot.RankOneSource.  grating may be None
-    when the source carries its own parameters.
+    source: an object with pairs(orders, xi), such as talbot.ClosedForm or
+    talbot.RankOneSource.
     """
 
-    grating: GratingParameters | None
+    source: object
     open_fraction: float
     talbot_parameter: float
-    source: object = "quantum"
     j_max: int = 32
 
     def __post_init__(self):
@@ -53,8 +50,6 @@ class KdtliConfig:
         if not 0 < self.talbot_parameter < math.inf:
             raise InvalidInputError(
                 f"talbot parameter must be finite and positive, got {self.talbot_parameter!r}")
-        if self.grating is None and not hasattr(self.source, "pairs"):
-            raise InvalidInputError("closed-form sources need grating parameters")
 
 
 @dataclass
@@ -66,20 +61,14 @@ class FringeSignal:
     components: dict              # j -> S_j (real for the closed forms)
 
 
-def resolve_source(config: KdtliConfig):
-    """The config's source spec as an object with pairs(orders, xi)."""
-    src = config.source
-    return src if hasattr(src, "pairs") else talbot.ClosedForm(config.grating, src)
-
-
-def _components(config: KdtliConfig, source, talbot_parameters):
+def _components(config: KdtliConfig, talbot_parameters):
     """(orders, S) with S_j = f^2 sinc^2(j pi f) B_2j(j L/L_T) for
     j = -j_max..j_max and each L/L_T, shape (len(talbot_parameters),
     2 j_max + 1), from one pairs call.  Every row passes the j_max tail check."""
     f = config.open_fraction
     orders = np.arange(-config.j_max, config.j_max + 1)
     xi = np.outer(talbot_parameters, orders).ravel()
-    paired = source.pairs(np.tile(2 * orders, len(talbot_parameters)), xi)
+    paired = config.source.pairs(np.tile(2 * orders, len(talbot_parameters)), xi)
     comps = f * f * sinc(np.pi * orders * f) ** 2 * paired.reshape(-1, orders.size)
     edge = np.maximum(np.abs(comps[:, 0]), np.abs(comps[:, -1]))
     scale = np.max(np.abs(comps), axis=1)
@@ -119,8 +108,7 @@ def sinusoidal_visibility(config: KdtliConfig, talbot_parameters=None):
         config.talbot_parameter if talbot_parameters is None else talbot_parameters, float))
     if not np.all((lts > 0) & (lts < math.inf)):
         raise InvalidInputError("talbot parameter must be finite and positive")
-    b = resolve_source(config).pairs(np.repeat([0, 2], [1, lts.size]),
-                                     np.concatenate(([0.0], lts)))
+    b = config.source.pairs(np.repeat([0, 2], [1, lts.size]), np.concatenate(([0.0], lts)))
     b0 = b[0]
     if abs(b0) < 1e-14:
         raise InvalidInputError(
@@ -153,7 +141,7 @@ def kdtli_signal(config: KdtliConfig, velocity_spread: float = 0.0) -> FringeSig
         rel = rel[rel > 0.05]
         weights = np.exp(-0.5 * ((rel - 1.0) / velocity_spread) ** 2)
         weights /= weights.sum()
-    orders, comps = _components(config, resolve_source(config), config.talbot_parameter / rel)
+    orders, comps = _components(config, config.talbot_parameter / rel)
     values = _synthesize(orders, comps)
     # sums over axis 0 add the samples in order, so no BLAS reduction is involved
     return FringeSignal(

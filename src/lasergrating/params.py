@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import constants as const
 from .errors import InvalidInputError
 
@@ -83,13 +85,13 @@ class GratingParameters:
     period: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.phi0):
+        if not np.all(np.isfinite(self.phi0)):
             raise InvalidInputError(f"phi0 must be finite, got {self.phi0}")
-        if not (math.isfinite(self.n0) and self.n0 >= 0):
+        if not np.all(np.isfinite(self.n0) & (np.asarray(self.n0) >= 0)):
             raise InvalidInputError(f"n0 must be >= 0, got {self.n0}")
-        if not (math.isfinite(self.eta_a) and self.eta_a >= 0):
+        if not np.all(np.isfinite(self.eta_a) & (np.asarray(self.eta_a) >= 0)):
             raise InvalidInputError(f"eta_a must be >= 0, got {self.eta_a}")
-        if not math.isfinite(self.eta_p):
+        if not np.all(np.isfinite(self.eta_p)):
             raise InvalidInputError(f"eta_p must be finite, got {self.eta_p}")
         if not (math.isfinite(self.period) and self.period > 0):
             raise InvalidInputError(f"period must be positive, got {self.period}")

@@ -108,11 +108,5 @@ def rabi_kdtli(config: RabiConfig, open_fraction: float, talbot_parameter: float
                j_max: int = 24) -> nearfield.FringeSignal:
     """KDTLI fringe signal for ground-state-only detection: the coefficients
     of `rabi_source` into the fringe synthesis."""
-    cfg = nearfield.KdtliConfig(
-        grating=None,
-        open_fraction=open_fraction,
-        talbot_parameter=talbot_parameter,
-        source=rabi_source(config),
-        j_max=j_max,
-    )
-    return nearfield.kdtli_signal(cfg)
+    return nearfield.kdtli_signal(
+        nearfield.KdtliConfig(rabi_source(config), open_fraction, talbot_parameter, j_max))

@@ -55,8 +55,8 @@ def exp_fourier_rows(orders, a, b, c=0.0, counts=0, p0=0.0, p1=0.0) -> np.ndarra
     """Fourier coefficients of exp(a e^{it} + b e^{-it} + c) P(t)^l / l!,
     P(t) = p0 + p1 cos t, for every j in `orders`, every element of the real
     1-D arrays a, b, c, p0, p1 (broadcast together) and every count l in
-    `counts`: shape (len(orders), len(a)) for one count, (len(counts),
-    len(orders), len(a)) for a sequence.
+    `counts`: an array of shape (len(orders), len(a)) for one count, a list
+    of one such array per entry for a sequence.
 
     The integrand f has f(-t) = conj f(t), so the coefficients are real: exp
     is taken once on the half period 0 <= t <= pi, times P^l / l! (a running
@@ -81,7 +81,7 @@ def exp_fourier_rows(orders, a, b, c=0.0, counts=0, p0=0.0, p1=0.0) -> np.ndarra
     cos_t, sin_t = np.cos(t), np.sin(t)
     cols = orders % n
     guard = np.arange(n // 2 - 4, n // 2 + 5)
-    out = np.empty((counts.size, orders.size, a.size))
+    out = [np.empty((orders.size, a.size)) for _ in counts]
     step = max(1, SPECTRAL_BLOCK // n)
     for i in range(0, a.size, step):
         blk = slice(i, i + step)
@@ -99,7 +99,8 @@ def exp_fourier_rows(orders, a, b, c=0.0, counts=0, p0=0.0, p1=0.0) -> np.ndarra
                 if tail > SPECTRAL_TAIL:
                     raise CutoffError(f"spectral Talbot kernel aliases: |c_j| = {tail:.2e} near "
                                       f"order N/2 = {n // 2} exceeds {SPECTRAL_TAIL:.0e}")
-                out[hit, :, blk] = spec[:, cols].T
+                for k in hit:
+                    out[k][:, blk] = spec[:, cols].T
     return out[0] if single else out
 
 

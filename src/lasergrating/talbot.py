@@ -5,8 +5,8 @@ pairs(orders, xi) -> B_{orders[k]}(xi[k]) for paired 1-D arrays:
 
 * `ClosedForm`: the unconditional closed form B_j(xi), its classical
   random-walk variant, the conditional closed form B_j(xi; l), or ("ladder")
-  the dynamical ladder kernel summed over every absorption count, all real;
-  `ladder_pairs` gives the ladder form over arrays of grating parameters;
+  the dynamical ladder kernel summed over every absorption count, all real,
+  for one grating or for arrays of grating parameters broadcast against xi;
 * `RankOneSource`: a rank-one kernel g(x) conj g(x'), such as the
   ground-state kernel of the Rabi model, from one FFT of its factor g.
 
@@ -25,11 +25,13 @@ The closed forms depend on xi only through cos(pi xi) and sin(pi xi), and
 zeta_coh is odd in xi while zeta_abs and zeta_abs' are even, so
 B_j(xi + 2) = B_j(xi) and B_j(-xi) = B_{-j}(xi).  `fold_xi` maps every xi
 onto [0, 1] with exact arithmetic (fmod by 2, then 2 - r by Sterbenz) and
-records where j flips sign; the kernel runs once per distinct folded value,
-on the symmetric orders -m..m (`symmetric_rows`, which the far field calls
-on its own folded q, and the talbot command on its xi grid), and each
-requested (j, xi) is gathered from that table.  No digits of sin(pi xi) are
-lost at large xi.
+records where j flips sign; the kernel runs once per distinct folded value
+(once per xi where the grating parameters are arrays), on the symmetric
+orders -m..m, and each requested (j, xi) is gathered from that table.
+`symmetric_rows` is the one builder of these tables: it returns one table
+per kind of a list, and `ClosedForm`, the far field (on its folded q) and
+the talbot command (on its xi grid) all call it.  No digits of sin(pi xi)
+are lost at large xi.
 
 No route samples a kernel line: the numeric Fourier reduction of a sampled
 two-point kernel is the oracle of the tests, in tests/oracles.py.
@@ -75,43 +77,50 @@ def fold_xi(xi):
     return distinct, index, (xi < 0) ^ over
 
 
-def symmetric_rows(m: int, distinct, kind, grating: GratingParameters) -> np.ndarray:
+def symmetric_rows(m: int, distinct, kinds, grating: GratingParameters) -> list:
     """Closed-form B_j for j = -m..m at xi already folded onto [0, 1] (the
-    `distinct` of `fold_xi`): shape (2m + 1, len(distinct)), with a leading
-    count axis for a sequence of counts.  `kind` is "quantum", "classical",
-    "ladder" (the dynamical ladder kernel summed over counts), a count or a
-    sequence of counts; one exp_fourier_rows call, two for "ladder"."""
-    if isinstance(kind, str):
-        if kind not in KINDS:
+    `distinct` of `fold_xi`), grating parameters broadcast against it: one
+    table of shape (2m + 1, len(distinct)) per entry of `kinds`, each
+    "quantum", "classical", "ladder" (the dynamical ladder kernel summed over
+    counts) or a count.  The two variants share one exp_fourier_rows call,
+    all counts one more, and "ladder" takes two."""
+    for kind in kinds:
+        if isinstance(kind, str) and kind not in KINDS:
             raise InvalidInputError(f"unknown variant {kind!r}")
-        if kind == "ladder":
-            g = grating
-            return _ladder_rows(m, distinct, g.phi0, g.n0, g.eta_p, g.eta_a)
-    elif np.any(np.asarray(kind) < 0):
-        raise InvalidInputError("absorption count must be >= 0")
+        if not isinstance(kind, str) and kind < 0:
+            raise InvalidInputError("absorption count must be >= 0")
     za, zc, zap = zeta(distinct, grating)
     symmetric = np.arange(-m, m + 1)
-    if isinstance(kind, str):
+    tables = {}
+    if any(kind in VARIANTS for kind in kinds):
         # exponent: i zc sin(t) + zap cos(t) - zap, real part <= 0
-        table = exp_fourier_rows(symmetric, 0.5 * (zc + zap), 0.5 * (zap - zc), -zap)
+        quantum = exp_fourier_rows(symmetric, 0.5 * (zc + zap), 0.5 * (zap - zc), -zap)
         # the classical random-walk variant flips the sign of zeta_coh, which
         # is the same as exchanging j with -j
-        return table[::-1] if kind == "classical" else table
-    # l = 0 exponent: i zc sin(t) - za cos(t) - n0/2 = a e^{it} + b e^{-it} + c
-    # with a = (zc - za)/2, b = -(zc + za)/2; its real part is <= |za| - n0/2 <= 0
-    return exp_fourier_rows(symmetric, 0.5 * (zc - za), -0.5 * (zc + za), -0.5 * grating.n0,
-                            kind, za, 0.5 * grating.n0)
+        tables.update(quantum=quantum, classical=quantum[::-1])
+    if "ladder" in kinds:
+        tables["ladder"] = _ladder_rows(symmetric, distinct, grating)
+    if counts := [kind for kind in kinds if not isinstance(kind, str)]:
+        # l = 0 exponent: i zc sin(t) - za cos(t) - n0/2 = a e^{it} + b e^{-it} + c
+        # with a = (zc - za)/2, b = -(zc + za)/2; its real part is <= |za| - n0/2 <= 0
+        tables.update(zip(counts, exp_fourier_rows(
+            symmetric, 0.5 * (zc - za), -0.5 * (zc + za), -0.5 * grating.n0,
+            counts, za, 0.5 * grating.n0)))
+    return [tables[kind] for kind in kinds]
 
 
-def _folded(orders, xi, kind, grating: GratingParameters) -> np.ndarray:
-    """Closed-form B_j(xi) at `orders` broadcast against the 1-D xi: an
-    (n, 1) column of orders gives an (n, len(xi)) table, a len(xi) array
-    one value per xi; a sequence of counts adds a leading count axis.
-    Gathered from the symmetric rows at the distinct folded xi."""
+def _folded(orders, xi, kinds, grating: GratingParameters) -> list:
+    """Closed-form B_j(xi) of each kind at `orders` broadcast against the 1-D
+    xi: an (n, 1) column of orders gives an (n, len(xi)) table, a len(xi)
+    array one value per xi.  Gathered from the symmetric rows at the distinct
+    folded xi, or at every folded xi where a grating parameter is an array
+    (broadcast against xi)."""
     distinct, index, flip = fold_xi(xi)
+    if any(np.ndim(v) for v in (grating.phi0, grating.n0, grating.eta_p, grating.eta_a)):
+        distinct, index = distinct[index], np.arange(index.size)
     m = int(np.max(np.abs(orders), initial=0))
-    table = symmetric_rows(m, distinct, kind, grating)
-    return table[..., np.where(flip, -orders, orders) + m, index]
+    rows = np.where(flip, -orders, orders) + m
+    return [table[rows, index] for table in symmetric_rows(m, distinct, kinds, grating)]
 
 
 def conditional_rows(orders, xi, ell, grating: GratingParameters) -> np.ndarray:
@@ -123,7 +132,9 @@ def conditional_rows(orders, xi, ell, grating: GratingParameters) -> np.ndarray:
     P(t) = za + (n0/2) cos t, which resums the recoil splittings; all counts
     share one exp table.
     """
-    return _folded(np.asarray(orders, int).reshape(-1, 1), xi, ell, grating)
+    rows = _folded(np.asarray(orders, int).reshape(-1, 1), xi, np.atleast_1d(ell).tolist(),
+                   grating)
+    return rows[0] if np.ndim(ell) == 0 else np.stack(rows)
 
 
 def unconditional_rows(orders, xi, grating: GratingParameters,
@@ -131,13 +142,14 @@ def unconditional_rows(orders, xi, grating: GratingParameters,
     """B_j(xi) for every j in `orders` over a 1-D xi array, shape
     (len(orders), len(xi)), for the quantum or the classical random-walk
     variant."""
-    return _folded(np.asarray(orders, int).reshape(-1, 1), xi, variant, grating)
+    return _folded(np.asarray(orders, int).reshape(-1, 1), xi, [variant], grating)[0]
 
 
 @dataclass(frozen=True)
 class ClosedForm:
     """Closed-form coefficient source; `kind` is "quantum", "classical",
-    "ladder" or an absorption count l >= 0."""
+    "ladder" or an absorption count l >= 0.  Grating parameters may be
+    arrays, broadcast against the xi of each pairs call."""
 
     grating: GratingParameters
     kind: object = "quantum"
@@ -149,10 +161,10 @@ class ClosedForm:
 
     def pairs(self, orders, xi) -> np.ndarray:
         """B_{orders[k]}(xi[k]) for paired 1-D arrays."""
-        return _folded(np.asarray(orders, int).ravel(), xi, self.kind, self.grating)
+        return _folded(np.asarray(orders, int).ravel(), xi, [self.kind], self.grating)[0]
 
 
-def _ladder_rows(m: int, r, phi0, n0, eta_p, eta_a) -> np.ndarray:
+def _ladder_rows(symmetric, r, g: GratingParameters) -> np.ndarray:
     """Summed-ladder B_j for j = -m..m at xi folded onto [0, 1], grating
     parameters broadcast against r: shape (2m + 1, len(r)).  F_j[l = 0] plus
     sum_k w_k F_j[s_k; count 1] over Gauss-Legendre nodes s_k of the
@@ -162,14 +174,11 @@ def _ladder_rows(m: int, r, phi0, n0, eta_p, eta_a) -> np.ndarray:
     <= 0, with phi_s = phi0 (1 + s (eta_p - 1)), nu_s = n0 (1 + s (eta_a - 1)),
     beta_s = s eta_a n0; y = n0 c c' is P(t) = n0 (cos pi xi + cos t)/2."""
     r, phi0, n0, eta_p, eta_a = (v[:, None] for v in np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, float)) for v in (r, phi0, n0, eta_p, eta_a))))
-    if np.any(n0 < 0) or np.any(eta_a < 0):
-        raise InvalidInputError("the ladder kernel needs n0 >= 0 and eta_a >= 0")
+        *(np.atleast_1d(np.asarray(v, float)) for v in (r, g.phi0, g.n0, g.eta_p, g.eta_a))))
     reach = float(np.max(np.abs(eta_p - 1.0) * np.abs(phi0) + np.abs(eta_a - 1.0) * n0
                          + eta_a * n0, initial=0.0))
     s, w = legendre_unit_nodes(1, reach)
     cos, sin = np.cos(np.pi * r), np.sin(np.pi * r)
-    symmetric = np.arange(-m, m + 1)
     # s = 0, no absorption: the l = 0 exponent of symmetric_rows
     za, zc = 0.5 * n0 * cos, phi0 * sin
     rows = exp_fourier_rows(symmetric, 0.5 * (zc - za), -0.5 * (zc + za), -0.5 * n0)
@@ -180,18 +189,6 @@ def _ladder_rows(m: int, r, phi0, n0, eta_p, eta_a) -> np.ndarray:
     first = exp_fourier_rows(symmetric, 0.5 * (apb + amb), 0.5 * (apb - amb),
                              0.5 * (beta_s * cos - nu_s), 1, za, 0.5 * n0)
     return rows + (first.reshape(symmetric.size, r.size, s.size) * w).sum(axis=2)
-
-
-def ladder_pairs(orders, xi, phi0, n0, eta_p=1.0, eta_a=1.0) -> np.ndarray:
-    """B_{orders[k]}(xi[k]) of the ladder kernel summed over every absorption
-    count (see `dynamics`), with orders, xi and the grating parameters
-    broadcast together: a curve over gratings is one call."""
-    orders, xi, *grating = (v.ravel() for v in np.broadcast_arrays(
-        np.asarray(orders, int), *(np.asarray(v, float) for v in (xi, phi0, n0, eta_p, eta_a))))
-    distinct, index, flip = fold_xi(xi)
-    m = int(np.max(np.abs(orders), initial=0))
-    table = _ladder_rows(m, distinct[index], *grating)
-    return table[np.where(flip, -orders, orders) + m, np.arange(orders.size)]
 
 
 @dataclass

@@ -170,7 +170,7 @@ def test_criterion_07_dynamics_closure():
             g = GratingParameters(phi0=1.25 * 4.0, n0=4.0,
                                   eta_p=eta_p, eta_a=eta_a)
             return nearfield.sinusoidal_visibility(
-                nearfield.KdtliConfig(g, F42, 2.2, source="ladder"))
+                nearfield.KdtliConfig(talbot.ClosedForm(g, "ladder"), F42, 2.2))
 
         v_ref, v_pol, v_abs = vis(1.0, 1.0), vis(1.5, 1.0), vis(1.0, 1.5)
         assert abs(v_pol - v_ref) > abs(v_abs - v_ref)

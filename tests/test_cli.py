@@ -852,3 +852,26 @@ def test_out_env_variable(grating_cfg, tmp_path, monkeypatch):
     monkeypatch.setenv("LASERGRATING_OUT", str(target))
     assert run(["talbot", "--config", grating_cfg]) == 0
     assert (target / "talbot_coefficients.csv").exists()
+
+
+def test_cli_matrix_runs_the_tree_and_fails_on_an_unexpected_exit(tmp_path, monkeypatch, capsys):
+    """scripts/cli_matrix.py run as its docstring says, from another folder
+    with a relative PYTHONPATH: each call imports the package of the script's
+    own tree and writes its data, and a call whose exit code is not the one
+    its name expects makes the script exit non-zero, named."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "cli_matrix", Path(__file__).resolve().parents[1] / "scripts" / "cli_matrix.py")
+    matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(matrix)
+    monkeypatch.setattr(matrix, "CALLS", {
+        "derive-params": ["derive-params", "--config", "beam.cfg"],
+        "exit-2-talbot": ["talbot", "--config", "talbot.cfg"]})
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PYTHONPATH", "src")
+    assert matrix.main(Path("out")) != 0
+    assert (tmp_path / "out" / "derive-params" / "derived_parameters.csv").is_file()
+    assert (tmp_path / "out" / "exit-2-talbot" / "talbot_coefficients.csv").is_file()
+    assert json.loads((tmp_path / "out" / "exit-2-talbot.json").read_text())["exit"] == 0
+    err = capsys.readouterr().err
+    assert "exit-2-talbot" in err and "derive-params" not in err

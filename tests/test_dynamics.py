@@ -303,7 +303,7 @@ def test_kernel_line_csv(tmp_path):
 
 def eta_visibility(n0, eta_p, eta_a, lt=2.2, f=0.42):
     g = GratingParameters(phi0=1.25 * n0, n0=n0, eta_p=eta_p, eta_a=eta_a)
-    return sinusoidal_visibility(KdtliConfig(g, f, lt, source="ladder"))
+    return sinusoidal_visibility(KdtliConfig(talbot.ClosedForm(g, "ladder"), f, lt))
 
 
 def test_polarizability_change_matters_more_than_absorption_change():

@@ -16,7 +16,7 @@ from lasergrating.farfield import (ALIAS_MARGIN, FarFieldConfig, ScreenDensity,
                                    apply_detector_resolution, farfield_densities)
 from lasergrating.grating import MeasurementProfile, poisson_ell_max
 from lasergrating.params import GratingParameters
-from lasergrating.talbot import conditional_rows, fold_xi, unconditional_rows
+from lasergrating.talbot import ClosedForm, conditional_rows, fold_xi, unconditional_rows
 
 FIG4 = GratingParameters(phi0=2.5, n0=2.0)
 FRAUNHOFER = 1e-20  # d/Dx at which 2 q d/Dx is below half an ulp of every nonzero order
@@ -177,6 +177,16 @@ def test_resolution_preserves_integral():
         np.trapezoid(wd.values, wd.positions), rel=1e-4)
 
 
+def test_resolution_on_descending_screen_mirrors_ascending():
+    # a dyadic spacing, so that both ends of the screen have the same first
+    # spacing and the two kernels are the same
+    w = farfield_densities(fig4_config(screen=np.linspace(-1.5, 2.5, 513)), [None])[0]
+    up = apply_detector_resolution(w, 0.1).values
+    down = apply_detector_resolution(
+        ScreenDensity(w.positions[::-1], w.values[::-1], w.ell), 0.1).values
+    assert np.max(np.abs(down[::-1] - up)) <= 1e-15 * np.max(up)
+
+
 def test_resolution_grid_guard():
     coarse = ScreenDensity(np.linspace(-3, 3, 61), np.ones(61))
     with pytest.raises(ResolutionError):
@@ -199,8 +209,8 @@ def test_far_field_cannot_discriminate_models_but_near_field_can():
     assert np.max(np.abs(wq - wc)) < 1e-3 * np.max(wq)
 
     from lasergrating.nearfield import KdtliConfig, sinusoidal_visibility
-    vq = sinusoidal_visibility(KdtliConfig(g, 0.42, 3.25, source="quantum"))
-    vc = sinusoidal_visibility(KdtliConfig(g, 0.42, 3.25, source="classical"))
+    vq = sinusoidal_visibility(KdtliConfig(ClosedForm(g), 0.42, 3.25))
+    vc = sinusoidal_visibility(KdtliConfig(ClosedForm(g, "classical"), 0.42, 3.25))
     assert abs(vq - vc) > 0.1
 
 

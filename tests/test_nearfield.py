@@ -9,14 +9,14 @@ from oracles import mean_transmission_closed
 from lasergrating.errors import CutoffError, InvalidInputError
 from lasergrating.nearfield import KdtliConfig, kdtli_signal, sinusoidal_visibility
 from lasergrating.params import GratingParameters
-from lasergrating.talbot import conditional_rows
+from lasergrating.talbot import ClosedForm, conditional_rows
 
 G = GratingParameters(phi0=math.pi, n0=1.0)
 F = 0.42
 
 
 def cfg(source="quantum", lt=3.25, f=F, grating=G, **kw):
-    return KdtliConfig(grating, f, lt, source=source, **kw)
+    return KdtliConfig(ClosedForm(grating, source), f, lt, **kw)
 
 
 def test_no_grating_signal_is_flat():
@@ -172,11 +172,9 @@ def test_velocity_average_zero_spread_is_identity():
 
 def test_config_validation():
     with pytest.raises(InvalidInputError):
-        KdtliConfig(G, 0.0, 1.0)
+        KdtliConfig(ClosedForm(G), 0.0, 1.0)
     with pytest.raises(InvalidInputError):
-        KdtliConfig(G, 0.5, -1.0)
-    with pytest.raises(InvalidInputError):
-        KdtliConfig(None, 0.5, 1.0, source="quantum")
+        KdtliConfig(ClosedForm(G), 0.5, -1.0)
     with pytest.raises(InvalidInputError):
         kdtli_signal(cfg(source="bogus"))
 
@@ -184,7 +182,7 @@ def test_config_validation():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
 def test_talbot_parameter_must_be_finite_and_positive(bad):
     with pytest.raises(InvalidInputError):
-        KdtliConfig(G, 0.5, bad)
+        KdtliConfig(ClosedForm(G), 0.5, bad)
     with pytest.raises(InvalidInputError):
         sinusoidal_visibility(cfg(), [1.0, bad])
 
@@ -192,4 +190,4 @@ def test_talbot_parameter_must_be_finite_and_positive(bad):
 def test_jmax_tail_guard():
     g = GratingParameters(phi0=8.0, n0=4.0)
     with pytest.raises(CutoffError):
-        kdtli_signal(KdtliConfig(g, 0.42, 0.5, j_max=3))
+        kdtli_signal(KdtliConfig(ClosedForm(g), 0.42, 0.5, j_max=3))

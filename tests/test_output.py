@@ -515,3 +515,23 @@ def test_talbot_table_csv_streams_in_bounded_memory(tmp_path):
     path, peak = _talbot_table_write_peak("csv", tmp_path)
     assert path.stat().st_size > 11.5 * 2**20
     assert peak < 16 * 2**20
+
+
+def test_talbot_command_holds_each_table_once(tmp_path):
+    """While the talbot command builds the tables of the talbot-table
+    benchmark (--ell all), its traced peak stays within 0.5 MiB of what it
+    holds when it returns: no table is held twice, as a stack and a copy."""
+    from lasergrating import cli
+    path = tmp_path / "talbot.cfg"
+    path.write_text("[grating]\nphi0 = 3.0\nn0 = 0.95\n\n[talbot]\nj_max = 32\nxi_points = 256\n")
+    cfg = cli.load_config(path, "talbot")
+    args = cli.build_parser().parse_args(["talbot", "--ell", "all"])
+    cli.cmd_talbot(cfg, args)  # numpy's FFT caches, once
+    tracemalloc.start()
+    try:
+        tables = cli.cmd_talbot(cfg, args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tables) == 1
+    assert peak - held < 2**19, (peak / 2**20, held / 2**20)

@@ -19,7 +19,7 @@ from lasergrating.output import write_csv
 from lasergrating.params import GratingParameters
 from lasergrating.specfun import exp_fourier_rows
 from lasergrating.talbot import (ClosedForm, RankOneSource, conditional_rows, fold_xi,
-                                 ladder_pairs, unconditional_rows, zeta)
+                                 unconditional_rows, zeta)
 
 mpmath.mp.dps = 30
 
@@ -394,8 +394,8 @@ def direct_rows(orders, xi, kind, g):
     if isinstance(kind, str):
         zc = -zc if kind == "classical" else zc
         return exp_fourier_rows(orders, 0.5 * (zc + zap), 0.5 * (zap - zc), -zap)
-    return exp_fourier_rows(orders, 0.5 * (zc - za), -0.5 * (zc + za), -0.5 * g.n0,
-                            kind, za, 0.5 * g.n0)
+    return np.stack(exp_fourier_rows(orders, 0.5 * (zc - za), -0.5 * (zc + za), -0.5 * g.n0,
+                                     kind, za, 0.5 * g.n0))
 
 
 XI = st.one_of(st.floats(-200.0, 200.0), st.integers(-200, 200).map(float),
@@ -501,7 +501,8 @@ def test_ladder_pairs_over_grating_arrays():
     (the node count follows the largest reach, so only to round-off)."""
     n0 = np.linspace(0.02, 4.0, 7)
     orders, xi = np.repeat([0, 2, -3], n0.size), np.repeat([0.0, 2.2, -0.6], n0.size)
-    got = ladder_pairs(orders, xi, np.tile(1.25 * n0, 3), np.tile(n0, 3), 1.5, 1.2)
+    gratings = GratingParameters(np.tile(1.25 * n0, 3), np.tile(n0, 3), 1.5, 1.2)
+    got = ClosedForm(gratings, "ladder").pairs(orders, xi)
     for k, (j, x, n) in enumerate(zip(orders, xi, np.tile(n0, 3))):
         g = GratingParameters(phi0=1.25 * n, n0=n, eta_p=1.5, eta_a=1.2)
         assert got[k] == pytest.approx(ClosedForm(g, "ladder").pairs([j], [x])[0], abs=1e-15)
@@ -515,7 +516,9 @@ def test_ladder_caps_raise():
     with pytest.raises(CutoffError):
         ClosedForm(GratingParameters(phi0=1e5, n0=1.0), "ladder").pairs([2], [0.5])
     with pytest.raises(InvalidInputError):
-        ladder_pairs([0], [0.5], 1.0, -1.0)
+        GratingParameters(np.ones(3), np.array([1.0, -1.0, 1.0]))
+    with pytest.raises(InvalidInputError):
+        GratingParameters(np.array([1.0, np.nan, 1.0]), np.ones(3))
 
 
 def test_rank_one_source_matches_sampled_kernel():
