@@ -17,8 +17,16 @@ The matrix covers every command and figure in CSV and JSON, sweeps,
 of the writers, runs that exit 2, and runs that exit 3 before or after some of
 their numbers are ready.  To compare two trees, run this script from each
 tree and apply `diff -r` to the two OUT folders.
+
+`summary(OUT)` reduces a run to one record per call: its argv, exit code,
+stdout and stderr, the SHA-256 of every file it wrote and, for each CSV,
+short digests that locate a difference (one per block of BLOCK_LINES lines,
+one per column).  scripts/make_goldens.py commits these records under
+tests/goldens/cli_matrix/, and a tier-1 test runs the matrix and compares its
+records with them through `first_difference`.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -26,6 +34,8 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BLOCK_LINES = 64   # CSV lines per located digest
+SHORT = 8          # hex digits of a located digest
 
 GRATING = "[grating]\nphi0 = 3.141592653589793\nn0 = 1.0\n"
 KDTLI = "[interferometer]\ntalbot_parameter = 3.25\nopen_fraction = 0.42\n"
@@ -115,6 +125,65 @@ CALLS = {
 
 def expected_exit(name: str) -> int:
     return {"exit-2-": 2, "exit-3-": 3}.get(name[:7], 0)
+
+
+def _short(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:SHORT]
+
+
+def _csv_locators(data: bytes) -> dict:
+    """One short digest per block of BLOCK_LINES lines and, by column name,
+    one per column over the data rows (the lines after the '#' metadata and
+    the header)."""
+    lines = data.splitlines(keepends=True)
+    rows = [line.rstrip(b"\n").split(b",") for line in lines if not line.startswith(b"#")]
+    header = [name.decode() for name in rows[0]] if rows else []
+    return {"blocks": "".join(_short(b"".join(lines[i:i + BLOCK_LINES]))
+                              for i in range(0, len(lines), BLOCK_LINES)),
+            "columns": {name: _short(b"\n".join(row[k] if k < len(row) else b"-"
+                                                for row in rows[1:]))
+                        for k, name in enumerate(header)}}
+
+
+def summary(out: Path) -> dict:
+    """{call name: record} of a run of this script into `out`: the call's
+    record (argv, exit, stdout, stderr), "files", the SHA-256 of every file
+    the call wrote by its path under OUT/NAME, and "csv", the locators of
+    every CSV among them."""
+    records = {}
+    for name in CALLS:
+        record = {**json.loads((out / f"{name}.json").read_text()), "files": {}, "csv": {}}
+        folder = out / name
+        for path in sorted(folder.rglob("*")) if folder.is_dir() else []:
+            if path.is_file():
+                rel, data = path.relative_to(folder).as_posix(), path.read_bytes()
+                record["files"][rel] = hashlib.sha256(data).hexdigest()
+                if path.suffix == ".csv":
+                    record["csv"][rel] = _csv_locators(data)
+        records[name] = record
+    return records
+
+
+def first_difference(old: dict, new: dict):
+    """None where two records of one call agree; else one line naming the
+    first difference: a field of the call's record, the set of files, or
+    the first differing file (by path) and, for a CSV, the lines and the
+    column of its first differing cell."""
+    for key in ("argv", "exit", "stdout", "stderr"):
+        if old[key] != new[key]:
+            return f"{key}: {old[key]!r} -> {new[key]!r}"
+    if sorted(old["files"]) != sorted(new["files"]):
+        return f"files: {sorted(old['files'])} -> {sorted(new['files'])}"
+    rel = next((rel for rel in sorted(old["files"]) if old["files"][rel] != new["files"][rel]),
+               None)
+    if rel is None or rel not in old["csv"]:
+        return rel and f"{rel} differs"
+    a, b = old["csv"][rel], new["csv"][rel]
+    block = next((k for k in range(0, max(len(a["blocks"]), len(b["blocks"])), SHORT)
+                  if a["blocks"][k:k + SHORT] != b["blocks"][k:k + SHORT]), 0) // SHORT
+    column = next((c for c, d in a["columns"].items() if b["columns"].get(c) != d), None)
+    return (f"{rel}: first differing cell in lines {block * BLOCK_LINES + 1}-"
+            f"{(block + 1) * BLOCK_LINES}" + (f", column {column!r}" if column else ""))
 
 
 def main(out: Path) -> int:

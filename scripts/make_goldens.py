@@ -1,10 +1,19 @@
 #!/usr/bin/env python3
-"""Regenerate the committed figure goldens used by the acceptance regression.
+"""Regenerate the committed figure goldens used by the acceptance regression,
+and the digests of the CLI matrix checked by tier-1.
 
 Run only after the physics criteria (1-9) pass; the goldens are derived
 artifacts, never hand-edited.  From the repository root:
 
-    PYTHONPATH=src python scripts/make_goldens.py
+    PYTHONPATH=src python scripts/make_goldens.py [MATRIX_OUT]
+
+The figure goldens are the output of `lasergrating figure N`.  The matrix
+digests in tests/goldens/cli_matrix/ (one record per call of
+scripts/cli_matrix.py, see its `summary`) come from MATRIX_OUT, the folder of
+an earlier `scripts/cli_matrix.py MATRIX_OUT` run (of another tree, say, whose
+bytes this one must reproduce), or else from a new run of this tree; each
+call is reported "identical" or with its first difference from the record
+it replaces.
 
 For every file it prints how the new golden deviates from the one it
 replaces: "identical", or the largest absolute and relative deviation over
@@ -18,13 +27,17 @@ The bytes do not depend on the BLAS thread count, but they are tied to the
 numpy/OpenBLAS build that made them; CHANGES.md records that build.
 """
 
+import json
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
+import cli_matrix
 from lasergrating.cli import main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "goldens"
+MATRIX = GOLDEN / "cli_matrix"
 LISTED_REL = 1e-12
 
 
@@ -70,7 +83,24 @@ def deviation(old: bytes, new: bytes, name: str) -> tuple[str, list[str]]:
             f"max rel {worst_rel:.2g}"), listed
 
 
+def matrix_goldens(out: Path) -> list[str]:
+    """Replace the records in MATRIX by those of the matrix run in `out`; one
+    report line per call."""
+    old = {p.stem: json.loads(p.read_text()) for p in MATRIX.glob("*.json")}
+    shutil.rmtree(MATRIX, ignore_errors=True)
+    MATRIX.mkdir(parents=True)
+    report = []
+    for name, record in cli_matrix.summary(out).items():
+        (MATRIX / f"{name}.json").write_text(json.dumps(record, indent=1) + "\n")
+        diff = cli_matrix.first_difference(old[name], record) if name in old else "new call"
+        report.append(f"cli_matrix/{name}: {diff or 'identical'}")
+    return report + [f"cli_matrix/{name}: removed" for name in sorted(set(old) - set(
+        cli_matrix.CALLS))]
+
+
 if __name__ == "__main__":
+    if len(sys.argv) > 2:
+        sys.exit(__doc__)
     report, listed = [], []
     for fig in ("1", "2", "4", "5", "6"):
         target = GOLDEN / f"figure{fig}"
@@ -90,6 +120,12 @@ if __name__ == "__main__":
             listed += [f"figure{fig}/{cell}" for cell in cells]
         report += [f"figure{fig}/{name}: removed" for name in sorted(set(old) - {
             p.name for p in target.iterdir()})]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(sys.argv[1]) if len(sys.argv) == 2 else Path(tmp) / "out"
+        print(f"cli matrix digests from {out}")
+        if len(sys.argv) == 1 and cli_matrix.main(out) != 0:
+            sys.exit(1)
+        report += matrix_goldens(out)
     print("deviation from the replaced goldens:")
     print("\n".join("  " + line for line in report))
     print(f"cells with relative deviation above {LISTED_REL:g}: {len(listed)}")

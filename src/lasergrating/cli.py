@@ -330,7 +330,7 @@ def cmd_farfield(cfg, args) -> list:
 def cmd_ladder(cfg, args) -> list:
     """Closed-form ladder kernel line and visibility sweep.  `[ladder] envelope`
     is validated and written to the metadata but does not change the kernel."""
-    from . import dynamics
+    from . import nearfield, talbot, dynamics  # noqa: F401 (compiled before the kernel line)
     grating = grating_from_config(cfg)
     envelope, xi = get(cfg, "envelope"), get(cfg, "kernel_xi")
     if not math.isfinite(xi):

@@ -51,7 +51,7 @@ def spectral_points(reach: float, j_max: int) -> int:
     return n
 
 
-def exp_fourier_rows(orders, a, b, c=0.0, counts=0, p0=0.0, p1=0.0) -> np.ndarray:
+def exp_fourier_rows(orders, a, b, c=0.0, counts=0, p0=0.0, p1=0.0, elements=None):
     """Fourier coefficients of exp(a e^{it} + b e^{-it} + c) P(t)^l / l!,
     P(t) = p0 + p1 cos t, for every j in `orders`, every element of the real
     1-D arrays a, b, c, p0, p1 (broadcast together) and every count l in
@@ -67,6 +67,8 @@ def exp_fourier_rows(orders, a, b, c=0.0, counts=0, p0=0.0, p1=0.0) -> np.ndarra
     in N (Trefethen & Weideman, SIAM Review 56, 2014).  Coefficients around
     order N/2 above SPECTRAL_TAIL raise CutoffError.  Elements are taken in
     blocks of SPECTRAL_BLOCK // N, so no array of all elements times N is built.
+    Given `elements`, a nondecreasing integer array of one element per order,
+    each result is the 1-D array of the pairs (orders[k], elements[k]) instead.
     """
     if any(np.iscomplexobj(v) for v in (a, b, c, p0, p1)) or np.any(np.asarray(counts) < 0):
         raise DomainError("exp_fourier_rows takes real arguments and counts >= 0")
@@ -81,10 +83,15 @@ def exp_fourier_rows(orders, a, b, c=0.0, counts=0, p0=0.0, p1=0.0) -> np.ndarra
     cos_t, sin_t = np.cos(t), np.sin(t)
     cols = orders % n
     guard = np.arange(n // 2 - 4, n // 2 + 5)
-    out = [np.empty((orders.size, a.size)) for _ in counts]
+    out = [np.empty((orders.size, a.size) if elements is None else orders.size) for _ in counts]
     step = max(1, SPECTRAL_BLOCK // n)
+    if elements is not None:  # below[e]: the number of pairs of elements below e
+        below = np.concatenate(([0], np.cumsum(np.bincount(elements, minlength=a.size))))
     for i in range(0, a.size, step):
         blk = slice(i, i + step)
+        # out[k].T is elements x orders for a table, and a 1-D out[k] itself for pairs
+        dst = blk if elements is None else slice(below[i], below[min(i + step, a.size)])
+        src = (slice(None), cols) if elements is None else (elements[dst] - i, cols[dst])
         # a e^{it} + b e^{-it} + c = (a + b) cos t + c + i (a - b) sin t
         f = np.multiply.outer(a[blk] + b[blk], cos_t) + c[blk, None] + 0j
         f.imag = np.multiply.outer(a[blk] - b[blk], sin_t)
@@ -100,7 +107,7 @@ def exp_fourier_rows(orders, a, b, c=0.0, counts=0, p0=0.0, p1=0.0) -> np.ndarra
                     raise CutoffError(f"spectral Talbot kernel aliases: |c_j| = {tail:.2e} near "
                                       f"order N/2 = {n // 2} exceeds {SPECTRAL_TAIL:.0e}")
                 for k in hit:
-                    out[k][:, blk] = spec[:, cols].T
+                    out[k].T[dst] = spec[src]
     return out[0] if single else out
 
 

@@ -26,12 +26,10 @@ zeta_coh is odd in xi while zeta_abs and zeta_abs' are even, so
 B_j(xi + 2) = B_j(xi) and B_j(-xi) = B_{-j}(xi).  `fold_xi` maps every xi
 onto [0, 1] with exact arithmetic (fmod by 2, then 2 - r by Sterbenz) and
 records where j flips sign; the kernel runs once per distinct folded value
-(once per xi where the grating parameters are arrays), on the symmetric
-orders -m..m, and each requested (j, xi) is gathered from that table.
-`symmetric_rows` is the one builder of these tables: it returns one table
-per kind of a list, and `ClosedForm`, the far field (on its folded q) and
-the talbot command (on its xi grid) all call it.  No digits of sin(pi xi)
-are lost at large xi.
+(once per xi where the grating parameters are arrays).  `symmetric_rows`
+builds them all: a table of the orders -m..m per kind for the far field (on
+its folded q) and the talbot command (on its xi grid), and for a `ClosedForm`
+pairs call only its pairs.  No digits of sin(pi xi) are lost at large xi.
 
 No route samples a kernel line: the numeric Fourier reduction of a sampled
 two-point kernel is the oracle of the tests, in tests/oracles.py.
@@ -77,50 +75,55 @@ def fold_xi(xi):
     return distinct, index, (xi < 0) ^ over
 
 
-def symmetric_rows(m: int, distinct, kinds, grating: GratingParameters) -> list:
+def symmetric_rows(m, distinct, kinds, grating: GratingParameters, index=None) -> list:
     """Closed-form B_j for j = -m..m at xi already folded onto [0, 1] (the
     `distinct` of `fold_xi`), grating parameters broadcast against it: one
     table of shape (2m + 1, len(distinct)) per entry of `kinds`, each
     "quantum", "classical", "ladder" (the dynamical ladder kernel summed over
     counts) or a count.  The two variants share one exp_fourier_rows call,
-    all counts one more, and "ladder" takes two."""
+    all counts one more, and "ladder" takes two.  Given a nondecreasing `index`
+    (the only form of "ladder"), m holds orders, each entry B_{m[k]}(distinct[index[k]])."""
     for kind in kinds:
-        if isinstance(kind, str) and kind not in KINDS:
-            raise InvalidInputError(f"unknown variant {kind!r}")
+        if isinstance(kind, str) and kind not in (KINDS if index is not None else VARIANTS):
+            raise InvalidInputError(f"unknown variant {kind!r} for this call")
         if not isinstance(kind, str) and kind < 0:
             raise InvalidInputError("absorption count must be >= 0")
     za, zc, zap = zeta(distinct, grating)
-    symmetric = np.arange(-m, m + 1)
+    orders = np.arange(-m, m + 1) if index is None else m
     tables = {}
-    if any(kind in VARIANTS for kind in kinds):
-        # exponent: i zc sin(t) + zap cos(t) - zap, real part <= 0
-        quantum = exp_fourier_rows(symmetric, 0.5 * (zc + zap), 0.5 * (zap - zc), -zap)
-        # the classical random-walk variant flips the sign of zeta_coh, which
-        # is the same as exchanging j with -j
-        tables.update(quantum=quantum, classical=quantum[::-1])
+    if variants := [kind for kind in VARIANTS if kind in kinds]:
+        # exponent: i zc sin(t) + zap cos(t) - zap, real part <= 0; the classical variant
+        # flips zeta_coh, i.e. j -> -j: a table's rows reversed, a pair's order negated
+        for kind in variants if index is not None else ["quantum"]:
+            j = -orders if kind == "classical" else orders
+            tables[kind] = exp_fourier_rows(j, 0.5 * (zc + zap), 0.5 * (zap - zc), -zap,
+                                            elements=index)
+        if index is None:
+            tables["classical"] = tables["quantum"][::-1]
     if "ladder" in kinds:
-        tables["ladder"] = _ladder_rows(symmetric, distinct, grating)
+        tables["ladder"] = _ladder_rows(orders, distinct, grating, index)
     if counts := [kind for kind in kinds if not isinstance(kind, str)]:
         # l = 0 exponent: i zc sin(t) - za cos(t) - n0/2 = a e^{it} + b e^{-it} + c
         # with a = (zc - za)/2, b = -(zc + za)/2; its real part is <= |za| - n0/2 <= 0
         tables.update(zip(counts, exp_fourier_rows(
-            symmetric, 0.5 * (zc - za), -0.5 * (zc + za), -0.5 * grating.n0,
-            counts, za, 0.5 * grating.n0)))
+            orders, 0.5 * (zc - za), -0.5 * (zc + za), -0.5 * grating.n0,
+            counts, za, 0.5 * grating.n0, elements=index)))
     return [tables[kind] for kind in kinds]
 
 
 def _folded(orders, xi, kinds, grating: GratingParameters) -> list:
     """Closed-form B_j(xi) of each kind at `orders` broadcast against the 1-D
-    xi: an (n, 1) column of orders gives an (n, len(xi)) table, a len(xi)
-    array one value per xi.  Gathered from the symmetric rows at the distinct
-    folded xi, or at every folded xi where a grating parameter is an array
-    (broadcast against xi)."""
+    xi, from its distinct folded values (every folded xi where a grating parameter
+    is an array): an (n, len(xi)) table for an (n, 1) column, else one per pair."""
     distinct, index, flip = fold_xi(xi)
     if any(np.ndim(v) for v in (grating.phi0, grating.n0, grating.eta_p, grating.eta_a)):
         distinct, index = distinct[index], np.arange(index.size)
-    m = int(np.max(np.abs(orders), initial=0))
-    rows = np.where(flip, -orders, orders) + m
-    return [table[rows, index] for table in symmetric_rows(m, distinct, kinds, grating)]
+    rows, m = np.where(flip, -orders, orders), int(np.max(np.abs(orders), initial=0))
+    if rows.ndim == 1:  # pairs sorted by xi and put back; float keys reuse fold_xi's sort code
+        by_xi = np.argsort(index.astype(float))
+        values = symmetric_rows(rows[by_xi], distinct, kinds, grating, index[by_xi])
+        return [v[np.argsort(by_xi.astype(float))] for v in values]
+    return [table[rows + m, index] for table in symmetric_rows(m, distinct, kinds, grating)]
 
 
 def conditional_rows(orders, xi, ell, grating: GratingParameters) -> np.ndarray:
@@ -145,6 +148,14 @@ def unconditional_rows(orders, xi, grating: GratingParameters,
     return _folded(np.asarray(orders, int).reshape(-1, 1), xi, [variant], grating)[0]
 
 
+def _paired(orders, xi) -> np.ndarray:
+    """The orders of a pairs call, checked to be integers below 2**53, one per xi."""
+    if not (np.size(orders) == np.size(xi) and np.all(np.abs(np.asarray(orders, float)) < 2**53)
+            and np.all(np.mod(orders, 1) == 0)):
+        raise InvalidInputError("pairs takes integer orders below 2**53, one per xi")
+    return np.ravel(orders).astype(int)
+
+
 @dataclass(frozen=True)
 class ClosedForm:
     """Closed-form coefficient source; `kind` is "quantum", "classical",
@@ -161,34 +172,37 @@ class ClosedForm:
 
     def pairs(self, orders, xi) -> np.ndarray:
         """B_{orders[k]}(xi[k]) for paired 1-D arrays."""
-        return _folded(np.asarray(orders, int).ravel(), xi, [self.kind], self.grating)[0]
+        return _folded(_paired(orders, xi), xi, [self.kind], self.grating)[0]
 
 
-def _ladder_rows(symmetric, r, g: GratingParameters) -> np.ndarray:
-    """Summed-ladder B_j for j = -m..m at xi folded onto [0, 1], grating
-    parameters broadcast against r: shape (2m + 1, len(r)).  F_j[l = 0] plus
+def _ladder_rows(orders, r, g: GratingParameters, index) -> np.ndarray:
+    """Summed-ladder B_{orders[k]} at xi = r[index[k]] folded onto [0, 1]
+    (`index` nondecreasing), grating parameters broadcast against r.  F_j[l = 0] plus
     sum_k w_k F_j[s_k; count 1] over Gauss-Legendre nodes s_k of the
     first-absorption fraction, |w| <= |eta_p - 1| |phi0| + |eta_a - 1| n0 +
     eta_a n0.  At s the exponent has a + b = (beta_s - nu_s cos pi xi)/2,
     a - b = phi_s sin pi xi, c = (beta_s cos pi xi - nu_s)/2 and real part
     <= 0, with phi_s = phi0 (1 + s (eta_p - 1)), nu_s = n0 (1 + s (eta_a - 1)),
     beta_s = s eta_a n0; y = n0 c c' is P(t) = n0 (cos pi xi + cos t)/2."""
-    r, phi0, n0, eta_p, eta_a = (v[:, None] for v in np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, float)) for v in (r, g.phi0, g.n0, g.eta_p, g.eta_a))))
+    r, phi0, n0, eta_p, eta_a = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, float)) for v in (r, g.phi0, g.n0, g.eta_p, g.eta_a)))
     reach = float(np.max(np.abs(eta_p - 1.0) * np.abs(phi0) + np.abs(eta_a - 1.0) * n0
                          + eta_a * n0, initial=0.0))
     s, w = legendre_unit_nodes(1, reach)
+    s = s[:, None]  # node-major: element j len(r) + i is node j at r[i]
     cos, sin = np.cos(np.pi * r), np.sin(np.pi * r)
     # s = 0, no absorption: the l = 0 exponent of symmetric_rows
     za, zc = 0.5 * n0 * cos, phi0 * sin
-    rows = exp_fourier_rows(symmetric, 0.5 * (zc - za), -0.5 * (zc + za), -0.5 * n0)
+    rows = exp_fourier_rows(orders, 0.5 * (zc - za), -0.5 * (zc + za), -0.5 * n0, elements=index)
     phi_s = phi0 * (1.0 + s * (eta_p - 1.0))
     nu_s = n0 * (1.0 + s * (eta_a - 1.0))
     beta_s = s * (eta_a * n0)
     apb, amb = 0.5 * (beta_s - nu_s * cos), phi_s * sin
-    first = exp_fourier_rows(symmetric, 0.5 * (apb + amb), 0.5 * (apb - amb),
-                             0.5 * (beta_s * cos - nu_s), 1, za, 0.5 * n0)
-    return rows + (first.reshape(symmetric.size, r.size, s.size) * w).sum(axis=2)
+    first = exp_fourier_rows(np.tile(orders, s.size), 0.5 * (apb + amb), 0.5 * (apb - amb),
+                             0.5 * (beta_s * cos - nu_s), 1, za, 0.5 * n0,
+                             elements=(np.arange(s.size)[:, None] * r.size + index).ravel())
+    # each pair's nodes summed along a contiguous axis, in numpy's pairwise order
+    return rows + (np.ascontiguousarray(first.reshape(s.size, -1).T) * w).sum(axis=-1)
 
 
 @dataclass
@@ -215,8 +229,7 @@ class RankOneSource:
 
     def pairs(self, orders, xi) -> np.ndarray:
         """B_{orders[k]}(xi[k]) for paired 1-D arrays."""
-        distinct, index, flip = fold_xi(xi)
-        j = np.asarray(orders, int).ravel()
+        j, (distinct, index, flip) = _paired(orders, xi), fold_xi(xi)
         j = np.where(flip, -j, j)[:, None]
         a, half = self._a, self._a.size // 2
         m = np.arange(-half, half)

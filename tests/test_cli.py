@@ -854,16 +854,22 @@ def test_out_env_variable(grating_cfg, tmp_path, monkeypatch):
     assert (target / "talbot_coefficients.csv").exists()
 
 
-def test_cli_matrix_runs_the_tree_and_fails_on_an_unexpected_exit(tmp_path, monkeypatch, capsys):
-    """scripts/cli_matrix.py run as its docstring says, from another folder
-    with a relative PYTHONPATH: each call imports the package of the script's
-    own tree and writes its data, and a call whose exit code is not the one
-    its name expects makes the script exit non-zero, named."""
+def _cli_matrix():
+    """scripts/cli_matrix.py as a module."""
     import importlib.util
     spec = importlib.util.spec_from_file_location(
         "cli_matrix", Path(__file__).resolve().parents[1] / "scripts" / "cli_matrix.py")
     matrix = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(matrix)
+    return matrix
+
+
+def test_cli_matrix_runs_the_tree_and_fails_on_an_unexpected_exit(tmp_path, monkeypatch, capsys):
+    """scripts/cli_matrix.py run as its docstring says, from another folder
+    with a relative PYTHONPATH: each call imports the package of the script's
+    own tree and writes its data, and a call whose exit code is not the one
+    its name expects makes the script exit non-zero, named."""
+    matrix = _cli_matrix()
     monkeypatch.setattr(matrix, "CALLS", {
         "derive-params": ["derive-params", "--config", "beam.cfg"],
         "exit-2-talbot": ["talbot", "--config", "talbot.cfg"]})
@@ -875,3 +881,40 @@ def test_cli_matrix_runs_the_tree_and_fails_on_an_unexpected_exit(tmp_path, monk
     assert json.loads((tmp_path / "out" / "exit-2-talbot.json").read_text())["exit"] == 0
     err = capsys.readouterr().err
     assert "exit-2-talbot" in err and "derive-params" not in err
+
+
+def test_cli_matrix_reproduces_its_digests(tmp_path):
+    """Every call of scripts/cli_matrix.py gives the argv, exit code, stdout,
+    stderr and file bytes recorded in tests/goldens/cli_matrix/ (regenerated
+    by scripts/make_goldens.py); a mismatch names, per call, the first
+    differing file and, for a CSV, where its first differing cell lies."""
+    matrix = _cli_matrix()
+    golden = Path(__file__).parent / "goldens" / "cli_matrix"
+    want = {path.stem: json.loads(path.read_text()) for path in golden.glob("*.json")}
+    assert sorted(want) == sorted(matrix.CALLS)
+    assert matrix.main(tmp_path / "out") == 0
+    got = matrix.summary(tmp_path / "out")
+    diffs = [f"{name}: {diff}" for name in matrix.CALLS
+             if (diff := matrix.first_difference(want[name], got[name]))]
+    assert not diffs, "\n".join(diffs)
+
+
+def test_cli_matrix_locates_the_first_differing_cell(tmp_path):
+    """The locators of a CSV name its lines and column of a changed cell,
+    and any other changed file by its path."""
+    matrix = _cli_matrix()
+    rows = "".join(f"{k},{k * 0.5!r},{-k}\n" for k in range(200))
+    text = "# command=test\nj,re,im\n" + rows
+    record = {"argv": [], "exit": 0, "stdout": "", "stderr": "", "files": {}, "csv": {}}
+
+    def with_files(csv, manifest):
+        return {**record, "files": {"a.csv": csv, "manifest.json": manifest},
+                "csv": {"a.csv": matrix._csv_locators(csv.encode())}}
+
+    old = with_files(text, "{}")
+    assert matrix.first_difference(old, with_files(text, "{}")) is None
+    assert matrix.first_difference(old, with_files(text, "{ }")) == "manifest.json differs"
+    changed = text.replace("\n150,75.0,", "\n150,75.00000000000001,")
+    assert matrix.first_difference(old, with_files(changed, "{}")) == \
+        "a.csv: first differing cell in lines 129-192, column 're'"
+    assert matrix.first_difference(old, {**old, "exit": 3}).startswith("exit: 0 -> 3")

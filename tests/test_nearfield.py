@@ -1,6 +1,7 @@
 """KDTLI fringe signals, visibilities, and transmission weights."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,3 +192,19 @@ def test_jmax_tail_guard():
     g = GratingParameters(phi0=8.0, n0=4.0)
     with pytest.raises(CutoffError):
         kdtli_signal(KdtliConfig(ClosedForm(g), 0.42, 0.5, j_max=3))
+
+
+@pytest.mark.parametrize("source, bound_mib", [("quantum", 0.75), (1, 0.75), ("ladder", 4.0)])
+def test_velocity_average_holds_no_coefficient_table(source, bound_mib):
+    """One velocity-averaged signal (21 samples x 65 orders, m = 64) takes
+    its 1365 coefficients pair by pair: the (2m + 1) x (distinct xi) table
+    of 0.62 MiB, and the ladder's table times its Gauss-Legendre nodes (about
+    23 MiB), are never built."""
+    kdtli_signal(cfg(source), velocity_spread=0.07)   # warm the node and FFT caches
+    tracemalloc.start()
+    try:
+        kdtli_signal(cfg(source), velocity_spread=0.07)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20

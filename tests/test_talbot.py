@@ -14,7 +14,7 @@ from oracles import KernelSource, SummedLadderKernel, b_numeric_oracle, channel,
 from lasergrating.cli import main
 from lasergrating.errors import CutoffError, DomainError, InvalidInputError, ResolutionError
 from lasergrating.grating import MeasurementProfile, poisson_ell_max
-from lasergrating import farfield, talbot
+from lasergrating import farfield, specfun, talbot
 from lasergrating.output import write_csv
 from lasergrating.params import GratingParameters
 from lasergrating.specfun import exp_fourier_rows
@@ -443,9 +443,9 @@ def test_farfield_evaluates_each_folded_q_once(monkeypatch):
     of the q grid."""
     seen = []
 
-    def counting(orders, a, *args):
+    def counting(orders, a, *args, **kwargs):
         seen.append((np.ndim(args[2]) if len(args) > 2 else None, np.size(a)))
-        return exp_fourier_rows(orders, a, *args)
+        return exp_fourier_rows(orders, a, *args, **kwargs)
 
     monkeypatch.setattr(talbot, "exp_fourier_rows", counting)
     for n0, ells in [(0.0, [None]), (10.0, [None]), (2.0, [None, 0, 1, 2])]:
@@ -544,3 +544,133 @@ def test_rank_one_source_checks_its_factor_tail():
     with pytest.raises(CutoffError):
         RankOneSource(factor, 1e5)   # FFT size above its cap
     assert RankOneSource(factor, 40.0).pairs([0], [0.0])[0] == pytest.approx(1.0, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the pairs form: each pair read from its spectrum, no table
+# ---------------------------------------------------------------------------
+
+PAIR_KINDS = ["quantum", "classical", 0, 1, 2, 3, "ladder"]
+M = 12
+
+
+def _pairs_case(n):
+    """n pairs with orders up to +-M, xi < 0, xi > 2, xi exactly 0 and 1 and
+    duplicate pairs."""
+    rng = np.random.default_rng(7)
+    orders, xi = rng.integers(-M, M + 1, n), rng.uniform(-5.0, 5.0, n)
+    orders[:2] = M, -M
+    xi[2:8] = 0.0, 1.0, -1.0, 2.0, 0.0, 1.0
+    orders[9], xi[9] = orders[8], xi[8]
+    return orders, xi
+
+
+def _ladder_table(m, r, g):
+    """The summed-ladder table of j = -m..m at every folded xi in r, as the
+    table route built it before the pairs form replaced it: Gauss-Legendre
+    nodes innermost in the elements of one exp_fourier_rows call, and summed
+    along that contiguous axis."""
+    symmetric = np.arange(-m, m + 1)
+    r, phi0, n0, eta_p, eta_a = (v[:, None] for v in np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, float)) for v in (r, g.phi0, g.n0, g.eta_p, g.eta_a))))
+    reach = float(np.max(np.abs(eta_p - 1.0) * np.abs(phi0) + np.abs(eta_a - 1.0) * n0
+                         + eta_a * n0, initial=0.0))
+    s, w = specfun.legendre_unit_nodes(1, reach)
+    cos, sin = np.cos(np.pi * r), np.sin(np.pi * r)
+    za, zc = 0.5 * n0 * cos, phi0 * sin
+    rows = exp_fourier_rows(symmetric, 0.5 * (zc - za), -0.5 * (zc + za), -0.5 * n0)
+    phi_s = phi0 * (1.0 + s * (eta_p - 1.0))
+    nu_s = n0 * (1.0 + s * (eta_a - 1.0))
+    beta_s = s * (eta_a * n0)
+    apb, amb = 0.5 * (beta_s - nu_s * cos), phi_s * sin
+    first = exp_fourier_rows(symmetric, 0.5 * (apb + amb), 0.5 * (apb - amb),
+                             0.5 * (beta_s * cos - nu_s), 1, za, 0.5 * n0)
+    return rows + (first.reshape(symmetric.size, r.size, s.size) * w).sum(axis=2)
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+@pytest.mark.parametrize("grating", [
+    GratingParameters(phi0=3.0, n0=0.95, eta_p=1.3, eta_a=0.7),
+    GratingParameters(phi0=np.linspace(0.5, 5.0, 40), n0=np.linspace(0.1, 2.0, 40))],
+    ids=["scalar", "array"])
+def test_pairs_equal_gathered_tables(kind, grating):
+    """A pairs call gives, bit for bit, the entries of the symmetric table
+    that it replaced (for the ladder, of the table route that built it)."""
+    orders, xi = _pairs_case(40)
+    distinct, index, flip = fold_xi(xi)
+    if np.ndim(grating.phi0):
+        distinct, index = distinct[index], np.arange(index.size)
+    table = _ladder_table(M, distinct, grating) if kind == "ladder" else \
+        talbot.symmetric_rows(M, distinct, [kind], grating)[0]
+    want = table[np.where(flip, -orders, orders) + M, index]
+    assert ClosedForm(grating, kind).pairs(orders, xi).tobytes() == want.tobytes()
+
+
+def test_pairs_raise_the_aliasing_tail_where_tables_do(monkeypatch):
+    """With the spectral margin cut below its safe value the tail check of
+    exp_fourier_rows fires for some gratings; the pairs form raises on
+    exactly the inputs where the table does."""
+    monkeypatch.setattr(specfun, "SPECTRAL_MARGIN", -8)
+    orders, xi = np.array([0, 3, -6]), np.array([0.3, 1.7, -0.4])
+    outcomes = []
+    for phi0 in (0.5, 2.0, 5.0):
+        g = GratingParameters(phi0=phi0, n0=1.0, eta_p=1.2, eta_a=0.8)
+        for kind in ("quantum", "classical", 1, "ladder"):
+            raised = []
+            table = _ladder_table if kind == "ladder" else \
+                lambda m, r, g: talbot.symmetric_rows(m, r, [kind], g)
+            for call in (lambda: ClosedForm(g, kind).pairs(orders, xi),
+                         lambda: table(6, fold_xi(xi)[0], g)):
+                try:
+                    call()
+                    raised.append(False)
+                except CutoffError as err:
+                    assert "aliases" in str(err)
+                    raised.append(True)
+            assert raised[0] == raised[1], (phi0, kind)
+            outcomes.append(raised[0])
+    assert any(outcomes) and not all(outcomes)
+
+
+SOURCES = [lambda: ClosedForm(G), lambda: ClosedForm(G, "ladder"),
+           lambda: RankOneSource(lambda x: np.exp(0.3j * np.cos(2 * np.pi * x)), 1.0)]
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=["closed", "ladder", "rank_one"])
+def test_pairs_reject_non_integer_orders(source):
+    """Orders that are not integers, or too large for an exact cast to
+    int64, are rejected; integral floats are accepted."""
+    for bad in ([0.5], [np.nan], [np.inf], [1e300], [-2**63]):
+        with pytest.raises(InvalidInputError):
+            source().pairs(bad, [0.2])
+    assert source().pairs([2.0], [0.2]).tobytes() == source().pairs([2], [0.2]).tobytes()
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=["closed", "ladder", "rank_one"])
+def test_pairs_reject_orders_and_xi_of_different_lengths(source):
+    with pytest.raises(InvalidInputError):
+        source().pairs([0, 2], [0.2, 0.3, 0.4])
+    with pytest.raises(InvalidInputError):
+        source().pairs([0, 2], [0.2])
+
+
+@pytest.mark.parametrize("kind", ["quantum", "classical", 1, "ladder"])
+def test_pairs_huge_order_is_cutoff_before_allocation(kind):
+    """Order 2^40 needs an FFT far above the cap: CutoffError, with nothing
+    of its size allocated (a table of its orders would take 16 TiB)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CutoffError):
+            ClosedForm(G, kind).pairs([2**40], [0.3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_ladder_has_no_table():
+    """The summed ladder is asked for by pairs only."""
+    with pytest.raises(InvalidInputError):
+        unconditional_rows([0, 2], [0.3], G, "ladder")
+    with pytest.raises(InvalidInputError):
+        talbot.symmetric_rows(2, np.array([0.3]), ["ladder"], G)
