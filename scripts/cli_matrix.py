@@ -4,10 +4,12 @@
     python scripts/cli_matrix.py OUT
 
 OUT must not exist yet.  The script writes the configs of the matrix into
-OUT, then runs each call in its own subprocess (`python -m lasergrating.cli`,
-with the caller's environment and the src/ folder next to this script first
-on PYTHONPATH) with OUT as its working directory.  Every --config and --out
-path is relative, so no manifest or message names OUT.  Call NAME writes its
+OUT, then runs each call in this process through `lasergrating.cli.main`,
+with OUT as the working directory and stdout and stderr captured.  The
+package comes from the src/ folder next to this script, put first on
+sys.path; if `lasergrating` was imported from anywhere else, the script
+stops before any call.  Every --config and --out path is relative, so no
+manifest or message names OUT.  Call NAME writes its
 files to OUT/NAME/ and its record (argv, exit code, stdout, stderr) to
 OUT/NAME.json.  A call named exit-2-* must exit 2, exit-3-* 3 and any other
 0; the script exits 1, naming each call that did not, after running them all.
@@ -26,10 +28,11 @@ tests/goldens/cli_matrix/, and a tier-1 test runs the matrix and compares its
 records with them through `first_difference`.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -186,25 +189,49 @@ def first_difference(old: dict, new: dict):
             f"{(block + 1) * BLOCK_LINES}" + (f", column {column!r}" if column else ""))
 
 
+def _cli():
+    """lasergrating.cli of the src/ folder next to this script."""
+    if sys.path[:1] != [str(SRC)]:
+        sys.path.insert(0, str(SRC))
+    from lasergrating import cli
+    if SRC not in Path(cli.__file__).resolve().parents:
+        sys.exit(f"lasergrating was imported from {cli.__file__}, not from {SRC}")
+    return cli
+
+
+def run(cli, argv, cwd: Path) -> dict:
+    """The record of `lasergrating *argv` run by cli.main in this process
+    with `cwd` as the working directory: argv, exit code (main's return
+    value, or the code of the SystemExit that argparse raises), stdout and
+    stderr."""
+    stdout, stderr, home = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(home)
+    return {"argv": argv, "exit": code, "stdout": stdout.getvalue(),
+            "stderr": stderr.getvalue()}
+
+
 def main(out: Path) -> int:
     """Run every call of CALLS into `out`; 1 if any exit code is not the
     expected one, else 0."""
+    cli = _cli()
     out.mkdir(parents=True)
     for name, text in CONFIGS.items():
         (out / name).write_text(text)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
     wrong = []
     for name, argv in CALLS.items():
-        argv = [*argv, "--out", name]
-        done = subprocess.run([sys.executable, "-m", "lasergrating.cli", *argv], cwd=out,
-                              env=env, capture_output=True, text=True)
-        record = {"argv": argv, "exit": done.returncode, "stdout": done.stdout,
-                  "stderr": done.stderr}
+        record = run(cli, [*argv, "--out", name], out)
         (out / f"{name}.json").write_text(json.dumps(record, indent=2) + "\n")
-        print(f"{done.returncode} {name}")
-        if done.returncode != expected_exit(name):
-            wrong.append(f"{name} (exit {done.returncode}, expected {expected_exit(name)})")
+        print(f"{record['exit']} {name}")
+        if record["exit"] != expected_exit(name):
+            wrong.append(f"{name} (exit {record['exit']}, expected {expected_exit(name)})")
     if wrong:
         print("unexpected exit codes: " + ", ".join(wrong), file=sys.stderr)
     return 1 if wrong else 0

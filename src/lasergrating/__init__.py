@@ -15,7 +15,6 @@ _EXPORTS = {
     "params": ("BeamSetup", "GratingParameters", "InterferometerScales", "derive_grating",
                "derive_n0", "derive_phi0", "derive_scales"),
     "grating": ("MeasurementProfile", "absorption_probability", "m_ell"),
-    "talbot": ("conditional_rows", "unconditional_rows"),
     "nearfield": ("FringeSignal", "KdtliConfig", "kdtli_signal", "sinusoidal_visibility"),
     "farfield": ("FarFieldConfig", "ScreenDensity", "farfield_densities"),
     "dynamics": ("ladder_analytic",),

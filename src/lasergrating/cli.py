@@ -259,7 +259,8 @@ def cmd_talbot(cfg, args) -> list:
     # the classical rows are read from the quantum table, so that the writer formats
     # those values once per file; each count is an array of its own, freed once its
     # blocks are written (the writer keeps the texts of the latest values only)
-    quantum, *conditional = talbot.symmetric_rows(j_max, distinct, ["quantum", *ells], grating)
+    quantum, *conditional = talbot.symmetric_rows(np.arange(-j_max, j_max + 1), distinct,
+                                                  ["quantum", *ells], grating)
     tables = [(v, "", quantum.ravel(), -1 if v == "classical" else 1)
               for v in ((args.variant,) if args.variant else talbot.VARIANTS)]
     tables += [("conditional", ell, rows.ravel(), 1) for ell, rows in zip(ells, conditional)]
@@ -314,12 +315,11 @@ def cmd_farfield(cfg, args) -> list:
         period_over_sep=get(cfg, "period_over_sep"),
         sigma_det=get(cfg, "sigma_det"),
         screen=np.linspace(-xmax, xmax, get(cfg, "screen_points")))
-    blocks = []
-    for variant in (args.variant,) if args.variant else ("quantum",):
-        for dens in farfield.farfield_densities(fc, _ell_list(args, grating) or [None], variant):
-            smooth = farfield.apply_detector_resolution(dens, fc.sigma_det)
-            blocks.append((variant, "sum" if dens.ell is None else dens.ell,
-                           dens.positions, dens.values, smooth.values))
+    variant, blocks = args.variant or "quantum", []
+    for dens in farfield.farfield_densities(fc, _ell_list(args, grating) or [None], variant):
+        smooth = farfield.apply_detector_resolution(dens, fc.sigma_det)
+        blocks.append((variant, "sum" if dens.ell is None else dens.ell,
+                       dens.positions, dens.values, smooth.values))
     meta = {"command": "farfield", "phi0": grating.phi0, "n0": grating.n0,
             "collimator_ratio": fc.collimator_ratio,
             "period_over_sep": fc.period_over_sep, "sigma_det": fc.sigma_det}

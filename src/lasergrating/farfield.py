@@ -206,7 +206,7 @@ def _screen_coefficients(config: FarFieldConfig, ells, variant: str):
     g = np.empty((len(ells), q.size))
     edge = 0.0
     for i, lo, hi in zip(range(0, distinct.size, step), starts, starts[1:]):
-        rows = np.stack(talbot.symmetric_rows(j_max, distinct[i:i + step], kinds, config.grating))
+        rows = np.stack(talbot.symmetric_rows(orders, distinct[i:i + step], kinds, config.grating))
         edge = max(edge, float(np.max(np.abs(rows[:, [0, -1]]))))
         for k in range(lo, hi, step):
             pts = by_value[k:min(k + step, hi)]

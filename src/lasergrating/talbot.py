@@ -10,6 +10,9 @@ pairs(orders, xi) -> B_{orders[k]}(xi[k]) for paired 1-D arrays:
 * `RankOneSource`: a rank-one kernel g(x) conj g(x'), such as the
   ground-state kernel of the Rabi model, from one FFT of its factor g.
 
+A table is one pairs call on np.repeat(orders, len(xi)) and
+np.tile(xi, len(orders)), reshaped to (len(orders), len(xi)).
+
 The closed forms are Fourier coefficients of
 exp(a e^{it} + b e^{-it} + c) P(t)^l / l! with real a, b, c (l = 0 but for
 the conditional form), never the textbook (ratio)^{j/2} J_j(sqrt(...))
@@ -27,7 +30,7 @@ B_j(xi + 2) = B_j(xi) and B_j(-xi) = B_{-j}(xi).  `fold_xi` maps every xi
 onto [0, 1] with exact arithmetic (fmod by 2, then 2 - r by Sterbenz) and
 records where j flips sign; the kernel runs once per distinct folded value
 (once per xi where the grating parameters are arrays).  `symmetric_rows`
-builds them all: a table of the orders -m..m per kind for the far field (on
+builds them all: a table of the given orders per kind for the far field (on
 its folded q) and the talbot command (on its xi grid), and for a `ClosedForm`
 pairs call only its pairs.  No digits of sin(pi xi) are lost at large xi.
 
@@ -75,31 +78,32 @@ def fold_xi(xi):
     return distinct, index, (xi < 0) ^ over
 
 
-def symmetric_rows(m, distinct, kinds, grating: GratingParameters, index=None) -> list:
-    """Closed-form B_j for j = -m..m at xi already folded onto [0, 1] (the
-    `distinct` of `fold_xi`), grating parameters broadcast against it: one
-    table of shape (2m + 1, len(distinct)) per entry of `kinds`, each
+def _check_kind(kind, kinds=KINDS):
+    """InvalidInputError unless `kind` is one of the strings `kinds` or an
+    absorption count, an integer >= 0 (so no fractional count is truncated)."""
+    if not (kind in kinds or (isinstance(kind, (int, np.integer)) and kind >= 0)):
+        raise InvalidInputError(f"unknown coefficient kind {kind!r} for this call")
+
+
+def symmetric_rows(orders, distinct, kinds, grating: GratingParameters, index=None) -> list:
+    """Closed-form B_j for every j of the 1-D `orders` at xi already folded onto
+    [0, 1] (the `distinct` of `fold_xi`), grating parameters broadcast against it:
+    one table of shape (len(orders), len(distinct)) per entry of `kinds`, each
     "quantum", "classical", "ladder" (the dynamical ladder kernel summed over
-    counts) or a count.  The two variants share one exp_fourier_rows call,
-    all counts one more, and "ladder" takes two.  Given a nondecreasing `index`
-    (the only form of "ladder"), m holds orders, each entry B_{m[k]}(distinct[index[k]])."""
+    counts) or a count.  Each variant takes one exp_fourier_rows call, all counts
+    one more, and "ladder" two.  Given a nondecreasing `index` (the only form of
+    "ladder"), each entry is the pair B_{orders[k]}(distinct[index[k]])."""
     for kind in kinds:
-        if isinstance(kind, str) and kind not in (KINDS if index is not None else VARIANTS):
-            raise InvalidInputError(f"unknown variant {kind!r} for this call")
-        if not isinstance(kind, str) and kind < 0:
-            raise InvalidInputError("absorption count must be >= 0")
+        _check_kind(kind, KINDS if index is not None else VARIANTS)
     za, zc, zap = zeta(distinct, grating)
-    orders = np.arange(-m, m + 1) if index is None else m
     tables = {}
-    if variants := [kind for kind in VARIANTS if kind in kinds]:
-        # exponent: i zc sin(t) + zap cos(t) - zap, real part <= 0; the classical variant
-        # flips zeta_coh, i.e. j -> -j: a table's rows reversed, a pair's order negated
-        for kind in variants if index is not None else ["quantum"]:
-            j = -orders if kind == "classical" else orders
-            tables[kind] = exp_fourier_rows(j, 0.5 * (zc + zap), 0.5 * (zap - zc), -zap,
+    for kind in VARIANTS:
+        if kind in kinds:
+            # exponent: i zc sin(t) + zap cos(t) - zap, real part <= 0; the classical
+            # variant flips zeta_coh, i.e. j -> -j
+            tables[kind] = exp_fourier_rows(-orders if kind == "classical" else orders,
+                                            0.5 * (zc + zap), 0.5 * (zap - zc), -zap,
                                             elements=index)
-        if index is None:
-            tables["classical"] = tables["quantum"][::-1]
     if "ladder" in kinds:
         tables["ladder"] = _ladder_rows(orders, distinct, grating, index)
     if counts := [kind for kind in kinds if not isinstance(kind, str)]:
@@ -109,43 +113,6 @@ def symmetric_rows(m, distinct, kinds, grating: GratingParameters, index=None) -
             orders, 0.5 * (zc - za), -0.5 * (zc + za), -0.5 * grating.n0,
             counts, za, 0.5 * grating.n0, elements=index)))
     return [tables[kind] for kind in kinds]
-
-
-def _folded(orders, xi, kinds, grating: GratingParameters) -> list:
-    """Closed-form B_j(xi) of each kind at `orders` broadcast against the 1-D
-    xi, from its distinct folded values (every folded xi where a grating parameter
-    is an array): an (n, len(xi)) table for an (n, 1) column, else one per pair."""
-    distinct, index, flip = fold_xi(xi)
-    if any(np.ndim(v) for v in (grating.phi0, grating.n0, grating.eta_p, grating.eta_a)):
-        distinct, index = distinct[index], np.arange(index.size)
-    rows, m = np.where(flip, -orders, orders), int(np.max(np.abs(orders), initial=0))
-    if rows.ndim == 1:  # pairs sorted by xi and put back; float keys reuse fold_xi's sort code
-        by_xi = np.argsort(index.astype(float))
-        values = symmetric_rows(rows[by_xi], distinct, kinds, grating, index[by_xi])
-        return [v[np.argsort(by_xi.astype(float))] for v in values]
-    return [table[rows + m, index] for table in symmetric_rows(m, distinct, kinds, grating)]
-
-
-def conditional_rows(orders, xi, ell, grating: GratingParameters) -> np.ndarray:
-    """B_j(xi; l) for every j in `orders` over a 1-D xi array: shape
-    (len(orders), len(xi)) for one count `ell`, (len(ell), len(orders),
-    len(xi)) for a sequence of counts.
-
-    The l = 0 photo-depletion integrand times P(t)^l / l!,
-    P(t) = za + (n0/2) cos t, which resums the recoil splittings; all counts
-    share one exp table.
-    """
-    rows = _folded(np.asarray(orders, int).reshape(-1, 1), xi, np.atleast_1d(ell).tolist(),
-                   grating)
-    return rows[0] if np.ndim(ell) == 0 else np.stack(rows)
-
-
-def unconditional_rows(orders, xi, grating: GratingParameters,
-                       variant: str = "quantum") -> np.ndarray:
-    """B_j(xi) for every j in `orders` over a 1-D xi array, shape
-    (len(orders), len(xi)), for the quantum or the classical random-walk
-    variant."""
-    return _folded(np.asarray(orders, int).reshape(-1, 1), xi, [variant], grating)[0]
 
 
 def _paired(orders, xi) -> np.ndarray:
@@ -166,13 +133,20 @@ class ClosedForm:
     kind: object = "quantum"
 
     def __post_init__(self):
-        if not (self.kind in KINDS
-                or (isinstance(self.kind, (int, np.integer)) and self.kind >= 0)):
-            raise InvalidInputError(f"cannot resolve coefficient source {self.kind!r}")
+        _check_kind(self.kind)
 
     def pairs(self, orders, xi) -> np.ndarray:
-        """B_{orders[k]}(xi[k]) for paired 1-D arrays."""
-        return _folded(_paired(orders, xi), xi, [self.kind], self.grating)[0]
+        """B_{orders[k]}(xi[k]) for paired 1-D arrays, from the distinct folded xi
+        (every folded xi where a grating parameter is an array)."""
+        orders, g = _paired(orders, xi), self.grating
+        distinct, index, flip = fold_xi(xi)
+        if any(np.ndim(v) for v in (g.phi0, g.n0, g.eta_p, g.eta_a)):
+            distinct, index = distinct[index], np.arange(index.size)
+        # pairs sorted by xi and put back; float keys reuse fold_xi's sort code
+        by_xi = np.argsort(index.astype(float))
+        values = symmetric_rows(np.where(flip, -orders, orders)[by_xi], distinct, [self.kind],
+                                g, index[by_xi])[0]
+        return values[np.argsort(by_xi.astype(float))]
 
 
 def _ladder_rows(orders, r, g: GratingParameters, index) -> np.ndarray:

@@ -9,7 +9,7 @@ named after it:
 * `KernelSource`, `b_numeric_oracle`: Talbot coefficients as the numeric
   Fourier coefficients of sampled kernel lines K(u - xi/2, u + xi/2), one FFT
   per distinct line; against the closed forms of `talbot` (`ClosedForm`,
-  `RankOneSource`, `conditional_rows`, `unconditional_rows`).
+  `RankOneSource`; whole tables of `ClosedForm` through coefficients.py).
 * `TwoPointKernel`, `channel`, `kernel_source`: a kernel K_l(x, x') with
   pair_values, one absorption count of it, and its sampled source.
 * `SummedLadderKernel`: the ladder kernel summed over every absorption count

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
+from coefficients import coefficient_table
 from lasergrating import dynamics, farfield, nearfield, rabi, talbot
 from lasergrating.cli import main as cli_main
 from lasergrating.grating import MeasurementProfile, m_ell
@@ -44,7 +45,7 @@ class criterion:
 def test_criterion_01_transmission_weights():
     with criterion(1, "conditional transmission weights 64/24/8/4 % at n0 = 1"):
         t0 = time.perf_counter()
-        weights = talbot.conditional_rows([0], [0.0], range(3), G1)[:, 0, 0]
+        weights = coefficient_table([0], [0.0], G1, range(3))[:, 0, 0]
         assert weights[0] == pytest.approx(0.64, abs=0.01)
         assert weights[1] == pytest.approx(0.24, abs=0.01)
         assert weights[2] == pytest.approx(0.08, abs=0.01)
@@ -58,8 +59,8 @@ def test_criterion_02_conditional_visibility_window():
         lts = np.linspace(0.005, 2.0, 800)
         best = 0.0
         ells = (0, 1, 2)
-        b2 = talbot.conditional_rows([2], lts, ells, G1)[:, 0]
-        b0 = talbot.conditional_rows([0], [0.0], ells, G1)[:, 0, 0]
+        b2 = coefficient_table([2], lts, G1, ells)[:, 0]
+        b0 = coefficient_table([0], [0.0], G1, ells)[:, 0, 0]
         for ell in ells:
             vis = np.abs(2.0 * float(np.sinc(F42)) ** 2 * b2[ell] / b0[ell])
             best = max(best, float(np.max(vis)))
@@ -68,7 +69,7 @@ def test_criterion_02_conditional_visibility_window():
 
 
 def _vis(grating, lts, variant):
-    b2 = talbot.unconditional_rows([2], lts, grating, variant)[0]
+    b2 = coefficient_table([2], lts, grating, variant)[0]
     return 2.0 * float(np.sinc(F42)) ** 2 * b2
 
 
@@ -102,8 +103,8 @@ def test_criterion_05_talbot_oracle_triangle():
             j = int(rng.integers(-6, 7))
             xi = rng.uniform(0.0, 2.0)
             ell_max = oracles.poisson_kernel(g).channels[-1]
-            closed = talbot.unconditional_rows([j], [xi], g)[0, 0]
-            summed = talbot.conditional_rows([j], [xi], range(ell_max + 1), g)[:, 0, 0].sum()
+            closed = coefficient_table([j], [xi], g)[0, 0]
+            summed = coefficient_table([j], [xi], g, range(ell_max + 1))[:, 0, 0].sum()
             oracle = oracles.b_numeric_oracle(j, xi, oracles.poisson_kernel(g), n_points=1024)
             assert abs(closed - summed) < 1e-7
             assert abs(summed - oracle) < 1e-7

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from coefficients import coefficient_table
 from csvio import read_csv
 from oracles import (KernelSource, SummedLadderKernel, TwoPointKernel, b_numeric_oracle,
                      channel, kernel_source, ladder_ode_solve, poisson_kernel,
@@ -227,11 +228,11 @@ def test_poisson_kernel_coefficients_match_closed_form():
     for ell in (0, 1, 2):
         for (j, xi) in ((0, 0.0), (2, 0.5), (-3, 1.3)):
             num = b_numeric_oracle(j, xi, channel(kern, ell))
-            ref = talbot.conditional_rows([j], [xi], ell, G1)[0, 0]
+            ref = coefficient_table([j], [xi], G1, ell)[0, 0]
             assert num == pytest.approx(ref, abs=1e-8)
     # channel-summed kernel reproduces the unconditional coefficients
     num = b_numeric_oracle(2, 0.7, kern)
-    assert num == pytest.approx(talbot.unconditional_rows([2], [0.7], G1)[0, 0], abs=1e-8)
+    assert num == pytest.approx(coefficient_table([2], [0.7], G1)[0, 0], abs=1e-8)
 
 
 def test_identity_kernel_gives_delta():
@@ -275,11 +276,11 @@ def test_kernel_source_one_line_per_unique_xi():
     tab = src.rows([2, 0], [0.5, 0.0, 0.5])
     assert pairs == [2 * 512]          # two unique lines, one kernel call
     assert tab[0, 0] == tab[0, 2]
-    assert tab[0, 0] == pytest.approx(talbot.unconditional_rows([2], [0.5], G1)[0, 0], abs=1e-8)
+    assert tab[0, 0] == pytest.approx(coefficient_table([2], [0.5], G1)[0, 0], abs=1e-8)
     child = kernel_source(analytic_kernel(G1, ell_max=10), 0)
     assert child.label.endswith("ell=0")
     assert child.rows([0], [0.0])[0, 0] == pytest.approx(
-        talbot.conditional_rows([0], [0.0], 0, G1)[0, 0], abs=1e-10)
+        coefficient_table([0], [0.0], G1, 0)[0, 0], abs=1e-10)
 
 
 def test_kernel_line_csv(tmp_path):

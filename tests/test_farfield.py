@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from coefficients import coefficient_table
 from oracles import (PhaseSpaceState, collimation_transform, farfield_kirchhoff,
                      plane_wave_pipeline)
 from lasergrating.errors import InvalidInputError, ResolutionError
@@ -16,7 +17,7 @@ from lasergrating.farfield import (ALIAS_MARGIN, FarFieldConfig, ScreenDensity,
                                    apply_detector_resolution, farfield_densities)
 from lasergrating.grating import MeasurementProfile, poisson_ell_max
 from lasergrating.params import GratingParameters
-from lasergrating.talbot import ClosedForm, conditional_rows, fold_xi, unconditional_rows
+from lasergrating.talbot import ClosedForm, fold_xi
 
 FIG4 = GratingParameters(phi0=2.5, n0=2.0)
 FRAUNHOFER = 1e-20  # d/Dx at which 2 q d/Dx is below half an ulp of every nonzero order
@@ -371,7 +372,7 @@ def test_non_dyadic_collimator_matches_per_q_rows():
     assert fold_xi(q)[0].size >= q.size // 2
     orders = np.arange(-config.order_cutoff(), config.order_cutoff() + 1)
     sine = _sine_factor(orders, q, config.collimator_ratio, config.period_over_sep)
-    rows = [unconditional_rows(orders, q, FIG4), *conditional_rows(orders, q, [0, 2], FIG4)]
+    rows = [coefficient_table(orders, q, FIG4), *coefficient_table(orders, q, FIG4, [0, 2])]
     wts = np.full(q.size, q[1] - q[0])
     wts[0] = wts[-1] = 0.5 * (q[1] - q[0])
     for ck, r in zip(c, rows):
@@ -382,6 +383,14 @@ def alias_bound(config):
     """Largest |x| the alias guard admits."""
     return (config.q_points_per_unit - 0.5 * config.order_cutoff()
             - config.collimator_ratio * config.period_over_sep - ALIAS_MARGIN)
+
+
+@pytest.mark.parametrize("ells", [[1.5], [None, 2.0], [-1]])
+def test_count_that_is_not_an_integer_is_invalid(ells):
+    """A fractional count was truncated: [1.5] gave the count-1 density
+    labelled ell = 1.5.  Any count but an integer >= 0 now raises."""
+    with pytest.raises(InvalidInputError):
+        farfield_densities(fig4_config(), ells)
 
 
 def test_alias_guard_rejects_screen_near_period():

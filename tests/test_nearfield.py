@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from coefficients import coefficient_table
 from oracles import mean_transmission_closed
 from lasergrating.errors import CutoffError, InvalidInputError
 from lasergrating.nearfield import KdtliConfig, kdtli_signal, sinusoidal_visibility
 from lasergrating.params import GratingParameters
-from lasergrating.talbot import ClosedForm, conditional_rows
+from lasergrating.talbot import ClosedForm
 
 G = GratingParameters(phi0=math.pi, n0=1.0)
 F = 0.42
@@ -45,7 +46,7 @@ def test_conditional_signals_sum_to_unconditional():
 
 def mean_transmission(grating, ells, open_fraction):
     """Mean conditional signals f^2 B_0(0; l), one per count in `ells`."""
-    return open_fraction**2 * conditional_rows([0], [0.0], ells, grating)[:, 0, 0]
+    return open_fraction**2 * coefficient_table([0], [0.0], grating, ells)[:, 0, 0]
 
 
 def test_transmission_weights_64_24_8():

@@ -15,7 +15,6 @@ from lasergrating import output, talbot
 from lasergrating.cli import main
 from lasergrating.grating import poisson_ell_max
 from lasergrating.params import GratingParameters
-from lasergrating.talbot import conditional_rows, unconditional_rows
 
 # ---------------------------------------------------------------------------
 # oracle: the row-wise writers, verbatim
@@ -375,7 +374,9 @@ TALBOT_COLUMNS = ["variant", "ell", "j", "xi", "re", "im"]
 @pytest.mark.parametrize("xi_points", [1, 7, 8, 256])
 def test_talbot_command_matches_independent_table(xi_points, j_max, flags, tmp_path):
     """The talbot files, byte for byte, against the row-wise writers over
-    the tables of unconditional_rows/conditional_rows.
+    the tables of talbot.symmetric_rows, all counts from one call as the
+    command makes it (a call per count differs in the last bits, because
+    the spectral size grows with the largest count), gathered at every xi.
 
     For even xi_points, B_j(xi) = B_{-j}(2 - xi) puts (j, xi_k) and
     (-j, xi_{n-k}) on one cell of the folded table, so their texts are the
@@ -391,11 +392,12 @@ def test_talbot_command_matches_independent_table(xi_points, j_max, flags, tmp_p
     variant = flags[1] if flags[0] == "--variant" else None
     ells = {None: [], "2": [2], "all": list(range(poisson_ell_max(g) + 1))}[
         flags[1] if flags[0] == "--ell" else None]
-    tables = [(v, "", unconditional_rows(orders, xi, g, v))
-              for v in ([variant] if variant else talbot.VARIANTS)]
-    if ells:
-        tables += [("conditional", ell, tab)
-                   for ell, tab in zip(ells, conditional_rows(orders, xi, ells, g))]
+    variants = [variant] if variant else list(talbot.VARIANTS)
+    distinct, index, flip = talbot.fold_xi(xi)
+    gathered = [tab[np.where(flip, -orders[:, None], orders[:, None]) + j_max, index]
+                for tab in talbot.symmetric_rows(orders, distinct, variants + ells, g)]
+    tables = [(kind, "", tab) for kind, tab in zip(variants, gathered)]
+    tables += [("conditional", ell, tab) for ell, tab in zip(ells, gathered[len(variants):])]
     rows = [(label, ell, j, x, b, 0.0) for label, ell, tab in tables
             for j, row in zip(orders.tolist(), tab) for x, b in zip(xi, row)]
     meta = {"command": "talbot", "phi0": g.phi0, "n0": g.n0, "j_max": j_max}

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coefficients import coefficient_table
 from csvio import read_csv
 from oracles import KernelSource, SummedLadderKernel, b_numeric_oracle, channel, poisson_kernel
 from lasergrating.cli import main
@@ -18,8 +19,7 @@ from lasergrating import farfield, specfun, talbot
 from lasergrating.output import write_csv
 from lasergrating.params import GratingParameters
 from lasergrating.specfun import exp_fourier_rows
-from lasergrating.talbot import (ClosedForm, RankOneSource, conditional_rows, fold_xi,
-                                 unconditional_rows, zeta)
+from lasergrating.talbot import ClosedForm, RankOneSource, fold_xi, zeta
 
 mpmath.mp.dps = 30
 
@@ -52,14 +52,14 @@ def test_zeta_golden():
 def test_conditional_no_grating_is_delta():
     g0 = GratingParameters(phi0=0.0, n0=0.0)
     orders = np.arange(-4, 5)
-    vals = conditional_rows(orders, [0.63], 0, g0)[:, 0]
+    vals = coefficient_table(orders, [0.63], g0, 0)[:, 0]
     assert vals == pytest.approx((orders == 0).astype(float), abs=1e-15)
 
 
 def test_conditional_b00_value():
     # B_0(0; 0) = e^{-n0/2} I_0(n0/2); cross-checked by the mean of e^{-n(x)}
     ref = float(mpmath.exp(-0.5) * mpmath.besseli(0, 0.5))
-    b00 = conditional_rows([0], [0.0], 0, G)[0, 0]
+    b00 = coefficient_table([0], [0.0], G, 0)[0, 0]
     assert b00 == pytest.approx(ref, rel=1e-12)
     x = np.arange(4096) / 4096
     avg = np.mean(np.exp(-np.cos(np.pi * x) ** 2))
@@ -68,7 +68,7 @@ def test_conditional_b00_value():
 
 def test_conditional_matches_numeric_oracle_matrix():
     orders, xis, ells = range(-6, 7), (0.0, 0.25, 0.5, 1.3), (0, 1, 2)
-    table = conditional_rows(orders, xis, ells, G)
+    table = coefficient_table(orders, xis, G, ells)
     for ij, j in enumerate(orders):
         for ix, xi in enumerate(xis):
             for ell in ells:
@@ -79,7 +79,7 @@ def test_conditional_matches_numeric_oracle_matrix():
 
 def test_conditional_example_b2():
     oracle = b_numeric_oracle(2, 0.5, MeasurementProfile(G, 1), n_points=2048)
-    assert conditional_rows([2], [0.5], 1, G)[0, 0] == pytest.approx(oracle, abs=1e-10)
+    assert coefficient_table([2], [0.5], G, 1)[0, 0] == pytest.approx(oracle, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -88,20 +88,24 @@ def test_conditional_example_b2():
 
 def test_unconditional_delta_at_zero_argument():
     orders = np.arange(-3, 4)
-    vals = unconditional_rows(orders, [0.0], G)[:, 0]
+    vals = coefficient_table(orders, [0.0], G)[:, 0]
     assert vals == pytest.approx((orders == 0).astype(float), abs=1e-15)
 
 
 def test_classical_is_quantum_mirrored():
     orders, xi = np.array([-3, -1, 0, 2, 5]), [0.13, 0.77, 1.45]
-    cls = unconditional_rows(orders, xi, G, "classical")
-    qnt = unconditional_rows(-orders, xi, G, "quantum")
+    cls = coefficient_table(orders, xi, G, "classical")
+    qnt = coefficient_table(-orders, xi, G, "quantum")
     assert cls == pytest.approx(qnt, abs=1e-14)
+    # a classical table is the quantum one reversed in j, bit for bit
+    classical, quantum = talbot.symmetric_rows(np.arange(-6, 7), fold_xi(xi)[0],
+                                               ["classical", "quantum"], G)
+    assert classical.tobytes() == quantum[::-1].tobytes()
 
 
 def test_conditional_sum_rule_single_point():
-    total = conditional_rows([2], [0.7], range(26), G)[:, 0, 0].sum()
-    assert total == pytest.approx(unconditional_rows([2], [0.7], G)[0, 0], abs=1e-8)
+    total = coefficient_table([2], [0.7], G, range(26))[:, 0, 0].sum()
+    assert total == pytest.approx(coefficient_table([2], [0.7], G)[0, 0], abs=1e-8)
 
 
 def test_conditional_sum_rule_random_sample():
@@ -112,15 +116,15 @@ def test_conditional_sum_rule_random_sample():
         g = GratingParameters(phi0=phi0, n0=n0)
         j = int(rng.integers(-4, 5))
         xi = rng.uniform(0.0, 2.0)
-        total = conditional_rows([j], [xi], range(40), g)[:, 0, 0].sum()
-        assert total == pytest.approx(unconditional_rows([j], [xi], g)[0, 0], abs=1e-7)
+        total = coefficient_table([j], [xi], g, range(40))[:, 0, 0].sum()
+        assert total == pytest.approx(coefficient_table([j], [xi], g)[0, 0], abs=1e-7)
 
 
 def test_periodicity():
     xi = np.array([0.21, 0.9, 1.55])
     for variant in ("quantum", "classical"):
-        a = unconditional_rows([0, 1, 3], xi, G, variant)
-        b = unconditional_rows([0, 1, 3], xi + 2.0, G, variant)
+        a = coefficient_table([0, 1, 3], xi, G, variant)
+        b = coefficient_table([0, 1, 3], xi + 2.0, G, variant)
         assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -128,18 +132,18 @@ def test_periodicity_pure_phase():
     """For n0 = 0 the shift xi -> xi + 1 maps B_j to (-1)^j B_j, so even
     orders (the only ones entering the fringe signal) are 1-periodic."""
     g0 = GratingParameters(phi0=math.pi, n0=0.0)
-    a, b = unconditional_rows([-4, -2, 0, 2, 6], [0.33, 1.33], g0).T
+    a, b = coefficient_table([-4, -2, 0, 2, 6], [0.33, 1.33], g0).T
     assert a == pytest.approx(b, abs=1e-10)
-    a, b = unconditional_rows([-3, 1, 5], [0.33, 1.33], g0).T
+    a, b = coefficient_table([-3, 1, 5], [0.33, 1.33], g0).T
     assert b == pytest.approx(-a, abs=1e-10)
 
 
 def test_reflection_identity():
     orders, xi = np.array([-3, -1, 0, 2, 4]), np.array([0.18, 0.6, 1.7])
-    assert unconditional_rows(orders, -xi, G) == pytest.approx(
-        unconditional_rows(-orders, xi, G), abs=1e-13)
-    assert conditional_rows(orders, -xi, 1, G) == pytest.approx(
-        conditional_rows(-orders, xi, 1, G), abs=1e-13)
+    assert coefficient_table(orders, -xi, G) == pytest.approx(
+        coefficient_table(-orders, xi, G), abs=1e-13)
+    assert coefficient_table(orders, -xi, G, 1) == pytest.approx(
+        coefficient_table(-orders, xi, G, 1), abs=1e-13)
 
 
 @given(st.floats(min_value=0.0, max_value=2.0),
@@ -150,12 +154,12 @@ def test_variants_degenerate_without_phase_or_absorption(xi, j):
     the mirror map sends B_j to (-1)^j B_j, so the variants coincide on the
     even orders - which are the only ones entering observable signals."""
     ga = GratingParameters(phi0=0.0, n0=1.3)
-    q = unconditional_rows([j], [xi], ga, "quantum")[0, 0]
-    c = unconditional_rows([j], [xi], ga, "classical")[0, 0]
+    q = coefficient_table([j], [xi], ga, "quantum")[0, 0]
+    c = coefficient_table([j], [xi], ga, "classical")[0, 0]
     assert q == pytest.approx(c, abs=1e-12)
     gp = GratingParameters(phi0=2.1, n0=0.0)
-    q = unconditional_rows([2 * j], [xi], gp, "quantum")[0, 0]
-    c = unconditional_rows([2 * j], [xi], gp, "classical")[0, 0]
+    q = coefficient_table([2 * j], [xi], gp, "quantum")[0, 0]
+    c = coefficient_table([2 * j], [xi], gp, "classical")[0, 0]
     assert q == pytest.approx(c, abs=1e-12)
 
 
@@ -214,7 +218,7 @@ def test_table_hermiticity_and_reality():
     table is real and satisfies B_{-j}(2 - xi) = conj(B_j(xi))."""
     xi = np.linspace(0.0, 2.0, 64, endpoint=False)
     orders = list(range(-6, 7))
-    quantum = unconditional_rows(orders, xi, G)
+    quantum = coefficient_table(orders, xi, G)
     assert np.max(np.abs(quantum.imag)) < 1e-12
     for ij, j in enumerate(orders):
         im = orders.index(-j)
@@ -226,9 +230,9 @@ def test_table_hermiticity_and_reality():
 def test_table_csv_round_trip(tmp_path):
     xi = np.linspace(0.0, 2.0, 8, endpoint=False)
     orders = np.arange(-2, 3)
-    tables = [(v, "", unconditional_rows(orders, xi, G, v)) for v in talbot.VARIANTS]
+    tables = [(v, "", coefficient_table(orders, xi, G, v)) for v in talbot.VARIANTS]
     tables += [("conditional", ell, tab)
-               for ell, tab in zip((0, 1), conditional_rows(orders, xi, (0, 1), G))]
+               for ell, tab in zip((0, 1), coefficient_table(orders, xi, G, (0, 1)))]
     path = tmp_path / "coeffs.csv"
     write_csv(path, {}, ["variant", "ell", "j", "xi", "re", "im"],
               [(label, ell, j, xi, row, 0.0) for label, ell, tab in tables
@@ -237,7 +241,7 @@ def test_table_csv_round_trip(tmp_path):
     assert columns == ["variant", "ell", "j", "xi", "re", "im"]
     # one row per (variant/ell, j, xi)
     assert len(rows) == (2 + 2) * 5 * 8
-    want = conditional_rows([1], [xi[3]], 1, G)[0, 0]
+    want = coefficient_table([1], [xi[3]], G, 1)[0, 0]
     got = [r for r in rows if r[0] == "conditional" and r[1] == 1 and r[2] == 1
            and abs(r[3] - xi[3]) < 1e-12]
     assert len(got) == 1
@@ -251,13 +255,15 @@ def test_sources():
     o, x = o.ravel(), x.ravel()
     src = ClosedForm(G, "classical")
     for j, xi, b in zip(o, x, src.pairs(o, x)):
-        assert b == pytest.approx(unconditional_rows([j], [xi], G, "classical")[0, 0])
+        assert b == pytest.approx(coefficient_table([j], [xi], G, "classical")[0, 0])
     csrc = ClosedForm(G, 1)
     for j, xi, b in zip(o, x, csrc.pairs(o, x)):
-        assert b == pytest.approx(conditional_rows([j], [xi], 1, G)[0, 0])
-    for bad in ("bogus", -1, None):
+        assert b == pytest.approx(coefficient_table([j], [xi], G, 1)[0, 0])
+    for bad in ("bogus", -1, None, 1.5, 2.0):
         with pytest.raises(InvalidInputError):
             ClosedForm(G, bad)
+        with pytest.raises(InvalidInputError):
+            talbot.symmetric_rows(np.arange(-2, 3), np.array([0.3]), [bad], G)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +283,10 @@ def test_closed_forms_match_oracle_at_large_phi0(phi0):
     channels = poisson_kernel(g, ell_max=2)
     xi = np.array([0.13, 0.77, 1.54])
     orders = np.arange(-140, 141, 10)
-    cases = [(unconditional_rows(orders, xi, g, "quantum"), summed),
-             (unconditional_rows(orders, xi, g, "classical"), mirror),
-             (conditional_rows(orders, xi, 0, g), channel(channels, 0)),
-             (conditional_rows(orders, xi, 2, g), channel(channels, 2))]
+    cases = [(coefficient_table(orders, xi, g, "quantum"), summed),
+             (coefficient_table(orders, xi, g, "classical"), mirror),
+             (coefficient_table(orders, xi, g, 0), channel(channels, 0)),
+             (coefficient_table(orders, xi, g, 2), channel(channels, 2))]
     for tab, oracle in cases:
         for ix, x in enumerate(xi):
             ref = np.array([b_numeric_oracle(j, x, oracle, 4096) for j in orders])
@@ -290,9 +296,9 @@ def test_closed_forms_match_oracle_at_large_phi0(phi0):
 def test_spectral_size_above_cap_raises():
     g = GratingParameters(phi0=1e5, n0=1.0)
     with pytest.raises(CutoffError):
-        unconditional_rows([0, 2], [0.5], g)
+        coefficient_table([0, 2], [0.5], g)
     with pytest.raises(CutoffError):
-        conditional_rows([0], [0.5], 1, g)
+        coefficient_table([0], [0.5], g, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -338,22 +344,25 @@ def test_conditional_rows_vs_mpmath_at_n0_20(phi0, xi):
     orders = np.arange(-20, 21)
     ells = list(range(poisson_ell_max(g) + 1))
     assert ells[-1] == 54
-    got = conditional_rows(orders, [xi], ells, g)[:, :, 0]
+    got = coefficient_table(orders, [xi], g, ells)[:, :, 0]
     ref = mp_conditional_rows(orders, xi, ells, g)
     assert np.max(np.abs(got - ref)) < 1e-13
 
 
 def test_batched_counts_match_single_counts():
+    """The table route takes all counts from one spectrum per xi, as the far
+    field and the talbot command ask for them; each count agrees with a
+    pairs call of its own."""
     g = GratingParameters(phi0=7.0, n0=12.0)
     orders = np.arange(-30, 31)
-    xi = np.linspace(0.0, 2.0, 37)
+    xi = np.linspace(0.0, 1.0, 19)
     ells = range(poisson_ell_max(g) + 1)
-    batched = conditional_rows(orders, xi, ells, g)
+    batched = np.stack(talbot.symmetric_rows(orders, xi, ells, g))
     assert batched.shape == (len(ells), orders.size, xi.size)
     for ell in ells:
-        assert np.max(np.abs(batched[ell] - conditional_rows(orders, xi, ell, g))) <= 1e-15
+        assert np.max(np.abs(batched[ell] - coefficient_table(orders, xi, g, ell))) <= 1e-15
     # counts in any order, repeated
-    picked = conditional_rows(orders, xi, [5, 0, 5], g)
+    picked = np.stack(talbot.symmetric_rows(orders, xi, [5, 0, 5], g))
     assert np.max(np.abs(picked - batched[[5, 0, 5]])) <= 1e-15
 
 
@@ -412,8 +421,7 @@ def test_folded_rows_match_direct_evaluation(phi0, n0, orders, kind, xi):
     at every raw xi (exact trigonometry), whatever the order set, sign or
     size of xi."""
     g = GratingParameters(phi0=phi0, n0=n0)
-    got = (unconditional_rows(orders, xi, g, kind) if isinstance(kind, str)
-           else conditional_rows(orders, xi, kind, g))
+    got = coefficient_table(orders, xi, g, kind)
     ref = direct_rows(orders, xi, kind, g)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-15
@@ -433,7 +441,7 @@ def test_fold_xi_is_exact():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_xi_is_domain_error(bad, recwarn):
     with pytest.raises(DomainError):
-        unconditional_rows([0, 2], [0.5, bad], G)
+        coefficient_table([0, 2], [0.5, bad], G)
     assert not recwarn.list
 
 
@@ -601,7 +609,7 @@ def test_pairs_equal_gathered_tables(kind, grating):
     if np.ndim(grating.phi0):
         distinct, index = distinct[index], np.arange(index.size)
     table = _ladder_table(M, distinct, grating) if kind == "ladder" else \
-        talbot.symmetric_rows(M, distinct, [kind], grating)[0]
+        talbot.symmetric_rows(np.arange(-M, M + 1), distinct, [kind], grating)[0]
     want = table[np.where(flip, -orders, orders) + M, index]
     assert ClosedForm(grating, kind).pairs(orders, xi).tobytes() == want.tobytes()
 
@@ -618,7 +626,7 @@ def test_pairs_raise_the_aliasing_tail_where_tables_do(monkeypatch):
         for kind in ("quantum", "classical", 1, "ladder"):
             raised = []
             table = _ladder_table if kind == "ladder" else \
-                lambda m, r, g: talbot.symmetric_rows(m, r, [kind], g)
+                lambda m, r, g: talbot.symmetric_rows(np.arange(-m, m + 1), r, [kind], g)
             for call in (lambda: ClosedForm(g, kind).pairs(orders, xi),
                          lambda: table(6, fold_xi(xi)[0], g)):
                 try:
@@ -671,6 +679,4 @@ def test_pairs_huge_order_is_cutoff_before_allocation(kind):
 def test_ladder_has_no_table():
     """The summed ladder is asked for by pairs only."""
     with pytest.raises(InvalidInputError):
-        unconditional_rows([0, 2], [0.3], G, "ladder")
-    with pytest.raises(InvalidInputError):
-        talbot.symmetric_rows(2, np.array([0.3]), ["ladder"], G)
+        talbot.symmetric_rows(np.arange(-2, 3), np.array([0.3]), ["ladder"], G)
