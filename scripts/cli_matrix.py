@@ -14,11 +14,12 @@ files to OUT/NAME/ and its record (argv, exit code, stdout, stderr) to
 OUT/NAME.json.  A call named exit-2-* must exit 2, exit-3-* 3 and any other
 0; the script exits 1, naming each call that did not, after running them all.
 
-The matrix covers every command and figure in CSV and JSON, sweeps,
-`--ell all`, `--variant`, `--jobs`, talbot blocks that span several pieces
-of the writers, runs that exit 2, and runs that exit 3 before or after some of
-their numbers are ready.  To compare two trees, run this script from each
-tree and apply `diff -r` to the two OUT folders.
+The matrix covers every command and figure in CSV and JSON, sweeps, a
+ladder kernel at eta != 1, `--ell all`, `--variant`, `--jobs`, talbot
+blocks that span several pieces of the writers, runs that exit 2, and runs
+that exit 3 before or after some of their numbers are ready.  To compare
+two trees, run this script from each tree and apply `diff -r` to the two
+OUT folders.
 
 `summary(OUT)` reduces a run to one record per call: its argv, exit code,
 stdout and stderr, the SHA-256 of every file it wrote and, for each CSV,
@@ -58,6 +59,9 @@ CONFIGS = {
     "farfield.cfg": "[grating]\nphi0 = 2.5\nn0 = 2.0\n\n[farfield]\nscreen_max = 2.0\n"
                     "screen_points = 401\n",
     "ladder.cfg": GRATING + "\n" + KDTLI + "\n[ladder]\nenvelope = gaussian\nkernel_xi = 0.3\n",
+    # eta != 1 puts z != 0 into the Gauss-Legendre rule of the ladder kernel
+    "ladder_eta.cfg": GRATING + "eta_p = 1.3\neta_a = 1.7\n\n[ladder]\nenvelope = gaussian\n"
+                      "kernel_xi = 0.3\n",
     "rabi.cfg": RABI + "\n[interferometer]\ntalbot_parameter = 2.0\nopen_fraction = 0.1\n",
     "rabi_profile.cfg": RABI,
     "bad_key.cfg": GRATING + "phi_0 = 7\n\n" + KDTLI,
@@ -107,6 +111,7 @@ CALLS = {
     "farfield-classical-sum": ["farfield", "--config", "farfield.cfg", "--variant",
                                "classical", "--ell", "sum"],
     "ladder": ["ladder", "--config", "ladder.cfg"],
+    "ladder-eta": ["ladder", "--config", "ladder_eta.cfg"],
     "ladder-sweep": ["ladder", "--config", "ladder.cfg", *SWEEP],
     "ladder-sweep-json": ["ladder", "--config", "ladder.cfg", *SWEEP, "--format", "json"],
     "rabi": ["rabi", "--config", "rabi.cfg"],

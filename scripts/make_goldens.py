@@ -23,8 +23,9 @@ deviation exceeds LISTED_REL (a physics change rather than round-off,
 unless justified against a reference) is then listed with its file, row key
 (the cells left of it, by column name), old value and new value.
 
-The bytes do not depend on the BLAS thread count, but they are tied to the
-numpy/OpenBLAS build that made them; CHANGES.md records that build.
+No route calls BLAS, so the bytes depend neither on the OpenBLAS kernel nor
+on its thread count, but they are tied to the numpy build that made them and
+to the SIMD level numpy dispatches to on the CPU; CHANGES.md records both.
 """
 
 import json

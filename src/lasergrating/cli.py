@@ -329,7 +329,8 @@ def cmd_farfield(cfg, args) -> list:
 
 def cmd_ladder(cfg, args) -> list:
     """Closed-form ladder kernel line and visibility sweep.  `[ladder] envelope`
-    is validated and written to the metadata but does not change the kernel."""
+    is validated and written to the metadata but does not change the kernel.
+    The line calls no BLAS routine, so no OpenBLAS kernel is paged in."""
     from . import nearfield, talbot, dynamics  # noqa: F401 (compiled before the kernel line)
     grating = grating_from_config(cfg)
     envelope, xi = get(cfg, "envelope"), get(cfg, "kernel_xi")

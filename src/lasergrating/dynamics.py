@@ -6,9 +6,10 @@ the internal ladder.  A does not depend on t and both envelopes integrate to
 one, so the kernel K_l(x, x') = [exp(A) y0]_l is the same closed form
 (confluent hypergeometric, ladder_analytic) for either envelope; it is the
 production route of the `ladder_kernel` lines.  Its channels stop at the
-Poisson cutoff ell_max and come from one Gauss-Legendre product
-(specfun.hyp1f1_ladder_quad).  Summed over every absorption count the kernel
-is M_0(x) conj M_0(x') [1 + y (e^w - 1) / w], y = n0 c c',
+Poisson cutoff ell_max and come from one Gauss-Legendre rule summed node by
+node in numpy (specfun.hyp1f1_ladder_quad), so no BLAS kernel touches them.
+Summed over every absorption count the kernel is
+M_0(x) conj M_0(x') [1 + y (e^w - 1) / w], y = n0 c c',
 w = i (eta_p - 1) dphi - (eta_a - 1) nbar + eta_a y (DLMF 13.4.1); ladder
 visibilities take its Talbot coefficients in closed form (the "ladder" kind
 of talbot.ClosedForm).  The adaptive ODE of either envelope, the

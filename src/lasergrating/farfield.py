@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -134,16 +133,28 @@ def _is_uniform(v: np.ndarray) -> bool:
     return bool(np.max(np.abs(v - grid)) <= 8 * np.finfo(float).eps * np.max(np.abs(v)))
 
 
-def _turns(coef: Fraction, n: np.ndarray) -> np.ndarray:
-    """A value of order one congruent to coef * n modulo 1, for integer n.
+def _exact(lo: float, hi: float) -> tuple[int, int, int]:
+    """(hi + lo) u, (hi - lo) u and u as Python ints, u the common
+    denominator of the two floats (a power of two)."""
+    (a, b), (c, d) = float(lo).as_integer_ratio(), float(hi).as_integer_ratio()
+    u = math.lcm(b, d)
+    a, c = a * (u // b), c * (u // d)
+    return c + a, c - a, u
 
-    coef is split into a 21-bit head, whose product with |n| < 2**32 is
+
+def _turns(num: int, den: int, n: np.ndarray) -> np.ndarray:
+    """A value of order one congruent to (num / den) n modulo 1, for integer n
+    and Python ints num and den > 0.
+
+    num / den is split into a 21-bit head, whose product with |n| < 2**32 is
     exact in double precision and is reduced exactly, and a small tail, so
-    the phase 2 pi coef n carries the round-off of its reduced size, not of
-    its full size."""
-    m, e = math.frexp(float(coef))
+    the phase 2 pi (num / den) n carries the round-off of its reduced size,
+    not of its full size.  An int / int division is correctly rounded, so
+    both parts are the nearest doubles to their exact values."""
+    m, e = math.frexp(num / den)
     head = math.ldexp(round(math.ldexp(m, 20)), e - 20)
-    tail = float(coef - Fraction(head))
+    h, k = head.as_integer_ratio()
+    tail = (num * k - h * den) / (den * k)
     n = np.asarray(n, float)
     v = head * n
     v -= np.round(v)
@@ -160,27 +171,28 @@ def _screen_transform(x: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray
     m k = (m^2 + k^2 - (m - k)^2)/2 makes the sum over k a convolution with
     the chirp e^{-i pi dx dq n^2}, taken by FFT.  Centring keeps the largest
     chirp phase 4 times smaller than counting from the grid ends, and the
-    phases are reduced exactly (integer squares, `_turns`) before rounding.
+    phases are reduced exactly (integer squares, `_turns`, and the grid's
+    end points as exact ratios of Python ints) before rounding.
     """
     n_x, n_q = x.size, q.size
-    x0, x1, q0, q1 = (Fraction(float(v)) for v in (x[0], x[-1], q[0], q[-1]))
-    dx = (x1 - x0) / max(n_x - 1, 1)
-    dq = (q1 - q0) / (n_q - 1)
-    xc, qc = (x0 + x1) / 2, (q0 + q1) / 2
-    beta = dx * dq / 8                       # pi dx dq m^2 = 2 pi beta (2m)^2
+    sx, wx, ux = _exact(x[0], x[-1])         # xc = sx / (2 ux), dx = wx / (ux mx)
+    sq, wq, uq = _exact(q[0], q[-1])
+    mx, mq, den = max(n_x - 1, 1), n_q - 1, 4 * ux * uq
+    beta = (wx * wq, 2 * den * mx * mq)      # dx dq / 8: pi dx dq m^2 = 2 pi beta (2m)^2
     m2 = 2 * np.arange(n_x) - (n_x - 1)      # 2m
     k2 = 2 * np.arange(n_q) - (n_q - 1)      # 2k
     # 2(m - k) at the lags 0 .. n_x - 1, then -(n_q - 1) .. -1 (wrapped)
     lag2 = np.concatenate((2 * np.arange(n_x), -2 * np.arange(n_q - 1, 0, -1))) + (n_q - n_x)
     size = 1 << (n_x + n_q - 2).bit_length()
     u = np.zeros(size, complex)
-    u[:n_q] = c * np.exp(2j * np.pi * (_turns(xc * dq / 2, k2) + _turns(beta, k2 * k2)))
-    chirp = np.exp(-2j * np.pi * _turns(beta, lag2 * lag2))
+    u[:n_q] = c * np.exp(2j * np.pi * (_turns(sx * wq, den * mq, k2) + _turns(*beta, k2 * k2)))
+    chirp = np.exp(-2j * np.pi * _turns(*beta, lag2 * lag2))
     h = np.zeros(size, complex)
     h[:n_x] = chirp[:n_x]
     h[size - n_q + 1:] = chirp[n_x:]
     conv = np.fft.ifft(np.fft.fft(u) * np.fft.fft(h))[:n_x]
-    post = float((xc * qc) % 1) + _turns(qc * dx / 2, m2) + _turns(beta, m2 * m2)
+    # xc qc mod 1 and qc dx / 2
+    post = (sx * sq % den) / den + _turns(sq * wx, den * mx, m2) + _turns(*beta, m2 * m2)
     return conv * np.exp(2j * np.pi * post)
 
 

@@ -4,9 +4,10 @@ hypergeometric 1F1(l; l+1; z), and sinc.
 `exp_fourier_rows` is the production route of every closed-form Talbot
 coefficient: a trapezoid rule in t with real arguments, one real FFT per
 count giving every order.  `hyp1f1_ladder_quad` takes 1F1 from its
-integral form by Gauss-Legendre quadrature.  Both run on numpy alone, and
-no route of the package evaluates a Bessel function; the oracles of the
-tests take I_nu from a special-function library.
+integral form by Gauss-Legendre quadrature, summed node by node.  Both
+run on numpy alone and call no BLAS routine, and no route of the package
+evaluates a Bessel function; the oracles of the tests take I_nu from a
+special-function library.
 """
 
 from __future__ import annotations
@@ -157,12 +158,18 @@ def legendre_unit_nodes(ell_max: int, reach: float):
 def hyp1f1_ladder_quad(ell_max: int, z) -> np.ndarray:
     """1F1(l; l+1; z) for l = 1 .. ell_max over a 1-D array z, shape
     (ell_max, z.size), by the Gauss-Legendre rule of `legendre_unit_nodes`
-    applied to DLMF 13.4.1, 1F1(l; l+1; z) = l int_0^1 s^(l-1) e^(zs) ds:
-    every row comes from one (ell_max x n) @ (n x z.size) product."""
+    applied to DLMF 13.4.1, 1F1(l; l+1; z) = l int_0^1 s^(l-1) e^(zs) ds.
+    The rule is summed over the nodes in node order, each weighted term
+    rounded before it is added, in plain numpy: no BLAS product, so the
+    bytes do not follow the OpenBLAS kernel or its thread count."""
     ell_max = int(ell_max)
     if ell_max < 1:
         raise DomainError("hyp1f1_ladder_quad requires ell_max >= 1")
     z = np.atleast_1d(np.asarray(z, complex)).ravel()
     s, w = legendre_unit_nodes(ell_max, float(np.max(np.abs(z), initial=0.0)))
     ells = np.arange(1, ell_max + 1)[:, None]
-    return (ells * w * s ** (ells - 1)) @ np.exp(np.multiply.outer(s, z))
+    coef = ells * w * s ** (ells - 1)
+    out = np.zeros((ell_max, z.size), complex)
+    for k in range(s.size):
+        out += coef[:, k, None] * np.exp(s[k] * z)
+    return out

@@ -80,8 +80,10 @@ def fold_xi(xi):
 
 def _check_kind(kind, kinds=KINDS):
     """InvalidInputError unless `kind` is one of the strings `kinds` or an
-    absorption count, an integer >= 0 (so no fractional count is truncated)."""
-    if not (kind in kinds or (isinstance(kind, (int, np.integer)) and kind >= 0)):
+    absorption count, an integer >= 0 (so no fractional count is truncated)
+    and not a bool (so True is not taken as count 1)."""
+    count = isinstance(kind, (int, np.integer)) and not isinstance(kind, bool)
+    if not (kind in kinds or (count and kind >= 0)):
         raise InvalidInputError(f"unknown coefficient kind {kind!r} for this call")
 
 

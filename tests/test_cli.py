@@ -4,6 +4,7 @@ import ast
 import json
 import math
 import os
+import platform
 import runpy
 import subprocess
 import sys
@@ -353,6 +354,22 @@ def test_every_public_name_has_a_caller():
     assert not unread
 
 
+def test_no_source_file_calls_blas():
+    """No route of the package calls BLAS, so no file follows the OpenBLAS
+    kernel or its thread count: no source file has a `@` product or names
+    dot, vdot, matmul, tensordot or linalg."""
+    blas = {"dot", "vdot", "matmul", "tensordot", "linalg"}
+    for path in (Path(__file__).resolve().parent.parent / "src" / "lasergrating").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '')}"
+            assert not isinstance(getattr(node, "op", None), ast.MatMult), where
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in blas, where
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                assert not blas & {part for n in names for part in n.split(".")}, where
+
+
 def test_import_keeps_process_pool_out(grating_cfg, tmp_path):
     """Sweep points run in the calling process, so a whole kdtli sweep, with
     --jobs 2, loads neither concurrent.futures nor multiprocessing."""
@@ -540,6 +557,32 @@ def test_ladder_envelope_is_metadata_only(tmp_path):
         assert meta["envelope"] == envelope
         kernels[envelope] = rows
     assert kernels["constant"] == kernels["gaussian"]
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_ladder_bytes_independent_of_openblas_kernel(tmp_path):
+    """At eta != 1 the ladder kernel takes the Gauss-Legendre sum, which ran
+    as an OpenBLAS zgemm whose last bits followed the core type (the
+    Prescott kernel against the default on an AVX2 machine).  Summed node by
+    node in numpy, the files are the same for any kernel."""
+    cfg = tmp_path / "ladder.cfg"
+    cfg.write_text("[grating]\nphi0 = 1.875\nn0 = 1.5\neta_p = 1.3\neta_a = 1.7\n\n"
+                   "[ladder]\nenvelope = gaussian\nkernel_xi = 0.3\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("OPENBLAS_CORETYPE", None)
+    code = "import sys; from lasergrating.cli import main; sys.exit(main(sys.argv[1:]))"
+    files = {}
+    for core in ("default", "Prescott"):
+        out = tmp_path / core
+        subprocess.run([sys.executable, "-c", code, "ladder", "--config", str(cfg),
+                        "--out", str(out)], check=True, capture_output=True,
+                       env=env if core == "default" else dict(env, OPENBLAS_CORETYPE=core))
+        files[core] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert "ladder_kernel.csv" in files["default"]
+    assert files["default"] == files["Prescott"]
 
 
 def test_rabi_command(tmp_path):

@@ -385,12 +385,15 @@ def alias_bound(config):
             - config.collimator_ratio * config.period_over_sep - ALIAS_MARGIN)
 
 
-@pytest.mark.parametrize("ells", [[1.5], [None, 2.0], [-1]])
+@pytest.mark.parametrize("ells", [[1.5], [None, 2.0], [-1], [True]])
 def test_count_that_is_not_an_integer_is_invalid(ells):
     """A fractional count was truncated: [1.5] gave the count-1 density
-    labelled ell = 1.5.  Any count but an integer >= 0 now raises."""
+    labelled ell = 1.5, and True was taken as count 1.  Any count but an
+    integer >= 0 that is not a bool now raises, here and in ClosedForm."""
     with pytest.raises(InvalidInputError):
         farfield_densities(fig4_config(), ells)
+    with pytest.raises(InvalidInputError):
+        ClosedForm(FIG4, ells[-1])
 
 
 def test_alias_guard_rejects_screen_near_period():
