@@ -3,9 +3,10 @@
 Commands: derive-params, talbot, kdtli, farfield, ladder, rabi, figure.
 Configuration is a sectioned key/value file with units spelled out in the
 key names (see docs/formats.md).  Commands and figures return their tables
-as (stem, meta, columns, blocks) tuples with every number computed (a lazy
-`blocks` only gathers); `main` alone writes them in the --format and lists
-them in the manifest, so a run that fails writes no data file.  Outputs are
+as (stem, meta, columns, blocks) tuples (talbot's made as written);
+`main` alone writes them in a hidden folder, moves them out once all are
+done and lists them in the manifest: a failed run writes no data file.
+Outputs are
 deterministic: fixed float formatting, sorted manifests, no timestamps;
 sweep points are computed and written in input order.  The physics layers
 are imported by the commands that run them, so a run compiles and loads
@@ -18,6 +19,7 @@ import argparse
 import configparser
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -257,25 +259,29 @@ def cmd_talbot(cfg, args) -> list:
     specfun.spectral_points(0.0, j_max + max(ells, default=0))  # the cap, before any array
     distinct, index, flip = talbot.fold_xi(xi)
     # the classical rows are read from the quantum table, so that the writer formats
-    # those values once per file; each count is an array of its own, freed once its
-    # blocks are written (the writer keeps the texts of the latest values only)
-    quantum, *conditional = talbot.symmetric_rows(np.arange(-j_max, j_max + 1), distinct,
-                                                  ["quantum", *ells], grating)
-    tables = [(v, "", quantum.ravel(), -1 if v == "classical" else 1)
-              for v in ((args.variant,) if args.variant else talbot.VARIANTS)]
-    tables += [("conditional", ell, rows.ravel(), 1) for ell, rows in zip(ells, conditional)]
+    # those values once per file; each count table is computed when the writer reaches
+    # it, so one is alive at a time (the writer keeps the texts of the latest values only)
+    rows = talbot.symmetric_rows(np.arange(-j_max, j_max + 1), distinct, ["quantum", *ells],
+                                 grating)
+    quantum = next(rows).ravel()
     # B_j(xi_k) is in column index_k and row j_max + j of a table (j_max - j where flip_k),
     # at index base_k + stride_k j; the classical rows are the quantum ones at -j (sign)
     base = index + distinct.size * j_max
     stride = np.where(flip, -distinct.size, distinct.size)
 
-    def blocks():
-        while tables:
-            label, ell, values, sign = tables.pop(0)
-            yield from ((label, ell, j, xi, output.Gathered(values, base + stride * (sign * j)),
-                         0.0) for j in range(-j_max, j_max + 1))
+    def table(label, ell, values, sign=1):
+        return ((label, ell, j, xi, output.Gathered(values, base + stride * (sign * j)), 0.0)
+                for j in range(-j_max, j_max + 1))
+
+    def blocks(quantum):
+        for v in (args.variant,) if args.variant else talbot.VARIANTS:
+            yield from table(v, "", quantum, -1 if v == "classical" else 1)
+        del quantum  # not held while the count tables are made
+        for ell in ells:
+            yield from table("conditional", ell, next(rows).ravel())
     meta = {"command": "talbot", "phi0": grating.phi0, "n0": grating.n0, "j_max": j_max}
-    return [("talbot_coefficients", meta, ["variant", "ell", "j", "xi", "re", "im"], blocks())]
+    return [("talbot_coefficients", meta, ["variant", "ell", "j", "xi", "re", "im"],
+             blocks(quantum))]
 
 
 def cmd_kdtli(cfg, args) -> list:
@@ -581,6 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_intermixed_args(argv)
     made = None  # the output directory, where this run makes it
+    parts = None  # the folder in it that holds the files until the last is written
     try:
         if args.jobs is not None and args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
@@ -606,14 +613,18 @@ def main(argv=None) -> int:
             else COMMANDS[args.command](cfg, args)
         write = output.write_json_table if args.format == "json" else output.write_csv
         files = []
+        parts = outdir / f".lasergrating-{os.getpid()}"
+        parts.mkdir(exist_ok=True)
         for stem, meta, columns, blocks in tables:
             files.append(f"{stem}.{args.format}")
-            write(outdir / files[-1], meta, columns, blocks)
+            write(parts / files[-1], meta, columns, blocks)
         if args.command == "figure":  # a plot script for the last table
             files.append(f"plot_figure{args.figure}.py")
             module, load = _PLOT_LOADERS[args.format]
-            (outdir / files[-1]).write_text(_PLOT_TEMPLATE.format(
+            (parts / files[-1]).write_text(_PLOT_TEMPLATE.format(
                 fig=args.figure, default=files[-2], module=module, load=load))
+        for name in files:
+            os.replace(parts / name, outdir / name)
         output.write_manifest(outdir / "manifest.json", args.command, params, files)
         return 0
     except (ConfigError, InvalidInputError) as exc:
@@ -622,9 +633,15 @@ def main(argv=None) -> int:
         message, code = f"numerical error: {exc}", EXIT_NUMERICS
     except OSError as exc:
         message, code = f"i/o error: {exc}", EXIT_IO
+    finally:
+        if parts is not None:
+            try:
+                parts.rmdir()  # empty after a run that succeeds
+            except OSError:
+                shutil.rmtree(parts, ignore_errors=True)
     print(message, file=sys.stderr)
     if made is not None and made.is_dir() and not any(made.iterdir()):
-        made.rmdir()  # only while empty: files a failed run wrote stay
+        made.rmdir()  # only while empty: files an earlier run wrote stay
     return code
 
 

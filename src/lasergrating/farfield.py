@@ -37,7 +37,7 @@ from .params import GratingParameters
 from . import talbot
 
 ALIAS_MARGIN = 4.0       # screen units kept clear of the aliased density, see _q_grid
-Q_BLOCK = 1 << 16        # Talbot-table entries (orders x q) per block of the q sum
+Q_BLOCK = 1 << 15        # Talbot-table entries (orders x q) per block of the q sum
 ORDER_TAIL = 1e-10       # largest |B_{+-j_max}| the order cutoff may drop
 
 
@@ -163,7 +163,7 @@ def _turns(num: int, den: int, n: np.ndarray) -> np.ndarray:
 
 def _screen_transform(x: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray:
     """w_m = sum_k c_k e^{2 pi i x_m q_k} over every point x_m of a uniform
-    screen, for a uniform q grid.
+    screen, for a uniform q grid, for each row of `c` (one row if it is 1-D).
 
     This is a centred Bluestein chirp-z transform: with
     x_m = x_c + m dx, q_k = q_c + k dq and m, k counted from the grid
@@ -172,7 +172,9 @@ def _screen_transform(x: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray
     the chirp e^{-i pi dx dq n^2}, taken by FFT.  Centring keeps the largest
     chirp phase 4 times smaller than counting from the grid ends, and the
     phases are reduced exactly (integer squares, `_turns`, and the grid's
-    end points as exact ratios of Python ints) before rounding.
+    end points as exact ratios of Python ints) before rounding.  The chirp
+    spectrum and the phase factors are made once per call, and each row is
+    transformed in place in one work array.
     """
     n_x, n_q = x.size, q.size
     sx, wx, ux = _exact(x[0], x[-1])         # xc = sx / (2 ux), dx = wx / (ux mx)
@@ -184,16 +186,25 @@ def _screen_transform(x: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray
     # 2(m - k) at the lags 0 .. n_x - 1, then -(n_q - 1) .. -1 (wrapped)
     lag2 = np.concatenate((2 * np.arange(n_x), -2 * np.arange(n_q - 1, 0, -1))) + (n_q - n_x)
     size = 1 << (n_x + n_q - 2).bit_length()
-    u = np.zeros(size, complex)
-    u[:n_q] = c * np.exp(2j * np.pi * (_turns(sx * wq, den * mq, k2) + _turns(*beta, k2 * k2)))
+    pre = np.exp(2j * np.pi * (_turns(sx * wq, den * mq, k2) + _turns(*beta, k2 * k2)))
     chirp = np.exp(-2j * np.pi * _turns(*beta, lag2 * lag2))
-    h = np.zeros(size, complex)
-    h[:n_x] = chirp[:n_x]
-    h[size - n_q + 1:] = chirp[n_x:]
-    conv = np.fft.ifft(np.fft.fft(u) * np.fft.fft(h))[:n_x]
+    spectrum = np.zeros(size, complex)
+    spectrum[:n_x] = chirp[:n_x]
+    spectrum[size - n_q + 1:] = chirp[n_x:]
+    np.fft.fft(spectrum, out=spectrum)
     # xc qc mod 1 and qc dx / 2
-    post = (sx * sq % den) / den + _turns(sq * wx, den * mx, m2) + _turns(*beta, m2 * m2)
-    return conv * np.exp(2j * np.pi * post)
+    post = np.exp(2j * np.pi * ((sx * sq % den) / den + _turns(sq * wx, den * mx, m2)
+                                + _turns(*beta, m2 * m2)))
+    w = np.empty(np.shape(c)[:-1] + (n_x,), complex)
+    u = np.empty(size, complex)
+    for ck, wk in zip(np.reshape(c, (-1, n_q)), w.reshape(-1, n_x)):
+        np.multiply(ck, pre, out=u[:n_q])
+        u[n_q:] = 0.0
+        np.fft.fft(u, out=u)
+        u *= spectrum
+        np.fft.ifft(u, out=u)
+        np.multiply(u[:n_x], post, out=wk)
+    return w
 
 
 def _screen_coefficients(config: FarFieldConfig, ells, variant: str):
@@ -204,8 +215,9 @@ def _screen_coefficients(config: FarFieldConfig, ells, variant: str):
     The q grid is folded once (`talbot.fold_xi`): the Talbot rows run on
     blocks of the distinct folded values, and each block's q points gather
     their rows, flipped in j where the fold says so, in blocks of their
-    own.  Every array holds at most Q_BLOCK table entries, however often a
-    folded value repeats."""
+    own.  The tables of a block fill one array as `talbot.symmetric_rows`
+    yields them, and every array holds at most Q_BLOCK table entries, however
+    often a folded value repeats."""
     ratio = config.period_over_sep
     j_max = config.order_cutoff()
     q = _q_grid(config, j_max, ratio)
@@ -216,9 +228,13 @@ def _screen_coefficients(config: FarFieldConfig, ells, variant: str):
     starts = np.searchsorted(index, np.arange(0, distinct.size + step, step), sorter=by_value)
     kinds = [variant if ell is None else ell for ell in ells]
     g = np.empty((len(ells), q.size))
+    block = np.empty((len(ells), orders.size, min(step, distinct.size)))
     edge = 0.0
     for i, lo, hi in zip(range(0, distinct.size, step), starts, starts[1:]):
-        rows = np.stack(talbot.symmetric_rows(orders, distinct[i:i + step], kinds, config.grating))
+        rows = block[:, :, :distinct.size - i]
+        for k, tab in enumerate(talbot.symmetric_rows(orders, distinct[i:i + step], kinds,
+                                                      config.grating)):
+            rows[k] = tab
         edge = max(edge, float(np.max(np.abs(rows[:, [0, -1]]))))
         for k in range(lo, hi, step):
             pts = by_value[k:min(k + step, hi)]
@@ -242,7 +258,8 @@ def farfield_densities(config: FarFieldConfig, ells,
     over q.  The Fraunhofer limit is d/Dx -> 0: at period_over_sep = 1e-20
     the 2 q d/Dx term lies below half an ulp of every nonzero order."""
     q, c = _screen_coefficients(config, ells, variant)
-    w = [_screen_transform(config.screen, q, ck) / (math.pi * config.collimator_ratio) for ck in c]
+    w = _screen_transform(config.screen, q, c)
+    w /= math.pi * config.collimator_ratio
     return [ScreenDensity(config.screen.copy(), wk.real, ell) for ell, wk in zip(ells, w)]
 
 

@@ -3,7 +3,8 @@ hypergeometric 1F1(l; l+1; z), and sinc.
 
 `exp_fourier_rows` is the production route of every closed-form Talbot
 coefficient: a trapezoid rule in t with real arguments, one real FFT per
-count giving every order.  `hyp1f1_ladder_quad` takes 1F1 from its
+count giving every order, several counts one table at a time.
+`hyp1f1_ladder_quad` takes 1F1 from its
 integral form by Gauss-Legendre quadrature, summed node by node.  Both
 run on numpy alone and call no BLAS routine, and no route of the package
 evaluates a Bessel function; the oracles of the tests take I_nu from a
@@ -56,8 +57,8 @@ def exp_fourier_rows(orders, a, b, c=0.0, counts=0, p0=0.0, p1=0.0, elements=Non
     """Fourier coefficients of exp(a e^{it} + b e^{-it} + c) P(t)^l / l!,
     P(t) = p0 + p1 cos t, for every j in `orders`, every element of the real
     1-D arrays a, b, c, p0, p1 (broadcast together) and every count l in
-    `counts`: an array of shape (len(orders), len(a)) for one count, a list
-    of one such array per entry for a sequence.
+    `counts`: an array of shape (len(orders), len(a)) for one count, an
+    iterator of one such array per entry for a sequence, made when asked for.
 
     The integrand f has f(-t) = conj f(t), so the coefficients are real: exp
     is taken once on the half period 0 <= t <= pi, times P^l / l! (a running
@@ -67,7 +68,8 @@ def exp_fourier_rows(orders, a, b, c=0.0, counts=0, p0=0.0, p1=0.0, elements=Non
     and the error is round-off plus aliasing, which falls off exponentially
     in N (Trefethen & Weideman, SIAM Review 56, 2014).  Coefficients around
     order N/2 above SPECTRAL_TAIL raise CutoffError.  Elements are taken in
-    blocks of SPECTRAL_BLOCK // N, so no array of all elements times N is built.
+    blocks of SPECTRAL_BLOCK // N, so one count builds no array of all
+    elements times N; a sequence holds one elements x (N/2 + 1) table of f.
     Given `elements`, a nondecreasing integer array of one element per order,
     each result is the 1-D array of the pairs (orders[k], elements[k]) instead.
     """
@@ -77,39 +79,50 @@ def exp_fourier_rows(orders, a, b, c=0.0, counts=0, p0=0.0, p1=0.0, elements=Non
     a, b, c, p0, p1 = (v.ravel() for v in np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, float)) for v in (a, b, c, p0, p1))))
     single, counts = np.ndim(counts) == 0, np.atleast_1d(np.asarray(counts, int))
-    l_max = int(np.max(counts, initial=0))
     reach = float(np.max(np.abs(a) + np.abs(b), initial=0.0))
-    n = spectral_points(reach, int(np.max(np.abs(orders), initial=0)) + l_max)
+    n = spectral_points(reach, int(np.max(np.abs(orders), initial=0))
+                        + int(np.max(counts, initial=0)))
+    rows = _count_rows(orders, a, b, c, counts.tolist(), p0, p1, elements, n)
+    return next(rows) if single else rows
+
+
+def _count_rows(orders, a, b, c, counts, p0, p1, elements, n):
     t = 2.0 * np.pi * np.arange(n // 2 + 1) / n
     cos_t, sin_t = np.cos(t), np.sin(t)
     cols = orders % n
     guard = np.arange(n // 2 - 4, n // 2 + 5)
-    out = [np.empty((orders.size, a.size) if elements is None else orders.size) for _ in counts]
     step = max(1, SPECTRAL_BLOCK // n)
     if elements is not None:  # below[e]: the number of pairs of elements below e
         below = np.concatenate(([0], np.cumsum(np.bincount(elements, minlength=a.size))))
-    for i in range(0, a.size, step):
-        blk = slice(i, i + step)
-        # out[k].T is elements x orders for a table, and a 1-D out[k] itself for pairs
-        dst = blk if elements is None else slice(below[i], below[min(i + step, a.size)])
-        src = (slice(None), cols) if elements is None else (elements[dst] - i, cols[dst])
-        # a e^{it} + b e^{-it} + c = (a + b) cos t + c + i (a - b) sin t
-        f = np.multiply.outer(a[blk] + b[blk], cos_t) + c[blk, None] + 0j
-        f.imag = np.multiply.outer(a[blk] - b[blk], sin_t)
-        np.exp(f, out=f)
-        poly = p0[blk, None] + np.multiply.outer(p1[blk], cos_t) if l_max else None
-        for ell in range(l_max + 1):
-            if ell:
-                f *= poly / ell
-            if (hit := np.flatnonzero(counts == ell)).size:
-                spec = np.fft.hfft(f, n, axis=1, norm="forward")
-                tail = float(np.max(np.abs(spec[:, guard])))
-                if tail > SPECTRAL_TAIL:
-                    raise CutoffError(f"spectral Talbot kernel aliases: |c_j| = {tail:.2e} near "
-                                      f"order N/2 = {n // 2} exceeds {SPECTRAL_TAIL:.0e}")
-                for k in hit:
-                    out[k].T[dst] = spec[src]
-    return out[0] if single else out
+    # f of every element at count `held`, kept between counts
+    table, held = np.empty((a.size, n // 2 + 1), complex) if len(counts) > 1 else None, -1
+    for ell in counts:
+        fresh = not 0 <= held <= ell
+        start = 0 if fresh else held
+        out = np.empty((orders.size, a.size) if elements is None else orders.size)
+        for i in range(0, a.size, step):
+            blk = slice(i, i + step)
+            # out.T is elements x orders for a table, and a 1-D out itself for pairs
+            dst = blk if elements is None else slice(below[i], below[min(i + step, a.size)])
+            src = (slice(None), cols) if elements is None else (elements[dst] - i, cols[dst])
+            f = None if table is None else table[blk]
+            if fresh:
+                # a e^{it} + b e^{-it} + c = (a + b) cos t + c + i (a - b) sin t
+                z = np.multiply.outer(a[blk] + b[blk], cos_t) + c[blk, None] + 0j
+                z.imag = np.multiply.outer(a[blk] - b[blk], sin_t)
+                f = np.exp(z, out=z if f is None else f)
+            if ell > start:
+                poly = p0[blk, None] + np.multiply.outer(p1[blk], cos_t)
+                for k in range(start + 1, ell + 1):
+                    f *= poly / k
+            spec = np.fft.hfft(f, n, axis=1, norm="forward")
+            tail = float(np.max(np.abs(spec[:, guard])))
+            if tail > SPECTRAL_TAIL:
+                raise CutoffError(f"spectral Talbot kernel aliases: |c_j| = {tail:.2e} near "
+                                  f"order N/2 = {n // 2} exceeds {SPECTRAL_TAIL:.0e}")
+            out.T[dst] = spec[src]
+        held = ell
+        yield out
 
 
 def _legendre_p(n: int, x):

@@ -30,9 +30,10 @@ B_j(xi + 2) = B_j(xi) and B_j(-xi) = B_{-j}(xi).  `fold_xi` maps every xi
 onto [0, 1] with exact arithmetic (fmod by 2, then 2 - r by Sterbenz) and
 records where j flips sign; the kernel runs once per distinct folded value
 (once per xi where the grating parameters are arrays).  `symmetric_rows`
-builds them all: a table of the given orders per kind for the far field (on
-its folded q) and the talbot command (on its xi grid), and for a `ClosedForm`
-pairs call only its pairs.  No digits of sin(pi xi) are lost at large xi.
+yields them one kind at a time, each table made when it is asked for: a table
+of the given orders per kind for the far field (on its folded q) and the
+talbot command (on its xi grid), and for a `ClosedForm` pairs call only its
+pairs.  No digits of sin(pi xi) are lost at large xi.
 
 No route samples a kernel line: the numeric Fourier reduction of a sampled
 two-point kernel is the oracle of the tests, in tests/oracles.py.
@@ -87,34 +88,36 @@ def _check_kind(kind, kinds=KINDS):
         raise InvalidInputError(f"unknown coefficient kind {kind!r} for this call")
 
 
-def symmetric_rows(orders, distinct, kinds, grating: GratingParameters, index=None) -> list:
+def symmetric_rows(orders, distinct, kinds, grating: GratingParameters, index=None):
     """Closed-form B_j for every j of the 1-D `orders` at xi already folded onto
     [0, 1] (the `distinct` of `fold_xi`), grating parameters broadcast against it:
-    one table of shape (len(orders), len(distinct)) per entry of `kinds`, each
+    an iterator of one table of shape (len(orders), len(distinct)) per entry of
+    `kinds`, in its order, each computed when it is asked for; each kind is
     "quantum", "classical", "ladder" (the dynamical ladder kernel summed over
     counts) or a count.  Each variant takes one exp_fourier_rows call, all counts
-    one more, and "ladder" two.  Given a nondecreasing `index` (the only form of
-    "ladder"), each entry is the pair B_{orders[k]}(distinct[index[k]])."""
+    one more, whose iterator holds one table of f, and "ladder" two.  Given a
+    nondecreasing `index` (the only form of "ladder"), each entry is the pair
+    B_{orders[k]}(distinct[index[k]])."""
     for kind in kinds:
         _check_kind(kind, KINDS if index is not None else VARIANTS)
     za, zc, zap = zeta(distinct, grating)
-    tables = {}
-    for kind in VARIANTS:
-        if kind in kinds:
-            # exponent: i zc sin(t) + zap cos(t) - zap, real part <= 0; the classical
-            # variant flips zeta_coh, i.e. j -> -j
-            tables[kind] = exp_fourier_rows(-orders if kind == "classical" else orders,
-                                            0.5 * (zc + zap), 0.5 * (zap - zc), -zap,
-                                            elements=index)
-    if "ladder" in kinds:
-        tables["ladder"] = _ladder_rows(orders, distinct, grating, index)
     if counts := [kind for kind in kinds if not isinstance(kind, str)]:
         # l = 0 exponent: i zc sin(t) - za cos(t) - n0/2 = a e^{it} + b e^{-it} + c
         # with a = (zc - za)/2, b = -(zc + za)/2; its real part is <= |za| - n0/2 <= 0
-        tables.update(zip(counts, exp_fourier_rows(
-            orders, 0.5 * (zc - za), -0.5 * (zc + za), -0.5 * grating.n0,
-            counts, za, 0.5 * grating.n0, elements=index)))
-    return [tables[kind] for kind in kinds]
+        conditional = exp_fourier_rows(orders, 0.5 * (zc - za), -0.5 * (zc + za),
+                                       -0.5 * grating.n0, counts, za, 0.5 * grating.n0,
+                                       elements=index)
+
+    def table(kind):
+        if kind == "ladder":
+            return _ladder_rows(orders, distinct, grating, index)
+        if isinstance(kind, str):
+            # exponent: i zc sin(t) + zap cos(t) - zap, real part <= 0; the classical
+            # variant flips zeta_coh, i.e. j -> -j
+            return exp_fourier_rows(-orders if kind == "classical" else orders,
+                                    0.5 * (zc + zap), 0.5 * (zap - zc), -zap, elements=index)
+        return next(conditional)
+    return map(table, kinds)
 
 
 def _paired(orders, xi) -> np.ndarray:
@@ -146,8 +149,8 @@ class ClosedForm:
             distinct, index = distinct[index], np.arange(index.size)
         # pairs sorted by xi and put back; float keys reuse fold_xi's sort code
         by_xi = np.argsort(index.astype(float))
-        values = symmetric_rows(np.where(flip, -orders, orders)[by_xi], distinct, [self.kind],
-                                g, index[by_xi])[0]
+        values = next(symmetric_rows(np.where(flip, -orders, orders)[by_xi], distinct,
+                                     [self.kind], g, index[by_xi]))
         return values[np.argsort(by_xi.astype(float))]
 
 

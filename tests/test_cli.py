@@ -744,9 +744,9 @@ def test_config_the_command_would_not_read_is_config_error(command, text, sweep,
 
 def test_failed_run_leaves_no_empty_output_directory(tmp_path):
     """A run that made the output directory and then fails removes it while
-    it is empty; a directory that was there before stays.  A command
-    computes all of its tables before the first is written, so a run that
-    fails after its first table is ready writes no data file either."""
+    it is empty; a directory that was there before stays.  The data files
+    are moved into place only once the last is written, so a run that fails
+    after its first table is ready writes no data file either."""
     cfg = tmp_path / "x.cfg"
     cfg.write_text(BEAM_CFG.replace("polarizability_A3 = 100\n", ""))
     out = tmp_path / "run"
@@ -763,6 +763,48 @@ def test_failed_run_leaves_no_empty_output_directory(tmp_path):
     assert run(["ladder", "--config", cfg, "--sweep", "talbot_parameter=0.5:1:3",
                 "--out", tmp_path / "ladder"]) == 3
     assert not (tmp_path / "rabi").exists() and not (tmp_path / "ladder").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_talbot_count_that_fails_while_written_leaves_no_file(fmt, grating_cfg, tmp_path,
+                                                             monkeypatch):
+    """The talbot command computes each count table as the writer reaches it,
+    so an aliasing CutoffError of a late count comes after the first six
+    tables are written.  The run exits 3 and leaves no data file, no manifest
+    and no temporary file; a file of an earlier run stays byte-unchanged."""
+    from lasergrating import talbot
+    from lasergrating.errors import CutoffError
+    from lasergrating.specfun import exp_fourier_rows
+    made = []
+
+    def six_then_aliasing(orders, a, b, c=0.0, counts=0, *args, **kwargs):
+        rows = exp_fourier_rows(orders, a, b, c, counts, *args, **kwargs)
+        if np.ndim(counts) == 0:
+            return rows
+
+        def tables():
+            for table in rows:
+                if len(made) == 6:
+                    raise CutoffError("spectral Talbot kernel aliases")
+                made.append(table.shape)
+                yield table
+        return tables()
+
+    monkeypatch.setattr(talbot, "exp_fourier_rows", six_then_aliasing)
+    name = f"talbot_coefficients.{fmt}"
+    out = tmp_path / "new"
+    assert run(["talbot", "--config", grating_cfg, "--ell", "all", "--format", fmt,
+                "--out", out]) == 3
+    assert len(made) == 6 and not out.exists()
+    earlier = tmp_path / "earlier"
+    earlier.mkdir()
+    (earlier / name).write_bytes(b"# from an earlier run\n")
+    made.clear()
+    assert run(["talbot", "--config", grating_cfg, "--ell", "all", "--format", fmt,
+                "--out", earlier]) == 3
+    assert len(made) == 6
+    assert [p.name for p in earlier.iterdir()] == [name]
+    assert (earlier / name).read_bytes() == b"# from an earlier run\n"
 
 
 def test_known_keys_a_command_does_not_read_are_accepted(tmp_path):
@@ -959,6 +1001,31 @@ def test_cli_matrix_reproduces_its_digests(tmp_path):
     diffs = [f"{name}: {diff}" for name in matrix.CALLS
              if (diff := matrix.first_difference(want[name], got[name]))]
     assert not diffs, "\n".join(diffs)
+
+
+def test_cli_matrix_talbot_record_guards_one_spectral_size():
+    """`talbot --ell all` takes every count table on the N of the largest
+    count.  On the matrix's talbot.cfg, counts 0-7 alone would take N = 128,
+    not 256, and other bytes, so the talbot-ell-all records guard that one N;
+    counts 8-12 alone take N = 256 and the same bytes."""
+    import configparser
+    from lasergrating import talbot
+    from lasergrating.grating import poisson_ell_max
+    from lasergrating.specfun import spectral_points
+    cfg = configparser.ConfigParser()
+    cfg.read_string(_cli_matrix().CONFIGS["talbot.cfg"])
+    g, j_max = cli.grating_from_config(cfg), cli.get(cfg, "j_max")
+    xi = np.linspace(0.0, 2.0, cli.get(cfg, "xi_points"), endpoint=False)
+    distinct = talbot.fold_xi(xi)[0]
+    za, zc, _ = talbot.zeta(distinct, g)
+    reach = float(np.max(np.abs(0.5 * (zc - za)) + np.abs(0.5 * (zc + za))))
+    ells = list(range(poisson_ell_max(g) + 1))
+    assert [spectral_points(reach, j_max + ell) for ell in ells] == [128] * 8 + [256] * 5
+    orders = np.arange(-j_max, j_max + 1)
+    shared = [t.tobytes() for t in talbot.symmetric_rows(orders, distinct, ells, g)]
+    alone = [next(talbot.symmetric_rows(orders, distinct, [ell], g)).tobytes() for ell in ells]
+    assert all(a != b for a, b in zip(shared[:8], alone[:8]))
+    assert shared[8:] == alone[8:]
 
 
 def test_cli_matrix_locates_the_first_differing_cell(tmp_path):

@@ -246,10 +246,37 @@ def test_exp_fourier_rows_is_block_invariant(block, monkeypatch):
              (range(-40, 41), (4.0 * a, 4.0 * b, 4.0 * c))]
     reach = float(np.max(np.abs(a) + np.abs(b)))
     assert (spectral_points(reach, 5), spectral_points(4.0 * reach, 40)) == (128, 256)
-    want = [np.stack(exp_fourier_rows(orders, *args)) for orders, args in cases]
+    want = [np.stack(list(exp_fourier_rows(orders, *args))) for orders, args in cases]
     monkeypatch.setattr(specfun, "SPECTRAL_BLOCK", block)
     for (orders, args), ref in zip(cases, want):
-        assert np.stack(exp_fourier_rows(orders, *args)).tobytes() == ref.tobytes()
+        assert np.stack(list(exp_fourier_rows(orders, *args))).tobytes() == ref.tobytes()
+
+
+def test_count_tables_come_in_the_order_given():
+    """A sequence of counts yields one table per entry, in its order and
+    repeats included, each byte-equal to its entry of the ascending counts
+    (the same N, as the largest count is the same)."""
+    a, b, c, p0, p1 = _ladder_like_arguments(300)
+    ascending = list(exp_fourier_rows(range(-2, 3), a, b, c, range(6), p0, p1))
+    picked = exp_fourier_rows(range(-2, 3), a, b, c, [5, 0, 5], p0, p1)
+    assert iter(picked) is picked
+    got = list(picked)
+    assert len(got) == 3
+    for table, ell in zip(got, [5, 0, 5]):
+        assert table.tobytes() == ascending[ell].tobytes()
+
+
+def test_count_tables_equal_single_count_calls():
+    """Where every count alone takes the N of all counts, each yielded table
+    equals the single-count call byte for byte: the running product and the
+    restart below the last count go through the same operations."""
+    a, b, c, p0, p1 = _ladder_like_arguments(3000)
+    reach = float(np.max(np.abs(a) + np.abs(b)))
+    counts = [0, 1, 2, 5, 3, 3]
+    assert {spectral_points(reach, 2 + ell) for ell in counts} == {128}
+    for ell, table in zip(counts, exp_fourier_rows(range(-2, 3), a, b, c, counts, p0, p1)):
+        single = exp_fourier_rows(range(-2, 3), a, b, c, ell, p0, p1)
+        assert table.tobytes() == single.tobytes(), ell
 
 
 def test_exp_fourier_rows_working_set_is_bounded():
